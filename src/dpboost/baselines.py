@@ -18,18 +18,19 @@ from .noise import laplace
 
 @dataclass(frozen=True)
 class LogRegHyper:
-    """Full-batch gradient-descent settings for the logistic fits."""
+    """Ridge coefficient and damped-Newton stopping rule for the logistic fits."""
 
     lam: float = 1e-3
     max_iters: int = 500
-    step: float = 0.5
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("ridge coefficient must be >= 0")
-        if self.max_iters < 1 or self.step <= 0 or self.tol <= 0:
-            raise ValueError("max_iters >= 1, step > 0 and tol > 0 required")
+        # lam > 0 keeps the Hessian positive definite, so each Newton step
+        # exists (at lam = 0 a constant-zero column makes it singular)
+        if not self.lam > 0:
+            raise ValueError("ridge coefficient must be > 0")
+        if self.max_iters < 1 or self.tol <= 0:
+            raise ValueError("max_iters >= 1 and tol > 0 required")
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -58,35 +59,54 @@ def weighted_logistic_grad(theta, intercept, X, y, weights, lam):
     return X.T @ coeff + lam * theta, float(np.sum(coeff))
 
 
-def _descend(loss_fn, grad_fn, theta, intercept, hyper: LogRegHyper):
-    """Full-batch descent with step halving on any loss increase.
+def weighted_logistic_hess(theta, intercept, X, y, weights, lam):
+    """Hessian of ``weighted_logistic_loss`` w.r.t. (theta, intercept), intercept last.
 
-    The step is halved (up to 20 times per iteration) until the candidate
-    does not increase the loss, so the loss sequence is non-increasing.
+    The intercept is unregularized, so ``lam`` sits on the theta block only.
     """
-    loss = loss_fn(theta, intercept)
+    z = X @ theta + intercept
+    w = np.asarray(weights, dtype=np.float64)
+    # sigma(z) * sigma(-z) without the cancellation of p * (1 - p); y^2 = 1
+    e = np.exp(-np.abs(z))
+    curv = w * e / (1.0 + e) ** 2 / np.sum(w)
+    d = X.shape[1]
+    H = np.empty((d + 1, d + 1))
+    Xc = X * curv[:, None]
+    H[:d, :d] = X.T @ Xc
+    H[:d, :d][np.diag_indices(d)] += lam
+    H[:d, d] = H[d, :d] = Xc.sum(axis=0)
+    H[d, d] = curv.sum()
+    return H
+
+
+def _newton(loss_fn, grad_fn, hess_fn, x, hyper: LogRegHyper):
+    """Damped Newton minimization of a smooth convex objective of the vector ``x``.
+
+    Each iteration solves H s = g and halves the step (up to 30 times) until
+    the loss does not rise, so the loss sequence is non-increasing. Stops
+    once the gradient norm is <= ``tol``, after ``max_iters`` iterations, or
+    when no halved step keeps the loss from rising (the loss is then flat to
+    rounding).
+    """
+    loss = loss_fn(x)
     if not math.isfinite(loss):
         raise RuntimeError("non-finite loss at initialization")
-    step = hyper.step
     for _ in range(hyper.max_iters):
-        g_theta, g_b = grad_fn(theta, intercept)
-        if math.hypot(float(np.linalg.norm(g_theta)), g_b) <= hyper.tol:
+        g = grad_fn(x)
+        if np.linalg.norm(g) <= hyper.tol:
             break
-        accepted = False
-        for _ in range(21):
-            cand_theta = theta - step * g_theta
-            cand_b = intercept - step * g_b
-            cand_loss = loss_fn(cand_theta, cand_b)
-            if math.isfinite(cand_loss) and cand_loss <= loss:
-                accepted = True
+        s = np.linalg.solve(hess_fn(x), g)
+        t = 1.0
+        for _ in range(31):
+            cand = x - t * s
+            cand_loss = loss_fn(cand)
+            if cand_loss <= loss:  # False for NaN
                 break
-            step *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             break
-        theta, intercept, loss = cand_theta, cand_b, cand_loss
-    if not math.isfinite(loss):
-        raise RuntimeError("logistic fit diverged to a non-finite loss")
-    return theta, intercept
+        x, loss = cand, cand_loss
+    return x
 
 
 def fit_logreg_weighted(
@@ -108,15 +128,15 @@ def fit_logreg_weighted(
 
     X = ds.X[:, list(cols)]
     y = ds.y.astype(np.float64)
-    theta0 = np.zeros(X.shape[1])
-    theta, b = _descend(
-        lambda t, c: weighted_logistic_loss(t, c, X, y, w, hyper.lam),
-        lambda t, c: weighted_logistic_grad(t, c, X, y, w, hyper.lam),
-        theta0,
-        0.0,
+    lam = hyper.lam
+    x = _newton(
+        lambda x: weighted_logistic_loss(x[:-1], x[-1], X, y, w, lam),
+        lambda x: np.append(*weighted_logistic_grad(x[:-1], x[-1], X, y, w, lam)),
+        lambda x: weighted_logistic_hess(x[:-1], x[-1], X, y, w, lam),
+        np.zeros(X.shape[1] + 1),
         hyper,
     )
-    return LinearClassifier(coeffs=theta, intercept=b, cols=cols)
+    return LinearClassifier(coeffs=x[:-1], intercept=float(x[-1]), cols=cols)
 
 
 def fit_logreg(ds: Dataset, cols, hyper: LogRegHyper = LogRegHyper()) -> LinearClassifier:
@@ -134,8 +154,10 @@ def fit_dp_logreg(
 ) -> LinearClassifier:
     """Epsilon-DP logistic regression by objective perturbation.
 
-    Appends a constant column, rescales rows to norm at most one, and
-    minimizes
+    Appends a constant column and divides every row by sqrt(ds.d + 1). That
+    bounds each row norm by one, because the features lie in [-1, 1] and the
+    constant adds 1, and it depends on no row's values, so it releases
+    nothing. It then minimizes
 
         (1/n) sum_i log(1 + exp(-y_i theta.x_i)) + (lam/2)||theta||^2
             + (b . theta)/n,
@@ -145,6 +167,9 @@ def fit_dp_logreg(
     is raised to 1/(4n(e^{eps/4}-1)), which makes eps' = eps/2; if that
     exceeds ``lam_cap`` the instance is too small and the fit fails.
 
+    The guarantee covers only the exact minimizer, so the objective is
+    solved by damped Newton to the gradient-norm tolerance ``tol``.
+
     Consumes exactly d+1 draws from ``rng`` (one gamma, d normals), where d
     counts the constant column.
     """
@@ -152,6 +177,8 @@ def fit_dp_logreg(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if rng is None:
         raise ValueError("fit_dp_logreg requires an explicit rng")
+    if ds.X.min(initial=0.0) < -1.0 or ds.X.max(initial=0.0) > 1.0:
+        raise ValueError("fit_dp_logreg needs features in [-1, 1]; normalize first")
 
     n = ds.n
     lam = hyper.lam
@@ -165,11 +192,10 @@ def fit_dp_logreg(
             )
         eps_prime = epsilon / 2.0
 
-    Xc = np.hstack([ds.X, np.ones((n, 1))])
-    scale = max(1.0, float(np.max(np.linalg.norm(Xc, axis=1))))
-    Xs = Xc / scale
+    d = ds.d + 1
+    scale = math.sqrt(d)
+    Xs = np.hstack([ds.X, np.ones((n, 1))]) / scale
     y = ds.y.astype(np.float64)
-    d = Xs.shape[1]
 
     # Gamma(d, 2/eps') norm with a uniform direction gives ||b|| the density
     # proportional to exp(-eps' ||b|| / 2). Draws happen even at eps'=inf
@@ -180,16 +206,16 @@ def fit_dp_logreg(
     direction /= np.linalg.norm(direction)
     b_vec = norm_b * direction
 
+    # The constant column carries the intercept, so the intercept slot stays
+    # pinned at 0 and lam regularizes every coordinate of theta.
     ones = np.ones(n)
-
-    def loss(t, _c):
-        return weighted_logistic_loss(t, 0.0, Xs, y, ones, lam) + float(np.dot(b_vec, t)) / n
-
-    def grad(t, _c):
-        g_t, _ = weighted_logistic_grad(t, 0.0, Xs, y, ones, lam)
-        return g_t + b_vec / n, 0.0
-
-    theta, _ = _descend(loss, grad, np.zeros(d), 0.0, hyper)
+    theta = _newton(
+        lambda t: weighted_logistic_loss(t, 0.0, Xs, y, ones, lam) + float(np.dot(b_vec, t)) / n,
+        lambda t: weighted_logistic_grad(t, 0.0, Xs, y, ones, lam)[0] + b_vec / n,
+        lambda t: weighted_logistic_hess(t, 0.0, Xs, y, ones, lam)[:-1, :-1],
+        np.zeros(d),
+        hyper,
+    )
     return LinearClassifier(
         coeffs=theta[:-1] / scale,
         intercept=float(theta[-1]) / scale,
@@ -219,21 +245,32 @@ class PateModel:
     Lap(2 * queries / epsilon) (one individual's private features move at
     most one teacher's vote, so each count has sensitivity 1). Re-querying
     a row draws fresh noise and therefore costs another event; the budget
-    must cover every event, not just distinct points.
+    must cover every event, not just distinct points. The model counts its
+    events and raises ``RuntimeError`` before drawing any noise for a query
+    that would take it past ``query_budget``; a noise-free model (infinite
+    epsilon) has no budget to overrun and is not limited.
 
     Prediction is stateful: it consumes noise draws from the model's rng,
-    two per predicted row.
+    two per predicted row, and spends one query event per predicted row.
     """
 
-    def __init__(self, teachers, student, public_cols, vote_scale, rng):
+    def __init__(self, teachers, student, public_cols, vote_scale, rng, query_budget):
         self.teachers = teachers
         self.student = student
         self.public_cols = tuple(public_cols)
         self.vote_scale = vote_scale
         self._rng = rng
+        self.query_budget = query_budget
+        self.queries_spent = 0
 
     def noisy_votes(self, X: np.ndarray) -> np.ndarray:
         """+/-1 winning label per row from noise-perturbed teacher vote counts."""
+        if self.vote_scale > 0 and self.queries_spent + X.shape[0] > self.query_budget:
+            raise RuntimeError(
+                f"PATE query budget exhausted: {X.shape[0]} more vote queries after "
+                f"{self.queries_spent} of {self.query_budget} reserved"
+            )
+        self.queries_spent += X.shape[0]
         plus = np.zeros(X.shape[0])
         for teacher in self.teachers:
             plus += teacher.predict(X) == 1
@@ -266,7 +303,7 @@ def fit_pate(
     ``extra_query_budget`` reserves budget for vote queries made after
     training (each predicted row is one query event); the noise scale is
     fixed from queries = train.n + extra_query_budget, and querying more
-    events than reserved would overrun the budget.
+    events than reserved raises instead of overrunning the budget.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -290,7 +327,7 @@ def fit_pate(
 
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
-    model = PateModel(teachers, None, split.public_cols, vote_scale, rng)
+    model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)
 
     student_X = model._student_matrix(train.X)
     student_ds = Dataset(

@@ -15,9 +15,23 @@ from dpboost import (
     fit_pate,
     make_rng,
 )
-from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
+from dpboost.baselines import (
+    weighted_logistic_grad,
+    weighted_logistic_hess,
+    weighted_logistic_loss,
+)
 
 from conftest import planted_dataset
+
+
+def dp_objective_grad(clf, ds, b_vec, lam):
+    """Gradient of fit_dp_logreg's perturbed objective at the released ``clf``,
+    rows scaled by the data-independent sqrt(d+1)."""
+    scale = math.sqrt(ds.d + 1)
+    theta = np.append(clf.coeffs, clf.intercept) * scale
+    Xs = np.hstack([ds.X, np.ones((ds.n, 1))]) / scale
+    g, _ = weighted_logistic_grad(theta, 0.0, Xs, ds.y.astype(float), np.ones(ds.n), lam)
+    return g + b_vec / ds.n
 
 
 def one_d(xs, ys):
@@ -80,6 +94,37 @@ class TestWeightedLogReg:
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
             assert rel < 1e-5
 
+    def test_hessian_matches_finite_differences(self):
+        rng = make_rng(1)
+        X = rng.uniform(-1, 1, size=(50, 5))
+        y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+        w = rng.uniform(0.5, 3.0, size=50)
+        lam = 1e-3
+        h = 1e-5
+
+        def grad(v):
+            return np.append(*weighted_logistic_grad(v[:-1], v[-1], X, y, w, lam))
+
+        for _ in range(10):
+            v = rng.normal(size=6)
+            H = weighted_logistic_hess(v[:-1], v[-1], X, y, w, lam)
+            fd = np.empty((6, 6))
+            for j in range(6):
+                e = np.zeros(6)
+                e[j] = h
+                fd[:, j] = (grad(v + e) - grad(v - e)) / (2 * h)
+            assert np.linalg.norm(H - fd) / np.linalg.norm(fd) < 1e-5
+
+    def test_weighted_fit_reaches_tolerance(self):
+        ds, _ = planted_dataset(n=300, seed=8)
+        w = make_rng(2).uniform(0.1, 5.0, size=ds.n)
+        hyper = LogRegHyper(max_iters=50)
+        clf = fit_logreg_weighted(ds, range(ds.d), w, hyper)
+        g_theta, g_b = weighted_logistic_grad(
+            clf.coeffs, clf.intercept, ds.X, ds.y.astype(float), w, hyper.lam
+        )
+        assert math.hypot(float(np.linalg.norm(g_theta)), g_b) <= hyper.tol
+
     def test_loss_non_increasing_along_iterations(self):
         ds, _ = planted_dataset(n=150, seed=3)
         w = np.ones(ds.n)
@@ -97,6 +142,11 @@ class TestWeightedLogReg:
         b = fit_logreg_weighted(ds, range(ds.d), np.ones(ds.n))
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.intercept == b.intercept
+
+    def test_non_positive_ridge_rejected(self):
+        for lam in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="ridge"):
+                LogRegHyper(lam=lam)
 
     def test_empty_cols_rejected(self):
         ds, _ = planted_dataset(n=40)
@@ -125,6 +175,44 @@ class TestDpLogReg:
             [accuracy(fit_dp_logreg(ds, 8.0, rng=make_rng(s)), ds) for s in range(10)]
         )
         assert hi > lo
+
+    def test_returns_stationary_point_of_perturbed_objective(self):
+        # objective perturbation covers only the exact minimizer: replay the
+        # noise vector b and check the gradient, b/n included, vanishes
+        ds, _ = planted_dataset(n=400, seed=9)
+        eps, lam, d = 2.0, LogRegHyper().lam, ds.d + 1
+        eps_prime = eps - 2.0 * math.log(1.0 + 1.0 / (4.0 * ds.n * lam))
+        assert eps_prime > 0
+        clf = fit_dp_logreg(ds, eps, rng=make_rng(4))
+        ref = make_rng(4)
+        norm_b = ref.gamma(shape=d, scale=2.0 / eps_prime)
+        direction = ref.normal(size=d)
+        b_vec = norm_b * direction / np.linalg.norm(direction)
+        assert norm_b > 1.0
+        assert np.linalg.norm(dp_objective_grad(clf, ds, b_vec, lam)) <= LogRegHyper().tol
+
+    def test_row_scale_is_data_independent(self):
+        # neighbours that differ in the one row of maximal norm sqrt(d+1) must
+        # use the same scale; at eps = inf both fits are then stationary
+        # points of the objective scaled by sqrt(d+1)
+        ds, _ = planted_dataset(n=200, seed=10)
+        X_max = ds.X.copy()
+        X_max[0] = 1.0
+        X_small = ds.X.copy()
+        X_small[0] = 0.1
+        zero = np.zeros(ds.d + 1)
+        for X in (X_max, X_small):
+            neighbour = Dataset(X=X, y=ds.y, columns=ds.columns)
+            clf = fit_dp_logreg(neighbour, math.inf, rng=make_rng(0))
+            grad = dp_objective_grad(clf, neighbour, zero, LogRegHyper().lam)
+            assert np.linalg.norm(grad) <= LogRegHyper().tol
+
+    def test_features_outside_unit_range_rejected(self):
+        ds, _ = planted_dataset(n=40)
+        X = ds.X.copy()
+        X[0, 0] = 1.5
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            fit_dp_logreg(Dataset(X=X, y=ds.y, columns=ds.columns), 1.0, rng=make_rng(0))
 
     def test_draw_count_is_dimension_plus_one(self):
         ds, _ = planted_dataset(n=100, seed=4)
@@ -180,8 +268,9 @@ class TestPate:
 
     def test_tiny_budget_votes_are_useless_but_student_survives(self):
         ds, split = separable_private_dataset(seed=3)
+        # reserve the 2n events queried below: one noisy_votes pass, one predict
         model = fit_pate(
-            ds, split, 0.01, PateConfig(k_teachers=2), make_rng(1), extra_query_budget=100
+            ds, split, 0.01, PateConfig(k_teachers=2), make_rng(1), extra_query_budget=2 * ds.n
         )
         votes = model.noisy_votes(ds.X)
         assert abs(np.mean(votes == ds.y) - 0.5) < 0.1

@@ -160,6 +160,24 @@ class TestRunExperiment:
         expected_queries = 2 * train.n + test.n
         assert model.vote_scale == pytest.approx(2.0 * expected_queries / 0.5)
 
+    def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
+        from dpboost import accuracy
+        from dpboost.harness import _fit_cell, _run_cell, load_prepared_dataset
+
+        cfg = config(
+            synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
+            pate_teachers=5,
+        )
+        full, _ = load_prepared_dataset(cfg)
+        assert _run_cell(full, cfg, 0.5, 0).error is None
+        # the same evaluation as _run_cell: train accuracy, then test accuracy
+        model, _, train, test = _fit_cell(full, cfg, 0.5, 0)
+        accuracy(model, train)
+        accuracy(model, test)
+        assert model.queries_spent == model.query_budget == 2 * train.n + test.n
+        with pytest.raises(RuntimeError, match="query budget"):
+            model.predict(test.X[:1])
+
     def test_record_replays_in_isolation(self, synth_csv, tmp_path):
         # a record's (seed, epsilon, repeat) suffice to re-run just that cell
         # and land on the identical accuracy
