@@ -11,6 +11,8 @@ fixed (config, seed) pair always yields byte-identical CSV output.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import glob
 import json
 import math
 import os
@@ -210,9 +212,38 @@ def _run_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int) -> 
     return record
 
 
+_worker_full: Dataset | None = None  # the sweep's dataset, set once per pool worker
+
+
+def _set_blas_threads(threads: int) -> None:
+    """Cap the thread pool of numpy's bundled OpenBLAS; a no-op without one."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(handle, symbol):
+                fn = getattr(handle, symbol)
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(threads)
+                break
+
+
+def _init_worker(full: Dataset, blas_threads: int) -> None:
+    """Pool initializer: keep the dataset for every cell this worker runs, and
+    split the cores' BLAS threads between the workers so they do not
+    oversubscribe them."""
+    global _worker_full
+    _worker_full = full
+    _set_blas_threads(blas_threads)
+
+
 def _worker(args) -> tuple[int, int, ResultRecord]:
-    full, cfg, ei, eps, repeat = args
-    return ei, repeat, _run_cell(full, cfg, eps, repeat)
+    cfg, ei, eps, repeat = args
+    return ei, repeat, _run_cell(_worker_full, cfg, eps, repeat)
 
 
 def effective_workers(cfg: ExperimentConfig) -> int:
@@ -231,14 +262,24 @@ def run_experiment(cfg: ExperimentConfig, full: Dataset = None) -> list[ResultRe
     if full is None:
         full, _ = load_prepared_dataset(cfg)
     cells = [(ei, eps, r) for ei, eps in enumerate(cfg.epsilons) for r in range(cfg.repeats)]
-    workers = effective_workers(cfg)
+    workers = min(effective_workers(cfg), len(cells))
     results: dict[tuple[int, int], ResultRecord] = {}
     if workers == 1:
         for ei, eps, r in cells:
             results[(ei, r)] = _run_cell(full, cfg, eps, r)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for ei, r, rec in pool.map(_worker, [(full, cfg, ei, eps, r) for ei, eps, r in cells]):
+        # Keep the default start method: on Linux it forks, and forked
+        # workers inherit the parent's module state, which the benchmark's
+        # tracing wrappers rely on.
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        blas_threads = max(1, cores // workers)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
+        ) as pool:
+            for ei, r, rec in pool.map(_worker, [(cfg, ei, eps, r) for ei, eps, r in cells]):
                 results[(ei, r)] = rec
     return [results[(ei, r)] for ei, eps, r in cells]
 

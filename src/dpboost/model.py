@@ -18,7 +18,15 @@ SUBSPACES = ("public", "private", "all")
 
 def sign_labels(scores: np.ndarray) -> np.ndarray:
     """Map real scores to labels: +1 for score >= 0, else -1."""
-    return np.where(np.asarray(scores) >= 0.0, 1, -1).astype(np.int64)
+    return np.where(np.asarray(scores) >= 0.0, 1, -1).astype(np.int64, copy=False)
+
+
+def _columns(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    """X restricted to ``cols``: X itself when ``cols`` is every column in
+    order, so full-width classifiers never copy the matrix."""
+    if cols == tuple(range(X.shape[1])):
+        return X
+    return X[:, list(cols)]
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ class LinearClassifier:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return X[:, list(self.cols)] @ self.coeffs + self.intercept
+        return _columns(X, self.cols) @ self.coeffs + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return sign_labels(self.scores(X))
@@ -83,8 +91,23 @@ class Ensemble:
         return len(self.members)
 
     def vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(n, T) matrix of member labels, in member order."""
-        return np.stack([m.clf.predict(X) for m in self.members], axis=1)
+        """(n, T) matrix of member labels, in member order.
+
+        Members that read the same columns are scored together: one gather
+        and one matrix product per distinct column set.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t, m in enumerate(self.members):
+            groups.setdefault(m.clf.cols, []).append(t)
+        votes = np.empty((X.shape[0], len(self.members)), dtype=np.int64)
+        for cols, idx in groups.items():
+            W = np.stack([self.members[t].clf.coeffs for t in idx], axis=1)
+            b = np.array([self.members[t].clf.intercept for t in idx])
+            scores = _columns(X, cols) @ W
+            scores += b
+            votes[:, idx] = sign_labels(scores)
+        return votes
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         alphas = np.array([m.alpha for m in self.members])

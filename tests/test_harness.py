@@ -1,11 +1,16 @@
+import ctypes
+import dataclasses
+import glob
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from dpboost import DataError, ExperimentConfig, aggregate, convergence_trace, emit_csv, emit_svg, run_experiment
+from dpboost import harness
 from dpboost.harness import (
     ResultRecord,
     SummaryRow,
@@ -14,6 +19,20 @@ from dpboost.harness import (
     load_prepared_dataset,
     read_summary_csv,
 )
+
+
+def _openblas_get_num_threads():
+    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                fn = getattr(handle, symbol)
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
 
 
 def config(synth_csv, tmp_path, **overrides):
@@ -141,10 +160,55 @@ class TestRunExperiment:
         monkeypatch.delenv("DPBOOST_WORKERS")
         assert effective_workers(cfg) == 8
 
-    def test_parallel_matches_serial(self, synth_csv, tmp_path):
-        serial = run_experiment(config(synth_csv, tmp_path, rounds=3, repeats=2))
-        parallel = run_experiment(config(synth_csv, tmp_path, rounds=3, repeats=2, workers=2))
-        assert [r.test_accuracy for r in serial] == [r.test_accuracy for r in parallel]
+    def test_parallel_matches_serial(self, synth_csv, tmp_path, monkeypatch):
+        monkeypatch.delenv("DPBOOST_WORKERS", raising=False)
+        full, _ = load_prepared_dataset(config(synth_csv, tmp_path))
+        # brc on full data; then dp-logreg on 24 rows, where the eps=0.001
+        # cell fails and the eps=8 cells succeed
+        small = full.take(np.arange(24))
+        cases = [
+            (dict(algorithm="brc", rounds=3, repeats=2), full),
+            (dict(algorithm="brc-all-private", rounds=3, repeats=2), full),
+            (dict(algorithm="dp-logreg", repeats=2, epsilons=(0.001, 8.0)), small),
+        ]
+        for overrides, data in cases:
+            serial = run_experiment(config(synth_csv, tmp_path, **overrides), full=data)
+            parallel = run_experiment(config(synth_csv, tmp_path, workers=2, **overrides), full=data)
+            assert [dataclasses.replace(r, wall_time=None) for r in serial] == [
+                dataclasses.replace(r, wall_time=None) for r in parallel
+            ]
+        assert serial[0].error is not None and serial[-1].error is None
+
+    def test_single_cell_runs_without_a_pool(self, synth_csv, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-cell sweep started a process pool")
+
+        monkeypatch.delenv("DPBOOST_WORKERS", raising=False)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = config(synth_csv, tmp_path, workers=8, repeats=1, epsilons=(1.0,), rounds=2)
+        (rec,) = run_experiment(cfg)
+        assert rec.error is None, rec.error
+
+    def test_pool_workers_split_the_blas_threads(self, synth_csv, tmp_path, monkeypatch):
+        blas_threads = _openblas_get_num_threads()
+        if blas_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        before = blas_threads()
+
+        def report_threads(full, cfg, eps, repeat):
+            return ResultRecord(
+                algorithm=cfg.algorithm, epsilon=eps, repeat=repeat, seed=cfg.seed,
+                streams={}, wall_time=float(blas_threads()),
+            )
+
+        # forked workers inherit the patched cell runner
+        monkeypatch.delenv("DPBOOST_WORKERS", raising=False)
+        monkeypatch.setattr(harness, "_run_cell", report_threads)
+        # two cells, so the pool has two workers, not eight
+        records = run_experiment(config(synth_csv, tmp_path, workers=8, repeats=1))
+        cores = len(os.sched_getaffinity(0))
+        assert [r.wall_time for r in records] == [max(1, cores // 2)] * 2
+        assert blas_threads() == before
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # train rows are re-queried during evaluation, so the noise scale is

@@ -28,6 +28,16 @@ class TestLinearClassifier:
         scrambled[:, [0, 2, 4]] = rng.uniform(-1, 1, size=(20, 3))
         assert np.array_equal(c.predict(base), c.predict(scrambled))
 
+    def test_full_width_in_order_and_permuted_agree(self):
+        rng = make_rng(5)
+        coeffs = rng.uniform(-1, 1, size=4)
+        X = rng.uniform(-1, 1, size=(200, 4))
+        in_order = clf(coeffs, 0.1, (0, 1, 2, 3))
+        perm = (2, 0, 3, 1)
+        permuted = clf(coeffs[list(perm)], 0.1, perm)
+        assert np.array_equal(in_order.predict(X), permuted.predict(X))
+        assert np.array_equal(in_order.predict(X), sign_labels(X @ coeffs + 0.1))
+
     def test_needs_a_column(self):
         with pytest.raises(ValueError):
             LinearClassifier(coeffs=np.array([]), intercept=0.0, cols=())
@@ -85,18 +95,34 @@ class TestEnsemble:
         X = rng.uniform(-1, 1, size=(40, 2))
         assert np.array_equal(Ensemble(members).predict(X), Ensemble(scaled).predict(X))
 
-    def test_prefix_predictions_last_matches_full(self):
-        rng = make_rng(3)
-        members = tuple(
+    @staticmethod
+    def interleaved_members(rng):
+        """Members over 4 columns whose column sets interleave: public (0, 1),
+        private (2, 3), every column in order, and every column permuted."""
+        pub, pri, every, permuted = (0, 1), (2, 3), (0, 1, 2, 3), (3, 2, 1, 0)
+        layout = [(pub, "public"), (pri, "private"), (every, "all"), (permuted, "all"),
+                  (pri, "private"), (every, "all"), (pub, "public")]
+        return tuple(
             EnsembleMember(
                 alpha=float(rng.uniform(-0.5, 0.5)),
-                clf=clf(rng.uniform(-1, 1, size=2), float(rng.uniform(-1, 1)), (0, 1)),
-                subspace="all",
+                clf=clf(rng.uniform(-1, 1, size=len(cols)), float(rng.uniform(-1, 1)), cols),
+                subspace=subspace,
             )
-            for _ in range(7)
+            for cols, subspace in layout
         )
+
+    def test_vote_matrix_matches_member_predictions(self):
+        rng = make_rng(9)
+        members = self.interleaved_members(rng)
+        X = rng.uniform(-1, 1, size=(300, 4))
+        expected = np.stack([m.clf.predict(X) for m in members], axis=1)
+        assert np.array_equal(Ensemble(members).vote_matrix(X), expected)
+
+    def test_prefix_predictions_last_matches_full(self):
+        rng = make_rng(3)
+        members = self.interleaved_members(rng)
         e = Ensemble(members)
-        X = rng.uniform(-1, 1, size=(30, 2))
+        X = rng.uniform(-1, 1, size=(30, 4))
         prefix = e.prefix_predictions(X)
         assert prefix.shape == (7, 30)
         assert np.array_equal(prefix[-1], e.predict(X))
