@@ -15,7 +15,6 @@ from .baselines import (
 from .boosting import (
     RoundRecord,
     brc_fit,
-    brc_fit_all_private,
     clipped_update,
     noisy_private_error,
     sensitivity_oracle,

@@ -1,15 +1,13 @@
 """AdaBoost-style boosting where the private-feature learner is a random
 linear classifier and only its error estimate is perturbed for privacy.
 
-Two fitting modes are provided:
+``brc_fit`` is the one booster loop; the feature split picks its shape:
 
-* ``brc_fit``: features are split into public and private sets. Each round
-  trains a weighted public classifier and draws a random private classifier,
-  perturbs the private error with Laplace noise, and keeps whichever
-  classifier's error is farther from 0.5.
-* ``brc_fit_all_private``: every feature (and the label) is private. Each
-  round only draws a random classifier over all columns and uses its noisy
-  error.
+* public and private columns: each round trains a weighted public classifier
+  and draws a random private classifier, perturbs the private error with
+  Laplace noise, and keeps whichever classifier's error is farther from 0.5.
+* no public columns (``FeatureSplit.all_private``): every feature is private
+  and each round only draws a random classifier and uses its noisy error.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -33,8 +31,8 @@ from .noise import PrivacyParams, laplace, random_linear_classifier
 class RoundRecord:
     """Diagnostics for one boosting round.
 
-    ``chosen`` is "public" or "private" for split fits and "all" for the
-    all-private variant; ``err_pub`` is None when no public classifier was
+    ``chosen`` is "public" or "private" for split fits and "all" for fits
+    without public columns; ``err_pub`` is None when no public classifier was
     trained that round.
     """
 
@@ -58,49 +56,39 @@ def records_to_jsonl(records) -> str:
     return "\n".join(json.dumps(r.to_dict()) for r in records)
 
 
-def weighted_error(clf, ds: Dataset, weights) -> float:
-    """sum(w_i * 1(y_i != h(x_i))) / sum(w_i) for strictly positive weights."""
+def weighted_error(mis, weights) -> float:
+    """sum(w_i * mis_i) / sum(w_i) for strictly positive weights, where
+    ``mis`` flags the misclassified rows."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (ds.n,):
-        raise ValueError(f"weights length {w.shape} does not match n={ds.n}")
-    if not np.all(w > 0):
+    if w.shape != np.shape(mis):
+        raise ValueError(f"weights shape {w.shape} does not match {np.shape(mis)}")
+    if not w.min() > 0:
         raise ValueError("weights must be strictly positive")
-    mis = clf.predict(ds.X) != ds.y
     return float(np.dot(w, mis) / np.sum(w))
 
 
-def noisy_private_error(
-    clf, ds: Dataset, w_pri, params: PrivacyParams, rng: np.random.Generator
-) -> float:
+def noisy_private_error(mis, w_pri, params: PrivacyParams, rng: np.random.Generator) -> float:
     """Weighted error plus one Lap(c1*c2*rounds/(epsilon*n)) draw.
 
     The result may legitimately fall outside [0, 1]. A zero noise scale
     (epsilon = inf) adds nothing and consumes no draw.
     """
-    lo, hi = 1.0 / params.c1, params.c2
     w = np.asarray(w_pri, dtype=np.float64)
-    if np.any(w < lo - 1e-12) or np.any(w > hi + 1e-12):
+    if w.min() < 1.0 / params.c1 - 1e-12 or w.max() > params.c2 + 1e-12:
         raise ValueError("private weights outside the clipping bounds [1/c1, c2]")
-    err = weighted_error(clf, ds, w)
+    err = weighted_error(mis, w)
     scale = params.laplace_scale
     if scale > 0:
         err += laplace(scale, rng)
     return err
 
 
-def clipped_update(w: float, alpha: float, misclassified: bool, c1: float, c2: float) -> float:
+def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: float) -> np.ndarray:
     """Multiplicative weight update that skips (not clamps) out-of-range results.
 
-    candidate = w * exp(alpha * 1(misclassified)); returned if it stays in
-    [1/c1, c2], otherwise w is left unchanged.
+    Each candidate w_i * exp(alpha * mis_i) replaces w_i if it stays in
+    [1/c1, c2]; otherwise w_i is left unchanged.
     """
-    candidate = w * np.exp(alpha * (1.0 if misclassified else 0.0))
-    if 1.0 / c1 <= candidate <= c2:
-        return float(candidate)
-    return float(w)
-
-
-def _clipped_update_vec(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: float) -> np.ndarray:
     candidate = w * np.exp(alpha * mis)
     ok = (candidate >= 1.0 / c1) & (candidate <= c2)
     return np.where(ok, candidate, w)
@@ -120,8 +108,9 @@ def brc_fit(
     *,
     classifier_rng: np.random.Generator,
     noise_rng: np.random.Generator,
+    sampler=None,
 ) -> tuple[Ensemble, list[RoundRecord]]:
-    """Boost with a public/private feature split for ``params.rounds`` rounds.
+    """Boost for ``params.rounds`` rounds over a public/private feature split.
 
     Per round: (a) fit a public classifier on the public columns with the
     public weights, (b) draw a random classifier on the private columns,
@@ -135,7 +124,12 @@ def brc_fit(
     ``classifier_rng`` drives the random private classifiers, ``noise_rng``
     the Laplace noise; keeping the streams separate means adding consumers
     to one never perturbs the other. If ``split.public_cols`` is empty the
-    public branch is skipped and every round is private.
+    public branch is skipped and every round is private, tagged "all".
+
+    ``sampler(ds, rng) -> classifier`` replaces the default uniform random
+    linear classifier on the private columns; it must ignore the observation
+    weights, since the only privacy cost accounted for is the noisy error
+    estimate.
     """
     if params.n != train.n:
         raise ValueError(f"params.n={params.n} does not match training size {train.n}")
@@ -144,7 +138,12 @@ def brc_fit(
         raise ValueError("brc_fit requires a non-empty private column set")
     if weak_learner is None:
         weak_learner = _default_weak_learner
+    if sampler is None:
 
+        def sampler(ds, rng):
+            return random_linear_classifier(split.private_cols, rng)
+
+    private_tag = "private" if split.public_cols else "all"
     n = train.n
     w_pub = np.ones(n)
     w_pri = np.ones(n)
@@ -157,14 +156,11 @@ def brc_fit(
         if split.public_cols:
             h_pub = weak_learner(train, split.public_cols, w_pub)
             mis_pub = h_pub.predict(train.X) != train.y
-            err_pub = float(np.dot(w_pub, mis_pub) / np.sum(w_pub))
+            err_pub = weighted_error(mis_pub, w_pub)
 
-        h_pri = random_linear_classifier(split.private_cols, classifier_rng)
+        h_pri = sampler(train, classifier_rng)
         mis_pri = h_pri.predict(train.X) != train.y
-        err_pri = float(np.dot(w_pri, mis_pri) / np.sum(w_pri))
-        scale = params.laplace_scale
-        if scale > 0:
-            err_pri += laplace(scale, noise_rng)
+        err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
 
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):
             alpha = 0.5 - err_pub
@@ -173,52 +169,9 @@ def brc_fit(
             records.append(RoundRecord(t, "public", err_pub, err_pri, alpha))
         else:
             alpha = 0.5 - err_pri
-            w_pri = _clipped_update_vec(w_pri, alpha, mis_pri, params.c1, params.c2)
-            members.append(EnsembleMember(alpha=alpha, clf=h_pri, subspace="private"))
-            records.append(RoundRecord(t, "private", err_pub, err_pri, alpha))
-
-    return Ensemble(members=tuple(members)), records
-
-
-def brc_fit_all_private(
-    train: Dataset,
-    params: PrivacyParams,
-    *,
-    classifier_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
-    sampler=None,
-) -> tuple[Ensemble, list[RoundRecord]]:
-    """All-private variant: every round draws one random classifier over all
-    columns, perturbs its weighted error, and applies clipped weight updates
-    to the single weight vector.
-
-    ``sampler(ds, rng) -> classifier`` replaces the default uniform random
-    linear classifier; it must ignore the observation weights, since the
-    only privacy cost accounted for is the noisy error estimate.
-    """
-    if params.n != train.n:
-        raise ValueError(f"params.n={params.n} does not match training size {train.n}")
-    if sampler is None:
-        all_cols = tuple(range(train.d))
-
-        def sampler(ds, rng):
-            return random_linear_classifier(all_cols, rng)
-
-    w = np.ones(train.n)
-    members: list[EnsembleMember] = []
-    records: list[RoundRecord] = []
-
-    for t in range(1, params.rounds + 1):
-        h = sampler(train, classifier_rng)
-        mis = h.predict(train.X) != train.y
-        err = float(np.dot(w, mis) / np.sum(w))
-        scale = params.laplace_scale
-        if scale > 0:
-            err += laplace(scale, noise_rng)
-        alpha = 0.5 - err
-        w = _clipped_update_vec(w, alpha, mis, params.c1, params.c2)
-        members.append(EnsembleMember(alpha=alpha, clf=h, subspace="all"))
-        records.append(RoundRecord(t, "all", None, err, alpha))
+            w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
+            members.append(EnsembleMember(alpha=alpha, clf=h_pri, subspace=private_tag))
+            records.append(RoundRecord(t, private_tag, err_pub, err_pri, alpha))
 
     return Ensemble(members=tuple(members)), records
 
@@ -263,15 +216,14 @@ def sensitivity_oracle(
     )
 
     def g(X, y, w):
-        mis = clf.predict(X) != y
-        return float(np.dot(w, mis) / np.sum(w))
+        return weighted_error(clf.predict(X) != y, w)
 
     worst = 0.0
     for w in weights_grid:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (ds.n,):
             raise ValueError("each weight vector must have one entry per row")
-        if np.any(w < lo - 1e-12) or np.any(w > hi + 1e-12):
+        if w.min() < lo - 1e-12 or w.max() > hi + 1e-12:
             raise ValueError("weight vector outside the admissible range [1/c1, c2]")
         g_base = g(ds.X, ds.y, w)
         for r in range(ds.n):

@@ -7,7 +7,8 @@ Subcommands:
   sensitivity-check  brute-force audit of the error-sensitivity bound
   plot               re-render a summary CSV as an SVG chart
 
-Exit codes: 0 full success, 2 partial cell failure, 1 fatal error.
+Exit codes: 0 full success, 2 partial cell failure, 1 fatal error or every
+cell failed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def _execute(cfg: harness.ExperimentConfig) -> int:
     records = harness.run_experiment(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     harness.emit_records_jsonl(records, os.path.join(cfg.output_dir, "records.jsonl"))
+    failures = [r for r in records if r.error is not None]
+    for rec in failures:
+        print(f"cell failed (eps={rec.epsilon:g}, repeat={rec.repeat}): {rec.error}", file=sys.stderr)
+    if len(failures) == len(records):
+        print("dpboost: error: every cell failed; no summary written", file=sys.stderr)
+        return 1
     summary = harness.aggregate(records)
     harness.emit_csv(summary, os.path.join(cfg.output_dir, "summary.csv"))
     harness.emit_svg(summary, os.path.join(cfg.output_dir, "summary.svg"))
@@ -45,9 +52,6 @@ def _execute(cfg: harness.ExperimentConfig) -> int:
             f"{row.algorithm} eps={row.epsilon:g}: "
             f"mean={row.mean_accuracy:.4f} std={row.std:.4f} n={row.count}"
         )
-    failures = [r for r in records if r.error is not None]
-    for rec in failures:
-        print(f"cell failed (eps={rec.epsilon:g}, repeat={rec.repeat}): {rec.error}", file=sys.stderr)
     return 2 if failures else 0
 
 

@@ -15,6 +15,7 @@ import ctypes
 import glob
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .baselines import LogRegHyper, PateConfig, fit_dp_logreg, fit_logreg, fit_pate
-from .boosting import RoundRecord, brc_fit, brc_fit_all_private
+from .boosting import RoundRecord, brc_fit
 from .data import DataError, Dataset, FeatureSplit, Schema, balance, load_csv, encode, normalize, split
 from .model import accuracy
 from .noise import PrivacyParams, Purpose, rng_for, stream_id
@@ -52,12 +53,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
+        for name in ("rounds", "repeats"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise DataError("repeats must be >= 1")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise DataError("epsilon values must be positive and non-empty")
+        if not self.epsilons:
+            raise DataError("epsilon values must be non-empty")
+        if not 0.0 < self.test_frac < 1.0:
+            raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
         if self.workers < 1:
             raise DataError("workers must be >= 1")
+        try:
+            for e in self.epsilons:
+                PrivacyParams(e, self.rounds, self.c1, self.c2, n=1)
+            PateConfig(k_teachers=self.pate_teachers)
+        except ValueError as exc:
+            raise DataError(f"bad experiment config: {exc}") from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
 
@@ -138,20 +151,15 @@ def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
     """Fit one cell; returns (model, round records or None, train, test)."""
     train, test = _prepare_cell_data(full, cfg, repeat)
     rounds = None
-    if cfg.algorithm == "brc":
-        fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
+    if cfg.algorithm in ("brc", "brc-all-private"):
+        if cfg.algorithm == "brc":
+            fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
+        else:
+            fsplit = FeatureSplit.all_private(train.d)
         params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2, n=train.n)
         model, rounds = brc_fit(
             train,
             fsplit,
-            params,
-            classifier_rng=rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER),
-            noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),
-        )
-    elif cfg.algorithm == "brc-all-private":
-        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2, n=train.n)
-        model, rounds = brc_fit_all_private(
-            train,
             params,
             classifier_rng=rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER),
             noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),

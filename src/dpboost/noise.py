@@ -60,7 +60,7 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.c1 < 1 or self.c2 < 1:
+        if not (self.c1 >= 1 and self.c2 >= 1):
             raise ValueError("clipping parameters c1 and c2 must be >= 1")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")

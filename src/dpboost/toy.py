@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import brc_fit_all_private
-from .data import Dataset
+from .boosting import brc_fit
+from .data import Dataset, FeatureSplit
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, rng_for
 
@@ -119,9 +118,8 @@ class ToyReport:
 
     def noise_scale(self, epsilon: float) -> float:
         """The rule-of-thumb quantity c1*c2*rounds/(epsilon*n) for this config."""
-        if math.isinf(epsilon):
-            return 0.0
-        return self.config.c1 * self.config.c2 * self.config.rounds / (epsilon * self.config.n)
+        cfg = self.config
+        return PrivacyParams(epsilon, cfg.rounds, cfg.c1, cfg.c2, cfg.n).laplace_scale
 
     def accuracies(self, epsilon: float) -> np.ndarray:
         return np.array([r.accuracy for r in self.runs if r.epsilon == epsilon])
@@ -172,7 +170,7 @@ class ToyReport:
 
 
 def run_toy_sweep(cfg: ToyConfig, eps_list=None) -> ToyReport:
-    """Fit the all-private booster with the flip-threshold sampler once per
+    """Fit the booster over an all-private split with the flip-threshold sampler once per
     (epsilon, repeat) cell, recording final training accuracy and the
     per-round (threshold, alpha) trace.
 
@@ -196,8 +194,9 @@ def run_toy_sweep(cfg: ToyConfig, eps_list=None) -> ToyReport:
                 thresholds.append(thr.index)
                 return thr.as_linear()
 
-            ensemble, _ = brc_fit_all_private(
+            ensemble, _ = brc_fit(
                 ds,
+                FeatureSplit.all_private(ds.d),
                 params,
                 classifier_rng=rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER),
                 noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),

@@ -20,12 +20,12 @@ import dpboost.boosting as boosting
 from dpboost import (
     Dataset,
     ExperimentConfig,
+    FeatureSplit,
     LinearClassifier,
     PrivacyParams,
     ToyConfig,
     aggregate,
     brc_fit,
-    brc_fit_all_private,
     convergence_trace,
     flip_and_fit_threshold,
     generate_toy,
@@ -418,8 +418,12 @@ def test_criterion_07b_noise_free_trace_matches_reference_adaboost():
     train = full.take(np.arange(200))
     test = full.take(np.arange(200, 260))
     params = PrivacyParams(epsilon=math.inf, rounds=30, c1=SQRT2, c2=SQRT2, n=train.n)
-    ens, _ = brc_fit_all_private(
-        train, params, classifier_rng=make_rng(77), noise_rng=make_rng(78)
+    ens, _ = brc_fit(
+        train,
+        FeatureSplit.all_private(train.d),
+        params,
+        classifier_rng=make_rng(77),
+        noise_rng=make_rng(78),
     )
     prefix = ens.prefix_predictions(test.X)
     ours = [float(np.mean(p == test.y)) for p in prefix]

@@ -12,7 +12,6 @@ from dpboost import (
     PrivacyParams,
     accuracy,
     brc_fit,
-    brc_fit_all_private,
     clipped_update,
     generate_toy,
     make_rng,
@@ -34,40 +33,45 @@ def tiny_dataset(y, d=1):
     return Dataset(X=X, y=np.array(y), columns=tuple((f"c{i}", "numeric") for i in range(d)))
 
 
+def misclassified(clf, ds):
+    return clf.predict(ds.X) != ds.y
+
+
 class TestWeightedError:
     def test_perfect_classifier(self):
         ds = tiny_dataset([-1, -1, 1, 1])
         clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
-        assert weighted_error(clf, ds, np.ones(4)) == 0.0
+        assert weighted_error(misclassified(clf, ds), np.ones(4)) == 0.0
 
     def test_unit_weights_one_of_four(self):
         ds = tiny_dataset([-1, -1, 1, -1])  # last point misclassified by the split at 0
         clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
-        assert weighted_error(clf, ds, np.ones(4)) == 0.25
+        assert weighted_error(misclassified(clf, ds), np.ones(4)) == 0.25
 
     def test_weighted_ratio(self):
         # weights (3,1), the weight-3 point wrong -> 0.75
         ds = Dataset(X=np.array([[0.5], [0.5]]), y=np.array([-1, 1]), columns=(("c", "numeric"),))
         clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
-        assert weighted_error(clf, ds, np.array([3.0, 1.0])) == 0.75
+        assert weighted_error(misclassified(clf, ds), np.array([3.0, 1.0])) == 0.75
 
     def test_length_mismatch(self):
         ds = tiny_dataset([-1, 1])
         clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
         with pytest.raises(ValueError):
-            weighted_error(clf, ds, np.ones(3))
+            weighted_error(misclassified(clf, ds), np.ones(3))
 
     def test_positive_weights_required(self):
         ds = tiny_dataset([-1, 1])
         clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
         with pytest.raises(ValueError):
-            weighted_error(clf, ds, np.array([1.0, 0.0]))
+            weighted_error(misclassified(clf, ds), np.array([1.0, 0.0]))
 
 
 class TestNoisyPrivateError:
     def setup_method(self):
         self.ds = tiny_dataset([-1, -1, 1, -1])
         self.clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
+        self.mis = misclassified(self.clf, self.ds)
 
     def params(self, epsilon, c=SQRT2):
         return PrivacyParams(epsilon=epsilon, rounds=1, c1=c, c2=c, n=4)
@@ -75,16 +79,16 @@ class TestNoisyPrivateError:
     def test_vanishing_noise(self):
         # scale ~ 1e-15: the perturbed value collapses onto the exact error
         p = self.params(epsilon=2 * 1 / (4 * 1e-15))  # scale = c1 c2 T/(eps n) = 1e-15
-        exact = weighted_error(self.clf, self.ds, np.ones(4))
-        noisy = noisy_private_error(self.clf, self.ds, np.ones(4), p, make_rng(0))
+        exact = weighted_error(self.mis, np.ones(4))
+        noisy = noisy_private_error(self.mis, np.ones(4), p, make_rng(0))
         assert abs(noisy - exact) < 1e-12
 
     def test_monte_carlo_mean(self):
         p = self.params(epsilon=0.5)
         scale = p.laplace_scale
-        exact = weighted_error(self.clf, self.ds, np.ones(4))
+        exact = weighted_error(self.mis, np.ones(4))
         rng = make_rng(3)
-        draws = [noisy_private_error(self.clf, self.ds, np.ones(4), p, rng) for _ in range(10_000)]
+        draws = [noisy_private_error(self.mis, np.ones(4), p, rng) for _ in range(10_000)]
         assert np.mean(draws) == pytest.approx(exact, abs=3 * scale / 100)
 
     def test_outside_unit_interval_frequency(self):
@@ -95,54 +99,50 @@ class TestNoisyPrivateError:
         p = PrivacyParams(epsilon=1.0, rounds=1, c1=SQRT2, c2=SQRT2, n=2)
         assert p.laplace_scale == pytest.approx(1.0)
         rng = make_rng(11)
-        draws = np.array(
-            [noisy_private_error(self.clf, ds, np.ones(2), p, rng) for _ in range(2000)]
-        )
+        mis = misclassified(self.clf, ds)
+        draws = np.array([noisy_private_error(mis, np.ones(2), p, rng) for _ in range(2000)])
         frac_outside = np.mean((draws < 0.0) | (draws > 1.0))
         assert frac_outside == pytest.approx(math.exp(-0.5), abs=0.05)
 
     def test_weights_must_respect_bounds(self):
         p = self.params(epsilon=1.0)
         with pytest.raises(ValueError, match="clipping bounds"):
-            noisy_private_error(self.clf, self.ds, np.full(4, 10.0), p, make_rng(0))
+            noisy_private_error(self.mis, np.full(4, 10.0), p, make_rng(0))
 
 
 class TestClippedUpdate:
     def test_correctly_classified_unchanged(self):
-        assert clipped_update(1.3, 0.4, False, SQRT2, SQRT2) == 1.3
+        out = clipped_update(np.array([1.3]), 0.4, np.array([False]), SQRT2, SQRT2)
+        assert out.tolist() == [1.3]
 
     def test_in_range_update_applies(self):
         # 1 * e^0.2 = 1.2214... <= sqrt(2): updated
-        out = clipped_update(1.0, 0.2, True, SQRT2, SQRT2)
-        assert out == pytest.approx(math.exp(0.2))
+        out = clipped_update(np.array([1.0]), 0.2, np.array([True]), SQRT2, SQRT2)
+        assert out[0] == pytest.approx(math.exp(0.2))
 
     def test_out_of_range_skips(self):
         # 1.4 * e^0.2 = 1.70996... > sqrt(2): left unchanged, not clamped
-        assert clipped_update(1.4, 0.2, True, SQRT2, SQRT2) == 1.4
+        out = clipped_update(np.array([1.4]), 0.2, np.array([True]), SQRT2, SQRT2)
+        assert out.tolist() == [1.4]
 
     def test_negative_alpha_can_skip_at_lower_bound(self):
         lo = 1.0 / SQRT2
-        assert clipped_update(lo, -0.3, True, SQRT2, SQRT2) == lo
+        out = clipped_update(np.array([lo]), -0.3, np.array([True]), SQRT2, SQRT2)
+        assert out.tolist() == [lo]
 
     @given(
-        st.floats(min_value=1 / 2, max_value=2),
+        st.lists(st.floats(min_value=1 / 2, max_value=2), min_size=1, max_size=8),
         st.floats(min_value=-1.5, max_value=1.5),
-        st.booleans(),
+        st.lists(st.booleans(), min_size=8, max_size=8),
     )
     def test_result_always_in_bounds(self, w, alpha, mis):
+        w = np.array(w)
+        mis = np.array(mis[: len(w)])
         out = clipped_update(w, alpha, mis, 2.0, 2.0)
-        assert 0.5 <= out <= 2.0
-
-    @given(
-        st.floats(min_value=1 / 2, max_value=2),
-        st.floats(min_value=-1.5, max_value=1.5),
-        st.booleans(),
-    )
-    def test_vectorized_matches_scalar(self, w, alpha, mis):
-        vec = boosting._clipped_update_vec(
-            np.array([w]), alpha, np.array([mis]), 2.0, 2.0
-        )
-        assert vec[0] == clipped_update(w, alpha, mis, 2.0, 2.0)
+        assert np.all((0.5 <= out) & (out <= 2.0))
+        # each entry is either its own update or left as it was
+        candidate = w * np.exp(alpha * mis)
+        assert np.all((out == candidate) | (out == w))
 
 
 def replay_split_fit(train, split, params, ensemble, records):
@@ -165,7 +165,7 @@ def replay_split_fit(train, split, params, ensemble, records):
         else:
             assert rec.alpha == 0.5 - rec.err_pri_noisy
             w_pri_before = w_pri.copy()
-            w_pri = boosting._clipped_update_vec(w_pri, rec.alpha, mis, params.c1, params.c2)
+            w_pri = clipped_update(w_pri, rec.alpha, mis, params.c1, params.c2)
             assert np.all(w_pri >= lo) and np.all(w_pri <= hi)
             changed = w_pri != w_pri_before
             assert not np.any(changed & ~mis) or rec.alpha == 0.0
@@ -208,7 +208,7 @@ class TestBrcFit:
             exact = float(np.dot(w_pri, mis) / np.sum(w_pri))
             assert rec.err_pri_noisy == exact
             if rec.chosen == "private":
-                w_pri = boosting._clipped_update_vec(w_pri, rec.alpha, mis, 2.0, 2.0)
+                w_pri = clipped_update(w_pri, rec.alpha, mis, 2.0, 2.0)
 
     def test_public_branch_purity(self):
         # rounds where the public classifier wins must leave w_pri unchanged,
@@ -227,7 +227,7 @@ class TestBrcFit:
                 w_pub = w_pub * np.exp(rec.alpha * mis)
                 assert np.array_equal(w_pri, pri_before)
             else:
-                w_pri = boosting._clipped_update_vec(w_pri, rec.alpha, mis, SQRT2, SQRT2)
+                w_pri = clipped_update(w_pri, rec.alpha, mis, SQRT2, SQRT2)
                 assert np.array_equal(w_pub, pub_before)
 
     def test_single_round_with_perfect_public_classifier(self):
@@ -312,6 +312,27 @@ class TestBrcFit:
         assert len(calls) == params.rounds
         assert all(s == params.laplace_scale for s in calls)
 
+    def test_loop_calls_the_tested_primitives(self, monkeypatch):
+        # every round's errors and private update go through the exported
+        # primitives, so their tests cover the code the fit runs
+        ds, split = planted_dataset(n=100, seed=5)
+        params = PrivacyParams(epsilon=0.5, rounds=6, c1=SQRT2, c2=SQRT2, n=ds.n)
+        calls = {"weighted_error": 0, "noisy_private_error": 0, "clipped_update": 0}
+        for name in calls:
+            real = getattr(boosting, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(boosting, name, counting)
+        _, recs = brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
+        private_rounds = sum(r.chosen == "private" for r in recs)
+        # one public error per round, plus one inside each noisy private error
+        assert calls["noisy_private_error"] == params.rounds
+        assert calls["weighted_error"] == 2 * params.rounds
+        assert calls["clipped_update"] == private_rounds
+
     def test_noise_stream_consumption_is_data_independent(self):
         # After a fit, the noise stream sits exactly T laplace draws in, and
         # the classifier stream exactly T * (k+1) uniforms in: nothing else
@@ -332,15 +353,25 @@ class TestBrcFit:
         assert clf_rng.bit_generator.state == ref_clf.bit_generator.state
 
 
+def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
+    return brc_fit(
+        ds,
+        FeatureSplit.all_private(ds.d),
+        params,
+        classifier_rng=make_rng(clf_seed),
+        noise_rng=make_rng(noise_seed),
+        **kwargs,
+    )
+
+
 class TestBrcFitAllPrivate:
     def test_round_count_and_tags(self):
         ds, _ = planted_dataset(n=100)
         params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2, n=ds.n)
-        ens, recs = brc_fit_all_private(
-            ds, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
-        )
+        ens, recs = fit_all_private(ds, params, 0, 1)
         assert len(ens) == 5
         assert all(m.subspace == "all" for m in ens.members)
+        assert all(m.clf.cols == tuple(range(ds.d)) for m in ens.members)
         assert all(r.chosen == "all" and r.err_pub is None for r in recs)
 
     def test_single_round_huge_noise_near_coin_flip(self):
@@ -350,41 +381,19 @@ class TestBrcFitAllPrivate:
         params = PrivacyParams(epsilon=0.001, rounds=1, c1=2.0, c2=2.0, n=ds.n)
         accs = []
         for seed in range(50):
-            ens, _ = brc_fit_all_private(
-                ds, params, classifier_rng=make_rng(seed), noise_rng=make_rng(1000 + seed)
-            )
+            ens, _ = fit_all_private(ds, params, seed, 1000 + seed)
             accs.append(accuracy(ens, ds))
         assert np.mean(accs) == pytest.approx(0.5, abs=0.1)
-
-    def test_equals_split_fit_with_empty_public_side(self):
-        ds, _ = planted_dataset(n=50, seed=8)
-        split = FeatureSplit.all_private(ds.d)
-        params = PrivacyParams(epsilon=0.7, rounds=10, c1=SQRT2, c2=SQRT2, n=ds.n)
-        e1, r1 = brc_fit(
-            ds, split, params, classifier_rng=make_rng(2), noise_rng=make_rng(3)
-        )
-        e2, r2 = brc_fit_all_private(
-            ds, params, classifier_rng=make_rng(2), noise_rng=make_rng(3)
-        )
-        for m1, m2 in zip(e1.members, e2.members):
-            assert m1.alpha == m2.alpha
-            assert np.array_equal(m1.clf.coeffs, m2.clf.coeffs)
-            assert m1.clf.intercept == m2.clf.intercept
-            assert m1.clf.cols == m2.clf.cols
-        for a, b in zip(r1, r2):
-            assert a.err_pri_noisy == b.err_pri_noisy and a.alpha == b.alpha
 
     def test_weight_bounds_via_replay(self):
         ds, _ = planted_dataset(n=120, seed=12)
         params = PrivacyParams(epsilon=0.2, rounds=20, c1=2.0, c2=2.0, n=ds.n)
-        ens, recs = brc_fit_all_private(
-            ds, params, classifier_rng=make_rng(4), noise_rng=make_rng(5)
-        )
+        ens, recs = fit_all_private(ds, params, 4, 5)
         w = np.ones(ds.n)
         for member, rec in zip(ens.members, recs):
             assert rec.alpha == 0.5 - rec.err_pri_noisy
             mis = member.clf.predict(ds.X) != ds.y
-            w = boosting._clipped_update_vec(w, rec.alpha, mis, 2.0, 2.0)
+            w = clipped_update(w, rec.alpha, mis, 2.0, 2.0)
             assert np.all(w >= 0.5) and np.all(w <= 2.0)
 
     def test_round_records_serialize_to_json_lines(self):
@@ -392,9 +401,7 @@ class TestBrcFitAllPrivate:
 
         ds, _ = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=3, c1=2, c2=2, n=ds.n)
-        _, recs = brc_fit_all_private(
-            ds, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
-        )
+        _, recs = fit_all_private(ds, params, 0, 1)
         lines = boosting.records_to_jsonl(recs).splitlines()
         assert len(lines) == 3
         row = json.loads(lines[0])
@@ -410,9 +417,7 @@ class TestBrcFitAllPrivate:
             seen.append(data.n)
             return LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
 
-        ens, _ = brc_fit_all_private(
-            ds, params, classifier_rng=make_rng(0), noise_rng=make_rng(1), sampler=sampler
-        )
+        ens, _ = fit_all_private(ds, params, 0, 1, sampler=sampler)
         assert seen == [60] * 4
         assert all(m.clf.cols == (0,) for m in ens.members)
 

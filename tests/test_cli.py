@@ -64,6 +64,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
 
 
+    def test_every_cell_failed_reports_why(self, tmp_path, capsys):
+        # public-only without public columns fails every cell: the cells'
+        # errors reach stderr, records are kept, and no summary is written
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, out_dir = write_run_config(
+            tmp_path, csv_path, schema_path, algorithm="public-only", public_columns=[]
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("public-only baseline needs at least one public column") == 4
+        assert "every cell failed" in err
+        assert os.path.exists(os.path.join(out_dir, "records.jsonl"))
+        assert not os.path.exists(os.path.join(out_dir, "summary.csv"))
+        assert not os.path.exists(os.path.join(out_dir, "summary.svg"))
+
+
 class TestToyCommand:
     def test_toy_writes_csv_and_traces(self, tmp_path, capsys):
         cfg = {

@@ -64,6 +64,29 @@ class TestExperimentConfig:
         with pytest.raises(DataError):
             config(synth_csv, tmp_path, epsilons=(0.0,))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"rounds": 0},
+            {"rounds": 2.5},
+            {"repeats": 2.5},
+            {"repeats": True},
+            {"c1": 0.5},
+            {"c2": 0.5},
+            {"c1": math.nan},
+            {"test_frac": 0.0},
+            {"test_frac": 1.5},
+            {"test_frac": math.nan},
+            {"epsilons": (0.5, math.nan)},
+            {"epsilons": (-1.0,)},
+            {"pate_teachers": 0},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_bad_values_rejected(self, synth_csv, tmp_path, overrides):
+        with pytest.raises(DataError):
+            config(synth_csv, tmp_path, **overrides)
+
     def test_rounds_alias(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv
         cfg = ExperimentConfig.from_dict(
