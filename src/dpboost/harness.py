@@ -53,10 +53,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
-        for name in ("rounds", "repeats"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, numbers.Integral):
+            raise DataError(f"repeats must be an integer, got {self.repeats!r}")
         if self.repeats < 1:
             raise DataError("repeats must be >= 1")
         if not self.epsilons:

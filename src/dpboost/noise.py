@@ -9,6 +9,7 @@ randomness consumer never perturbs existing streams.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class PrivacyParams:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral) or self.rounds < 1:
+            raise ValueError(f"rounds must be an integer >= 1, got {self.rounds!r}")
         if not (self.c1 >= 1 and self.c2 >= 1):
             raise ValueError("clipping parameters c1 and c2 must be >= 1")
         if self.n < 1:

@@ -113,7 +113,11 @@ class TestPrivacyParams:
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, rounds=0, c1=1, c2=1, n=1)
         with pytest.raises(ValueError):
+            PrivacyParams(epsilon=1.0, rounds=2.5, c1=1, c2=1, n=1)
+        with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=0.5, c2=1, n=1)
+        with pytest.raises(ValueError):
+            PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan, n=1)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=0)
 
