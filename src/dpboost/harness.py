@@ -53,10 +53,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
-        if isinstance(self.repeats, bool) or not isinstance(self.repeats, numbers.Integral):
-            raise DataError(f"repeats must be an integer, got {self.repeats!r}")
+        for name in ("repeats", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise DataError("repeats must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not self.epsilons:
             raise DataError("epsilon values must be non-empty")
         if not 0.0 < self.test_frac < 1.0:

@@ -71,6 +71,8 @@ class TestExperimentConfig:
             {"rounds": 2.5},
             {"repeats": 2.5},
             {"repeats": True},
+            {"seed": -1},
+            {"seed": 1.5},
             {"c1": 0.5},
             {"c2": 0.5},
             {"c1": math.nan},
