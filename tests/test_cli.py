@@ -63,7 +63,6 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg_path)]) == 2
 
-
     def test_every_cell_failed_reports_why(self, tmp_path, capsys):
         # public-only without public columns fails every cell: the cells'
         # errors reach stderr, records are kept, and no summary is written
