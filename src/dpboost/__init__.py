@@ -48,7 +48,6 @@ from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, sign_la
 from .noise import (
     PrivacyParams,
     Purpose,
-    budget_per_round,
     laplace,
     make_rng,
     random_linear_classifier,

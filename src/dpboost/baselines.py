@@ -7,7 +7,7 @@ student model as an extra feature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,13 +144,14 @@ def fit_logreg(ds: Dataset, cols, hyper: LogRegHyper = LogRegHyper()) -> LinearC
     return fit_logreg_weighted(ds, cols, None, hyper)
 
 
+_MAX_LAM = 10.0  # largest ridge coefficient fit_dp_logreg may raise lam to
+
+
 def fit_dp_logreg(
     ds: Dataset,
     epsilon: float,
     hyper: LogRegHyper = LogRegHyper(),
     rng: np.random.Generator = None,
-    *,
-    lam_cap: float = 10.0,
 ) -> LinearClassifier:
     """Epsilon-DP logistic regression by objective perturbation.
 
@@ -165,7 +166,7 @@ def fit_dp_logreg(
     where the direction of b is uniform and ||b|| ~ Gamma(d, 2/eps') with
     eps' = eps - 2*ln(1 + 1/(4*n*lam)). If eps' would be non-positive, lam
     is raised to 1/(4n(e^{eps/4}-1)), which makes eps' = eps/2; if that
-    exceeds ``lam_cap`` the instance is too small and the fit fails.
+    exceeds 10 the instance is too small and the fit fails.
 
     The guarantee covers only the exact minimizer, so the objective is
     solved by damped Newton to the gradient-norm tolerance ``tol``.
@@ -185,10 +186,10 @@ def fit_dp_logreg(
     eps_prime = epsilon - 2.0 * math.log(1.0 + 1.0 / (4.0 * n * lam))
     if eps_prime <= 0:
         lam = 1.0 / (4.0 * n * (math.exp(epsilon / 4.0) - 1.0))
-        if lam > lam_cap:
+        if lam > _MAX_LAM:
             raise ValueError(
                 f"epsilon'={eps_prime:.3g} is unfixable: required lam {lam:.3g} "
-                f"exceeds the admissible cap {lam_cap} (n={n} too small for eps={epsilon})"
+                f"exceeds the admissible cap {_MAX_LAM} (n={n} too small for eps={epsilon})"
             )
         eps_prime = epsilon / 2.0
 
@@ -228,8 +229,6 @@ class PateConfig:
     """Teacher-ensemble settings for the noisy-vote baseline."""
 
     k_teachers: int = 25
-    student_hyper: LogRegHyper = field(default_factory=LogRegHyper)
-    teacher_hyper: LogRegHyper = field(default_factory=LogRegHyper)
 
     def __post_init__(self):
         if self.k_teachers < 2:
@@ -323,7 +322,7 @@ def fit_pate(
         if len(np.unique(train.y[shard])) < 2:
             raise ValueError("shard too small to train: only one label present")
         shard_ds = train.take(shard)
-        teachers.append(fit_logreg(shard_ds, split.private_cols, cfg.teacher_hyper))
+        teachers.append(fit_logreg(shard_ds, split.private_cols))
 
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
@@ -335,5 +334,5 @@ def fit_pate(
         y=train.y,
         columns=tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),),
     )
-    model.student = fit_logreg(student_ds, range(student_X.shape[1]), cfg.student_hyper)
+    model.student = fit_logreg(student_ds, range(student_X.shape[1]))
     return model

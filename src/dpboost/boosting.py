@@ -17,7 +17,6 @@ force check lives in ``sensitivity_oracle``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,6 @@ class RoundRecord:
             "err_pri_noisy": self.err_pri_noisy,
             "alpha": self.alpha,
         }
-
-
-def records_to_jsonl(records) -> str:
-    return "\n".join(json.dumps(r.to_dict()) for r in records)
 
 
 def weighted_error(mis, weights) -> float:
@@ -176,6 +171,10 @@ def brc_fit(
     return Ensemble(members=tuple(members)), records
 
 
+# Largest instance sensitivity_oracle enumerates; its work grows as n * len(value_grid)**k.
+_ORACLE_MAX_N, _ORACLE_MAX_DIM = 8, 2
+
+
 def sensitivity_oracle(
     clf,
     ds: Dataset,
@@ -184,8 +183,6 @@ def sensitivity_oracle(
     c2: float,
     *,
     value_grid=None,
-    max_n: int = 8,
-    max_private_dim: int = 2,
 ) -> float:
     """Brute-force the sensitivity of the weighted error on small instances.
 
@@ -202,10 +199,10 @@ def sensitivity_oracle(
     dominate and the grid is sufficient.
     """
     k = len(clf.cols)
-    if ds.n > max_n or k > max_private_dim:
+    if ds.n > _ORACLE_MAX_N or k > _ORACLE_MAX_DIM:
         raise ValueError(
-            f"instance too large for exhaustive search (n={ds.n} > {max_n} "
-            f"or private dim {k} > {max_private_dim})"
+            f"instance too large for exhaustive search (n={ds.n} > {_ORACLE_MAX_N} "
+            f"or private dim {k} > {_ORACLE_MAX_DIM})"
         )
     if value_grid is None:
         value_grid = np.linspace(-1.0, 1.0, 5)

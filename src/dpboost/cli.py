@@ -3,7 +3,6 @@
 Subcommands:
   run                epsilon sweep per a JSON experiment config
   toy                the 1-d toy sweep per a JSON toy config
-  baseline           one-off baseline run assembled from flags
   sensitivity-check  brute-force audit of the error-sensitivity bound
   plot               re-render a summary CSV as an SVG chart
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .boosting import sensitivity_oracle
-from .data import DataError, Dataset
+from .data import DataError, Dataset, config_from_dict
 from .model import LinearClassifier
 from .noise import make_rng
 from .toy import ToyConfig, run_toy_sweep
@@ -31,10 +30,6 @@ from .toy import ToyConfig, run_toy_sweep
 
 def _cmd_run(args) -> int:
     cfg = harness.ExperimentConfig.from_json_file(args.config)
-    return _execute(cfg)
-
-
-def _execute(cfg: harness.ExperimentConfig) -> int:
     records = harness.run_experiment(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     harness.emit_records_jsonl(records, os.path.join(cfg.output_dir, "records.jsonl"))
@@ -60,12 +55,9 @@ def _cmd_toy(args) -> int:
         raw = json.load(fh)
     eps_list = raw.pop("epsilons", None)
     out_dir = raw.pop("output_dir", "results")
-    if "T" in raw:
-        raw["rounds"] = raw.pop("T")
-    try:
-        cfg = ToyConfig(**raw)
-    except TypeError as exc:
-        raise DataError(f"bad toy config: {exc}") from exc
+    if not isinstance(eps_list, list) or not eps_list:
+        raise DataError(f"toy config needs epsilons, a non-empty list, got {eps_list!r}")
+    cfg = config_from_dict(ToyConfig, raw)
     report = run_toy_sweep(cfg, eps_list)
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "toy_accuracy.csv"))
@@ -78,21 +70,6 @@ def _cmd_toy(args) -> int:
             f"median={np.median(acc):.4f} iqr={np.subtract(*np.percentile(acc, [75, 25])):.4f}"
         )
     return 0
-
-
-def _cmd_baseline(args) -> int:
-    cfg = harness.ExperimentConfig(
-        dataset=args.data,
-        schema=args.schema,
-        algorithm=args.algo,
-        epsilons=tuple(args.epsilon) if args.epsilon else (math.inf,),
-        public_columns=tuple(args.public_column),
-        repeats=args.repeats,
-        seed=args.seed,
-        test_frac=args.test_frac,
-        output_dir=args.out,
-    )
-    return _execute(cfg)
 
 
 def _cmd_sensitivity_check(args) -> int:
@@ -146,18 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sub.add_parser("toy", help="run the 1-d toy sweep from a JSON config")
     p_toy.add_argument("--config", required=True)
     p_toy.set_defaults(func=_cmd_toy)
-
-    p_base = sub.add_parser("baseline", help="run a single baseline algorithm")
-    p_base.add_argument("--algo", required=True, choices=harness.ALGORITHMS)
-    p_base.add_argument("--data", required=True)
-    p_base.add_argument("--schema", required=True)
-    p_base.add_argument("--epsilon", type=float, action="append", default=[])
-    p_base.add_argument("--public-column", action="append", default=[])
-    p_base.add_argument("--repeats", type=int, default=10)
-    p_base.add_argument("--seed", type=int, default=0)
-    p_base.add_argument("--test-frac", type=float, default=0.1)
-    p_base.add_argument("--out", default="results")
-    p_base.set_defaults(func=_cmd_baseline)
 
     p_sens = sub.add_parser(
         "sensitivity-check", help="brute-force the weighted-error sensitivity bound"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,33 @@ CATEGORICAL = "categorical"
 
 class DataError(ValueError):
     """Raised for malformed input files, schemas, or dataset contracts."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ``DataError`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DataError(f"{name} must be >= {minimum}, got {value}")
+
+
+def config_from_dict(cls, d: dict):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    ``T`` is accepted as an alias for ``rounds``. Unknown keys, and missing
+    or mistyped fields that make the constructor raise ``TypeError``, are
+    reported as ``DataError``.
+    """
+    d = dict(d)
+    if "T" in d:
+        d["rounds"] = d.pop("T")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        return cls(**d)
+    except TypeError as exc:
+        raise DataError(f"bad {cls.__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -156,9 +184,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(src if tag == NUMERIC else f"{src}{tag}" for src, tag in self.columns)
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """New dataset from a row index array (copies; order preserved)."""

@@ -15,7 +15,6 @@ import ctypes
 import glob
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -23,9 +22,21 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .baselines import LogRegHyper, PateConfig, fit_dp_logreg, fit_logreg, fit_pate
+from .baselines import PateConfig, fit_dp_logreg, fit_logreg, fit_pate
 from .boosting import RoundRecord, brc_fit
-from .data import DataError, Dataset, FeatureSplit, Schema, balance, load_csv, encode, normalize, split
+from .data import (
+    DataError,
+    Dataset,
+    FeatureSplit,
+    Schema,
+    balance,
+    check_int,
+    config_from_dict,
+    encode,
+    load_csv,
+    normalize,
+    split,
+)
 from .model import accuracy
 from .noise import PrivacyParams, Purpose, rng_for, stream_id
 
@@ -53,24 +64,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
-        for name in ("repeats", "seed"):
+        for name, minimum in (("repeats", 1), ("seed", 0), ("workers", 1), ("pate_teachers", 2)):
+            check_int(name, getattr(self, name), minimum)
+        for name in ("epsilons", "public_columns"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{name} must be an integer, got {value!r}")
-        if self.repeats < 1:
-            raise DataError("repeats must be >= 1")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+            if isinstance(value, str):
+                raise DataError(f"{name} must be a list, got the string {value!r}")
+        if not isinstance(self.ranges_from_data, bool):
+            raise DataError(f"ranges_from_data must be true or false, got {self.ranges_from_data!r}")
         if not self.epsilons:
             raise DataError("epsilon values must be non-empty")
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
-        if self.workers < 1:
-            raise DataError("workers must be >= 1")
         try:
             for e in self.epsilons:
                 PrivacyParams(e, self.rounds, self.c1, self.c2, n=1)
-            PateConfig(k_teachers=self.pate_teachers)
         except ValueError as exc:
             raise DataError(f"bad experiment config: {exc}") from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
@@ -78,17 +86,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "T" in d:  # accepted alias for rounds
-            d["rounds"] = d.pop("T")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise DataError(f"bad experiment config: {exc}") from exc
+        return config_from_dict(cls, d)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -139,7 +137,7 @@ def load_prepared_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Schema]:
     return ds, schema
 
 
-def _streams(cfg: ExperimentConfig, repeat: int) -> dict:
+def _streams(repeat: int) -> dict:
     return {p.name.lower(): stream_id(repeat, p) for p in Purpose}
 
 
@@ -152,12 +150,12 @@ def _prepare_cell_data(full: Dataset, cfg: ExperimentConfig, repeat: int):
 def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
     """Fit one cell; returns (model, round records or None, train, test)."""
     train, test = _prepare_cell_data(full, cfg, repeat)
+    if cfg.algorithm == "brc-all-private":
+        fsplit = FeatureSplit.all_private(train.d)
+    else:
+        fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
     rounds = None
     if cfg.algorithm in ("brc", "brc-all-private"):
-        if cfg.algorithm == "brc":
-            fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
-        else:
-            fsplit = FeatureSplit.all_private(train.d)
         params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2, n=train.n)
         model, rounds = brc_fit(
             train,
@@ -169,16 +167,12 @@ def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
     elif cfg.algorithm == "logreg":
         model = fit_logreg(train, range(train.d))
     elif cfg.algorithm == "public-only":
-        fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
         if not fsplit.public_cols:
             raise DataError("public-only baseline needs at least one public column")
         model = fit_logreg(train, fsplit.public_cols)
     elif cfg.algorithm == "dp-logreg":
-        model = fit_dp_logreg(
-            train, eps, LogRegHyper(), rng_for(cfg.seed, repeat, Purpose.BASELINE)
-        )
+        model = fit_dp_logreg(train, eps, rng=rng_for(cfg.seed, repeat, Purpose.BASELINE))
     elif cfg.algorithm == "pate":
-        fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
         model = fit_pate(
             train,
             fsplit,
@@ -198,28 +192,22 @@ def _run_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int) -> 
     start = time.perf_counter()
     try:
         model, rounds, train, test = _fit_cell(full, cfg, eps, repeat)
-        record = ResultRecord(
-            algorithm=cfg.algorithm,
-            epsilon=eps,
-            repeat=repeat,
-            seed=cfg.seed,
-            streams=_streams(cfg, repeat),
-            train_accuracy=accuracy(model, train),
-            test_accuracy=accuracy(model, test),
-            wall_time=time.perf_counter() - start,
-            rounds=tuple(rounds) if rounds is not None else None,
-        )
+        outcome = {
+            "train_accuracy": accuracy(model, train),
+            "test_accuracy": accuracy(model, test),
+            "rounds": tuple(rounds) if rounds is not None else None,
+        }
     except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
-        record = ResultRecord(
-            algorithm=cfg.algorithm,
-            epsilon=eps,
-            repeat=repeat,
-            seed=cfg.seed,
-            streams=_streams(cfg, repeat),
-            wall_time=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return record
+        outcome = {"error": f"{type(exc).__name__}: {exc}"}
+    return ResultRecord(
+        algorithm=cfg.algorithm,
+        epsilon=eps,
+        repeat=repeat,
+        seed=cfg.seed,
+        streams=_streams(repeat),
+        wall_time=time.perf_counter() - start,
+        **outcome,
+    )
 
 
 _worker_full: Dataset | None = None  # the sweep's dataset, set once per pool worker
@@ -387,7 +375,7 @@ def read_summary_csv(path) -> list[SummaryRow]:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 
-def emit_svg(summary, path, *, width: int = 640, height: int = 420) -> None:
+def emit_svg(summary, path) -> None:
     """Line chart of mean accuracy vs epsilon (log axis) with +/-1 std error
     bars, one polyline per algorithm, axis labels, and a legend. Pure text
     output, no plotting dependency.
@@ -396,6 +384,7 @@ def emit_svg(summary, path, *, width: int = 640, height: int = 420) -> None:
     if not summary:
         raise ValueError("emit_svg needs a non-empty summary")
 
+    width, height = 640, 420
     left, right_pad, top, bottom = 60.0, 170.0, 20.0, 50.0
     plot_w = width - left - right_pad
     plot_h = height - top - bottom

@@ -9,11 +9,11 @@ randomness consumer never perturbs existing streams.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_int
 from .model import LinearClassifier
 
 
@@ -59,8 +59,7 @@ class PrivacyParams:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral) or self.rounds < 1:
-            raise ValueError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+        check_int("rounds", self.rounds, 1)
         if not (self.c1 >= 1 and self.c2 >= 1):
             raise ValueError("clipping parameters c1 and c2 must be >= 1")
         if self.n < 1:
@@ -69,11 +68,6 @@ class PrivacyParams:
     @property
     def laplace_scale(self) -> float:
         return self.c1 * self.c2 * self.rounds / (self.epsilon * self.n)
-
-
-def budget_per_round(params: PrivacyParams) -> float:
-    """Per-round budget epsilon / rounds; the rounds compose back to epsilon."""
-    return params.epsilon / params.rounds
 
 
 def laplace(scale: float, rng: np.random.Generator, size=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import brc_fit
-from .data import Dataset, FeatureSplit
+from .data import Dataset, FeatureSplit, check_int
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, rng_for
 
@@ -29,17 +29,17 @@ class ToyConfig:
     rounds: int = 50
     c1: float = 2.0
     c2: float = 2.0
-    epsilon: float | None = None
     repeats: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+        for name, minimum in (("n", 2), ("repeats", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        if self.n % 2 != 0:
             raise ValueError("n must be even and at least 2")
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError("flip probability must lie in [0, 0.5)")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        PrivacyParams(1.0, self.rounds, self.c1, self.c2, self.n)  # checks rounds, c1 and c2
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class ToyReport:
             json.dump(payload, fh)
 
 
-def run_toy_sweep(cfg: ToyConfig, eps_list=None) -> ToyReport:
+def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     """Fit the booster over an all-private split with the flip-threshold sampler once per
     (epsilon, repeat) cell, recording final training accuracy and the
     per-round (threshold, alpha) trace.
@@ -177,11 +177,6 @@ def run_toy_sweep(cfg: ToyConfig, eps_list=None) -> ToyReport:
     Repeats are paired across epsilon values: repeat r always uses the
     streams (seed, r, purpose), so cells differ only in the noise scale.
     """
-    if eps_list is None:
-        if cfg.epsilon is None:
-            raise ValueError("either cfg.epsilon or eps_list must be given")
-        eps_list = [cfg.epsilon]
-
     ds = generate_toy(cfg.n)
     runs = []
     for eps in eps_list:

@@ -396,17 +396,24 @@ class TestBrcFitAllPrivate:
             w = clipped_update(w, rec.alpha, mis, 2.0, 2.0)
             assert np.all(w >= 0.5) and np.all(w <= 2.0)
 
-    def test_round_records_serialize_to_json_lines(self):
+    def test_round_records_serialize_to_json_lines(self, tmp_path):
         import json
+
+        from dpboost.harness import ResultRecord, emit_records_jsonl
 
         ds, _ = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=3, c1=2, c2=2, n=ds.n)
         _, recs = fit_all_private(ds, params, 0, 1)
-        lines = boosting.records_to_jsonl(recs).splitlines()
-        assert len(lines) == 3
-        row = json.loads(lines[0])
-        assert set(row) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha"}
-        assert row["t"] == 1 and row["chosen"] == "all" and row["err_pub"] is None
+        cell = dict(algorithm="brc-all-private", epsilon=1.0, repeat=0, seed=0, streams={})
+        path = tmp_path / "records.jsonl"
+        emit_records_jsonl([ResultRecord(**cell, rounds=tuple(recs)), ResultRecord(**cell)], path)
+        with_rounds, without_rounds = (json.loads(line) for line in path.read_text().splitlines())
+        rounds = with_rounds["rounds"]
+        assert len(rounds) == 3
+        assert set(rounds[0]) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha"}
+        assert [r["t"] for r in rounds] == [1, 2, 3]
+        assert all(r["chosen"] == "all" and r["err_pub"] is None for r in rounds)
+        assert "rounds" not in without_rounds
 
     def test_custom_sampler_injected(self):
         ds, _ = planted_dataset(n=60)

@@ -28,14 +28,15 @@ def write_run_config(tmp_path, csv_path, schema_path, out_name="out", **override
 
 
 class TestRunCommand:
-    def test_run_writes_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algorithm", ["brc", "logreg", "public-only"])
+    def test_run_writes_artifacts(self, tmp_path, capsys, algorithm):
         csv_path, schema_path = write_synthetic_csv(str(tmp_path))
-        cfg_path, out_dir = write_run_config(tmp_path, csv_path, schema_path)
+        cfg_path, out_dir = write_run_config(tmp_path, csv_path, schema_path, algorithm=algorithm)
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert os.path.exists(os.path.join(out_dir, "summary.csv"))
         assert os.path.exists(os.path.join(out_dir, "summary.svg"))
         assert os.path.exists(os.path.join(out_dir, "records.jsonl"))
-        assert "brc eps=0.5" in capsys.readouterr().out
+        assert f"{algorithm} eps=0.5" in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         csv_path, schema_path = write_synthetic_csv(str(tmp_path))
@@ -79,52 +80,54 @@ class TestRunCommand:
         assert not os.path.exists(os.path.join(out_dir, "summary.svg"))
 
 
+def write_toy_config(tmp_path, **overrides):
+    cfg = {
+        "n": 100,
+        "flip_prob": 0.49,
+        "rounds": 5,
+        "c1": 2,
+        "c2": 2,
+        "repeats": 2,
+        "seed": 0,
+        "epsilons": [0.5, 5.0],
+        "output_dir": str(tmp_path / "toyout"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    return path
+
+
 class TestToyCommand:
     def test_toy_writes_csv_and_traces(self, tmp_path, capsys):
-        cfg = {
-            "n": 100,
-            "flip_prob": 0.49,
-            "rounds": 5,
-            "c1": 2,
-            "c2": 2,
-            "repeats": 2,
-            "seed": 0,
-            "epsilons": [0.5, 5.0],
-            "output_dir": str(tmp_path / "toyout"),
-        }
-        path = tmp_path / "toy.json"
-        path.write_text(json.dumps(cfg))
+        path = write_toy_config(tmp_path)
         assert main(["toy", "--config", str(path)]) == 0
         assert os.path.exists(tmp_path / "toyout" / "toy_accuracy.csv")
         assert os.path.exists(tmp_path / "toyout" / "toy_traces.json")
         out = capsys.readouterr().out
         assert "toy eps=0.5" in out and "median=" in out
 
-
-class TestBaselineCommand:
-    def test_baseline_logreg(self, tmp_path):
-        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
-        out = str(tmp_path / "base")
-        code = main(
-            [
-                "baseline", "--algo", "logreg", "--data", csv_path,
-                "--schema", schema_path, "--repeats", "2", "--out", out,
-            ]
-        )
-        assert code == 0
-        assert os.path.exists(os.path.join(out, "summary.csv"))
-
-    def test_baseline_public_only_needs_columns(self, tmp_path):
-        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
-        out = str(tmp_path / "base2")
-        code = main(
-            [
-                "baseline", "--algo", "public-only", "--data", csv_path,
-                "--schema", schema_path, "--repeats", "1",
-                "--public-column", "pubnum", "--out", out,
-            ]
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"repeats": 2.5},
+            {"n": 100.0},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"rounds": 2.5},
+            {"c1": 0.5},
+            {"epsilons": None},
+            {"epsilons": "0.5"},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_bad_values_rejected(self, tmp_path, capsys, overrides):
+        path = write_toy_config(tmp_path, **overrides)
+        assert main(["toy", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        (name,) = overrides
+        assert err.startswith("dpboost: error:") and name in err
+        assert not os.path.exists(tmp_path / "toyout")
 
 
 class TestSensitivityCheckCommand:

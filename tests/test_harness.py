@@ -82,6 +82,12 @@ class TestExperimentConfig:
             {"epsilons": (0.5, math.nan)},
             {"epsilons": (-1.0,)},
             {"pate_teachers": 0},
+            {"pate_teachers": 2.5},
+            {"workers": 1.5},
+            {"workers": 2.0},
+            {"ranges_from_data": "false"},
+            {"public_columns": "sex"},
+            {"epsilons": "0.5"},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )

@@ -6,7 +6,6 @@ import pytest
 from dpboost import (
     PrivacyParams,
     Purpose,
-    budget_per_round,
     laplace,
     make_rng,
     random_linear_classifier,
@@ -120,16 +119,3 @@ class TestPrivacyParams:
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan, n=1)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=0)
-
-    def test_budget_per_round(self):
-        assert budget_per_round(
-            PrivacyParams(epsilon=0.16, rounds=25, c1=1, c2=1, n=10)
-        ) == pytest.approx(0.0064)
-        assert budget_per_round(PrivacyParams(epsilon=0.7, rounds=1, c1=1, c2=1, n=10)) == 0.7
-        assert budget_per_round(
-            PrivacyParams(epsilon=0.01, rounds=25, c1=1, c2=1, n=10)
-        ) == pytest.approx(0.0004)
-
-    def test_rounds_compose_to_total(self):
-        p = PrivacyParams(epsilon=0.16, rounds=25, c1=1, c2=1, n=10)
-        assert budget_per_round(p) * p.rounds == pytest.approx(p.epsilon)

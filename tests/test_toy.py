@@ -134,15 +134,6 @@ class TestToySweep:
         assert len(payload["runs"]) == 3
         assert len(payload["runs"][0]["thresholds"]) == 10
 
-    def test_config_epsilon_fallback(self):
-        cfg = ToyConfig(n=100, rounds=5, repeats=2, seed=1, epsilon=2.0)
-        report = run_toy_sweep(cfg)
-        assert {r.epsilon for r in report.runs} == {2.0}
-
-    def test_missing_epsilon_everywhere_rejected(self):
-        with pytest.raises(ValueError):
-            run_toy_sweep(ToyConfig(n=100, rounds=5, repeats=1))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ToyConfig(n=11)
