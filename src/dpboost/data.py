@@ -1,5 +1,6 @@
 """Tabular data pipeline: CSV ingestion, one-hot encoding, [-1,1] normalization,
-label balancing, and train/test splitting.
+label balancing, and train/test splitting, plus the loading and integer checks
+shared by the experiment and toy configs.
 
 All types are immutable after construction and all operations are pure
 functions of (input, seed), so repeated runs with the same seed produce
