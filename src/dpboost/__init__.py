@@ -5,10 +5,8 @@ reproducibility harness.
 
 from .baselines import (
     LogRegHyper,
-    PateConfig,
     PateModel,
     fit_dp_logreg,
-    fit_logreg,
     fit_logreg_weighted,
     fit_pate,
 )

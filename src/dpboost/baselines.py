@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSplit
+from .data import Dataset, FeatureSplit, check_int
 from .model import LinearClassifier, sign_labels
 from .noise import laplace
 
@@ -139,11 +139,6 @@ def fit_logreg_weighted(
     return LinearClassifier(coeffs=x[:-1], intercept=float(x[-1]), cols=cols)
 
 
-def fit_logreg(ds: Dataset, cols, hyper: LogRegHyper = LogRegHyper()) -> LinearClassifier:
-    """Unweighted logistic regression; identical to unit-weight fitting."""
-    return fit_logreg_weighted(ds, cols, None, hyper)
-
-
 _MAX_LAM = 10.0  # largest ridge coefficient fit_dp_logreg may raise lam to
 
 
@@ -224,17 +219,6 @@ def fit_dp_logreg(
     )
 
 
-@dataclass(frozen=True)
-class PateConfig:
-    """Teacher-ensemble settings for the noisy-vote baseline."""
-
-    k_teachers: int = 25
-
-    def __post_init__(self):
-        if self.k_teachers < 2:
-            raise ValueError("need at least two teachers")
-
-
 class PateModel:
     """Teachers on private columns vote a label feature for a public student.
 
@@ -291,14 +275,15 @@ def fit_pate(
     train: Dataset,
     split: FeatureSplit,
     epsilon: float,
-    cfg: PateConfig = PateConfig(),
     rng: np.random.Generator = None,
     *,
+    k_teachers: int = 25,
     extra_query_budget: int = 0,
 ) -> PateModel:
     """Train disjoint-shard teachers on private columns and a student on
     public columns plus the noisy winning-label feature.
 
+    ``k_teachers`` (at least 2) disjoint shards each train one teacher.
     ``extra_query_budget`` reserves budget for vote queries made after
     training (each predicted row is one query event); the noise scale is
     fixed from queries = train.n + extra_query_budget, and querying more
@@ -308,21 +293,22 @@ def fit_pate(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if rng is None:
         raise ValueError("fit_pate requires an explicit rng")
+    check_int("k_teachers", k_teachers, 2)
     split.validate_for(train.d)
     if len(split.private_cols) == 0 or len(split.public_cols) == 0:
         raise ValueError("PATE needs both public and private columns")
-    if cfg.k_teachers > train.n // 10:
+    if k_teachers > train.n // 10:
         raise ValueError(
-            f"{cfg.k_teachers} teachers over {train.n} rows leaves shards below 10 rows"
+            f"{k_teachers} teachers over {train.n} rows leaves shards below 10 rows"
         )
 
-    shards = np.array_split(rng.permutation(train.n), cfg.k_teachers)
+    shards = np.array_split(rng.permutation(train.n), k_teachers)
     teachers = []
     for shard in shards:
         if len(np.unique(train.y[shard])) < 2:
             raise ValueError("shard too small to train: only one label present")
         shard_ds = train.take(shard)
-        teachers.append(fit_logreg(shard_ds, split.private_cols))
+        teachers.append(fit_logreg_weighted(shard_ds, split.private_cols))
 
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
@@ -334,5 +320,5 @@ def fit_pate(
         y=train.y,
         columns=tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),),
     )
-    model.student = fit_logreg(student_ds, range(student_X.shape[1]))
+    model.student = fit_logreg_weighted(student_ds, range(student_X.shape[1]))
     return model

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import fit_logreg_weighted
 from .data import Dataset, FeatureSplit
-from .model import Ensemble, EnsembleMember, LinearClassifier
+from .model import Ensemble, EnsembleMember
 from .noise import PrivacyParams, laplace, random_linear_classifier
 
 
@@ -89,12 +90,6 @@ def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: 
     return np.where(ok, candidate, w)
 
 
-def _default_weak_learner(ds: Dataset, cols, weights) -> LinearClassifier:
-    from .baselines import fit_logreg_weighted
-
-    return fit_logreg_weighted(ds, cols, weights)
-
-
 def brc_fit(
     train: Dataset,
     split: FeatureSplit,
@@ -132,7 +127,7 @@ def brc_fit(
     if len(split.private_cols) == 0:
         raise ValueError("brc_fit requires a non-empty private column set")
     if weak_learner is None:
-        weak_learner = _default_weak_learner
+        weak_learner = fit_logreg_weighted
     if sampler is None:
 
         def sampler(ds, rng):

@@ -24,7 +24,7 @@ from . import harness
 from .boosting import sensitivity_oracle
 from .data import DataError, Dataset, config_from_dict
 from .model import LinearClassifier
-from .noise import make_rng
+from .noise import PrivacyParams, make_rng
 from .toy import ToyConfig, run_toy_sweep
 
 
@@ -58,6 +58,11 @@ def _cmd_toy(args) -> int:
     if not isinstance(eps_list, list) or not eps_list:
         raise DataError(f"toy config needs epsilons, a non-empty list, got {eps_list!r}")
     cfg = config_from_dict(ToyConfig, raw)
+    try:
+        for eps in eps_list:
+            PrivacyParams(eps, cfg.rounds, cfg.c1, cfg.c2, cfg.n)
+    except ValueError as exc:
+        raise DataError(f"bad toy epsilons: {exc}") from exc
     report = run_toy_sweep(cfg, eps_list)
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "toy_accuracy.csv"))

@@ -1,6 +1,6 @@
 """Tabular data pipeline: CSV ingestion, one-hot encoding, [-1,1] normalization,
-label balancing, and train/test splitting, plus the loading and integer checks
-shared by the experiment and toy configs.
+label balancing, and train/test splitting, plus the loading and the integer and
+real-number checks shared by the experiment and toy configs.
 
 All types are immutable after construction and all operations are pure
 functions of (input, seed), so repeated runs with the same seed produce
@@ -37,6 +37,12 @@ def check_int(name: str, value, minimum: int) -> None:
         raise DataError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``DataError`` unless ``value`` is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a number, got {value!r}")
+
+
 def config_from_dict(cls, d: dict):
     """Build the config dataclass ``cls`` from a parsed JSON object.
 
@@ -68,6 +74,9 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        for bound in ("min", "max"):
+            if getattr(self, bound) is not None:
+                check_real(f"column {self.name!r}: {bound}", getattr(self, bound))
         if self.min is not None and self.max is not None and not self.min < self.max:
             raise DataError(f"column {self.name!r}: range requires min < max")
 
@@ -128,6 +137,8 @@ class Schema:
             )
         except KeyError as exc:
             raise DataError(f"schema is missing required key: {exc}") from exc
+        except TypeError as exc:
+            raise DataError(f"malformed schema: {exc}") from exc
         return cls(columns=cols, label=label)
 
     @classmethod

@@ -3,7 +3,7 @@ runs, aggregation, convergence traces, and CSV/SVG emission.
 
 Each (epsilon, repeat) cell is an independent task: it re-balances and
 re-splits the data with the repeat's shuffle stream, fits the configured
-algorithm, and evaluates train/test accuracy. Cells are merged in
+algorithm, and evaluates its test accuracy. Cells are merged in
 deterministic (epsilon, repeat) order regardless of execution order, so a
 fixed (config, seed) pair always yields byte-identical CSV output.
 """
@@ -22,7 +22,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .baselines import PateConfig, fit_dp_logreg, fit_logreg, fit_pate
+from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate
 from .boosting import RoundRecord, brc_fit
 from .data import (
     DataError,
@@ -103,7 +103,6 @@ class ResultRecord:
     repeat: int
     seed: int
     streams: dict
-    train_accuracy: float | None = None
     test_accuracy: float | None = None
     wall_time: float | None = None
     rounds: tuple[RoundRecord, ...] | None = None
@@ -116,7 +115,6 @@ class ResultRecord:
             "repeat": self.repeat,
             "seed": self.seed,
             "streams": self.streams,
-            "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
             "wall_time": self.wall_time,
             "error": self.error,
@@ -148,7 +146,7 @@ def _prepare_cell_data(full: Dataset, cfg: ExperimentConfig, repeat: int):
 
 
 def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
-    """Fit one cell; returns (model, round records or None, train, test)."""
+    """Fit one cell; returns (model, round records or None, test)."""
     train, test = _prepare_cell_data(full, cfg, repeat)
     if cfg.algorithm == "brc-all-private":
         fsplit = FeatureSplit.all_private(train.d)
@@ -165,11 +163,11 @@ def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
             noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),
         )
     elif cfg.algorithm == "logreg":
-        model = fit_logreg(train, range(train.d))
+        model = fit_logreg_weighted(train, range(train.d))
     elif cfg.algorithm == "public-only":
         if not fsplit.public_cols:
             raise DataError("public-only baseline needs at least one public column")
-        model = fit_logreg(train, fsplit.public_cols)
+        model = fit_logreg_weighted(train, fsplit.public_cols)
     elif cfg.algorithm == "dp-logreg":
         model = fit_dp_logreg(train, eps, rng=rng_for(cfg.seed, repeat, Purpose.BASELINE))
     elif cfg.algorithm == "pate":
@@ -177,23 +175,21 @@ def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
             train,
             fsplit,
             eps,
-            PateConfig(k_teachers=cfg.pate_teachers),
             rng_for(cfg.seed, repeat, Purpose.BASELINE),
-            # evaluation re-queries every train row once and each test row
-            # once; each re-query is a fresh noise event that needs budget
-            extra_query_budget=train.n + test.n,
+            k_teachers=cfg.pate_teachers,
+            # evaluation queries each test row once, a fresh noise event each
+            extra_query_budget=test.n,
         )
     else:  # pragma: no cover - guarded by config validation
         raise DataError(f"unknown algorithm {cfg.algorithm!r}")
-    return model, rounds, train, test
+    return model, rounds, test
 
 
 def _run_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int) -> ResultRecord:
     start = time.perf_counter()
     try:
-        model, rounds, train, test = _fit_cell(full, cfg, eps, repeat)
+        model, rounds, test = _fit_cell(full, cfg, eps, repeat)
         outcome = {
-            "train_accuracy": accuracy(model, train),
             "test_accuracy": accuracy(model, test),
             "rounds": tuple(rounds) if rounds is not None else None,
         }
@@ -331,7 +327,7 @@ def convergence_trace(cfg: ExperimentConfig, full: Dataset = None) -> list[Trace
     traces = []
     for eps in cfg.epsilons:
         for repeat in range(cfg.repeats):
-            model, _, _, test = _fit_cell(full, cfg, eps, repeat)
+            model, _, test = _fit_cell(full, cfg, eps, repeat)
             prefix = model.prefix_predictions(test.X)
             accs = tuple(float(np.mean(p == test.y)) for p in prefix)
             traces.append(TraceRecord(cfg.algorithm, eps, repeat, accs))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_int
+from .data import check_int, check_real
 from .model import LinearClassifier
 
 
@@ -57,6 +57,8 @@ class PrivacyParams:
     n: int
 
     def __post_init__(self):
+        for name in ("epsilon", "c1", "c2"):
+            check_real(name, getattr(self, name))
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         check_int("rounds", self.rounds, 1)

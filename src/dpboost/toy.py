@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .boosting import brc_fit
-from .data import Dataset, FeatureSplit, check_int
+from .data import Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, rng_for
 
@@ -37,6 +37,7 @@ class ToyConfig:
             check_int(name, getattr(self, name), minimum)
         if self.n % 2 != 0:
             raise ValueError("n must be even and at least 2")
+        check_real("flip_prob", self.flip_prob)
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError("flip probability must lie in [0, 0.5)")
         PrivacyParams(1.0, self.rounds, self.c1, self.c2, self.n)  # checks rounds, c1 and c2
@@ -144,15 +145,7 @@ class ToyReport:
 
     def to_json(self, path) -> None:
         payload = {
-            "config": {
-                "n": self.config.n,
-                "flip_prob": self.config.flip_prob,
-                "rounds": self.config.rounds,
-                "c1": self.config.c1,
-                "c2": self.config.c2,
-                "repeats": self.config.repeats,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "noise_scales": {f"{r.epsilon:g}": self.noise_scale(r.epsilon) for r in self.runs},
             "runs": [
                 {

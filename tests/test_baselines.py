@@ -7,10 +7,8 @@ from dpboost import (
     Dataset,
     FeatureSplit,
     LogRegHyper,
-    PateConfig,
     accuracy,
     fit_dp_logreg,
-    fit_logreg,
     fit_logreg_weighted,
     fit_pate,
     make_rng,
@@ -138,7 +136,7 @@ class TestWeightedLogReg:
 
     def test_unit_weights_bit_identical_to_unweighted(self):
         ds, _ = planted_dataset(n=120, seed=5)
-        a = fit_logreg(ds, range(ds.d))
+        a = fit_logreg_weighted(ds, range(ds.d))
         b = fit_logreg_weighted(ds, range(ds.d), np.ones(ds.n))
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.intercept == b.intercept
@@ -162,7 +160,7 @@ class TestWeightedLogReg:
 class TestDpLogReg:
     def test_infinite_budget_matches_plain_fit(self):
         ds, _ = planted_dataset(n=400, seed=1)
-        plain = fit_logreg(ds, range(ds.d))
+        plain = fit_logreg_weighted(ds, range(ds.d))
         dp = fit_dp_logreg(ds, math.inf, rng=make_rng(0))
         assert abs(accuracy(dp, ds) - accuracy(plain, ds)) <= 0.01
 
@@ -260,7 +258,7 @@ class TestPate:
     def test_oracle_vote_dominates_with_infinite_budget(self):
         ds, split = separable_private_dataset()
         model = fit_pate(
-            ds, split, math.inf, PateConfig(k_teachers=2), make_rng(0)
+            ds, split, math.inf, make_rng(0), k_teachers=2
         )
         # noiseless votes recover the label, and the student leans on them
         assert np.array_equal(model.noisy_votes(ds.X), ds.y)
@@ -270,7 +268,7 @@ class TestPate:
         ds, split = separable_private_dataset(seed=3)
         # reserve the 2n events queried below: one noisy_votes pass, one predict
         model = fit_pate(
-            ds, split, 0.01, PateConfig(k_teachers=2), make_rng(1), extra_query_budget=2 * ds.n
+            ds, split, 0.01, make_rng(1), k_teachers=2, extra_query_budget=2 * ds.n
         )
         votes = model.noisy_votes(ds.X)
         assert abs(np.mean(votes == ds.y) - 0.5) < 0.1
@@ -279,21 +277,22 @@ class TestPate:
     def test_vote_scale_formula(self):
         ds, split = separable_private_dataset()
         model = fit_pate(
-            ds, split, 0.16, PateConfig(k_teachers=2), make_rng(2), extra_query_budget=40
+            ds, split, 0.16, make_rng(2), k_teachers=2, extra_query_budget=40
         )
         assert model.vote_scale == pytest.approx(2.0 * (ds.n + 40) / 0.16)
 
     def test_too_many_teachers_rejected(self):
         ds, split = separable_private_dataset(n=100)
-        with pytest.raises(ValueError, match="shards below 10"):
-            fit_pate(ds, split, 1.0, PateConfig(k_teachers=20), make_rng(0))
+        for k, message in ((20, "shards below 10"), (1, "k_teachers must be >= 2")):
+            with pytest.raises(ValueError, match=message):
+                fit_pate(ds, split, 1.0, make_rng(0), k_teachers=k)
 
     def test_prediction_deterministic_given_rng(self):
         ds, split = separable_private_dataset(seed=5)
         preds = []
         for _ in range(2):
             model = fit_pate(
-                ds, split, 0.5, PateConfig(k_teachers=3), make_rng(9), extra_query_budget=ds.n
+                ds, split, 0.5, make_rng(9), k_teachers=3, extra_query_budget=ds.n
             )
             preds.append(model.predict(ds.X))
         assert np.array_equal(preds[0], preds[1])
@@ -301,7 +300,7 @@ class TestPate:
     def test_needs_both_sides(self):
         ds, _ = separable_private_dataset(n=100)
         with pytest.raises(ValueError, match="both public and private"):
-            fit_pate(ds, FeatureSplit.all_private(ds.d), 1.0, PateConfig(k_teachers=2), make_rng(0))
+            fit_pate(ds, FeatureSplit.all_private(ds.d), 1.0, make_rng(0), k_teachers=2)
 
     def test_fit_draw_count_is_permutation_plus_two_vote_vectors(self):
         # the fit consumes one n-permutation (shards) and 2n Laplace draws
@@ -309,7 +308,7 @@ class TestPate:
         # nothing themselves.
         ds, split = separable_private_dataset(n=120, seed=8)
         rng = make_rng(13)
-        fit_pate(ds, split, 0.5, PateConfig(k_teachers=2), rng, extra_query_budget=0)
+        fit_pate(ds, split, 0.5, rng, k_teachers=2, extra_query_budget=0)
         ref = make_rng(13)
         ref.permutation(ds.n)
         ref.random(ds.n)

@@ -118,6 +118,9 @@ class TestToyCommand:
             {"c1": 0.5},
             {"epsilons": None},
             {"epsilons": "0.5"},
+            {"epsilons": ["0.5"]},
+            {"epsilons": [0.5, -1.0]},
+            {"c1": True},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )

@@ -252,6 +252,22 @@ class TestSplit:
         assert not train_rows & test_rows
 
 
+class TestSchema:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [{"name": "a", "kind": "numeric", "min": "-5", "max": "5"}],
+            [{"name": "a", "kind": "numeric", "min": False, "max": True}],
+            "abc",
+        ],
+        ids=["string-range", "bool-range", "columns-string"],
+    )
+    def test_malformed_schema_rejected(self, columns):
+        d = {"columns": columns, "label": {"name": "label", "positive": "+", "negative": "-"}}
+        with pytest.raises(DataError):
+            Schema.from_dict(d)
+
+
 class TestFeatureSplit:
     def test_disjoint_required(self):
         with pytest.raises(DataError):

@@ -2,8 +2,11 @@
 
 The summary and toy-accuracy literals were recorded from the code before the
 all-private fit was folded into ``brc_fit``; the records, toy CSV and toy
-traces pins before config loading was reduced to one function. A refactor
-must reproduce them byte for byte.
+traces pins before config loading was reduced to one function. The records
+pins were then re-derived once, when records stopped carrying a training
+accuracy: each is the sha256 of the earlier text with the
+``"train_accuracy"`` member removed from every line. A refactor must
+reproduce them byte for byte.
 """
 
 import dataclasses
@@ -66,8 +69,8 @@ def test_toy_accuracies_are_pinned():
 
 # sha256 of records.jsonl with every wall_time set to None, same sweeps as above
 GOLDEN_RECORDS_SHA256 = {
-    "brc": "bdb67d7a253032e890ff257b88a0ad3b80f3b746d9756dab932f70aee95739ef",
-    "brc-all-private": "8ab0aef5e8ff5440e8aabf64ee1aa8a98993bd690e9dd85108b917e2ae43f8d8",
+    "brc": "738e320e4b5f8d21479a506e24a66b11ac77c2b31066871b656910422510e640",
+    "brc-all-private": "f831947ea84510dfae130a70fef2e8a80763feb1142f10734ab240b4d0338691",
 }
 
 GOLDEN_TOY_CSV = (

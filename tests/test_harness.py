@@ -88,6 +88,9 @@ class TestExperimentConfig:
             {"ranges_from_data": "false"},
             {"public_columns": "sex"},
             {"epsilons": "0.5"},
+            {"epsilons": (True,)},
+            {"epsilons": ("0.5",)},
+            {"c1": True},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -144,6 +147,11 @@ class TestRunExperiment:
         assert len(run_experiment(cfg)) == 50
 
     def test_all_algorithms_produce_accuracies(self, synth_csv, tmp_path):
+        # a record releases only its declared fields: nothing exact about
+        # the private training rows reaches records.jsonl
+        released = {
+            "algorithm", "epsilon", "repeat", "seed", "streams", "test_accuracy", "wall_time", "error",
+        }
         for algo in ("brc", "brc-all-private", "logreg", "public-only", "dp-logreg", "pate"):
             cfg = config(
                 synth_csv, tmp_path, algorithm=algo, repeats=1, epsilons=(1.0,),
@@ -152,8 +160,15 @@ class TestRunExperiment:
             (rec,) = run_experiment(cfg)
             assert rec.error is None, rec.error
             assert 0.0 <= rec.test_accuracy <= 1.0
-            assert 0.0 <= rec.train_accuracy <= 1.0
             assert rec.streams["laplace"] >= 0
+            path = tmp_path / f"{algo}.jsonl"
+            emit_records_jsonl([rec], path)
+            (row,) = [json.loads(line) for line in path.read_text().splitlines()]
+            rounds = row.pop("rounds", None)
+            assert set(row) == released
+            assert (rounds is not None) == algo.startswith("brc")
+            for r in rounds or ():
+                assert set(r) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha"}
 
     def test_boosting_records_rounds(self, synth_csv, tmp_path):
         cfg = config(synth_csv, tmp_path, algorithm="brc", repeats=1, epsilons=(1.0,), rounds=4)
@@ -182,7 +197,6 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert [r.test_accuracy for r in a] == [r.test_accuracy for r in b]
-        assert [r.train_accuracy for r in a] == [r.train_accuracy for r in b]
 
     def test_workers_env_cap(self, synth_csv, tmp_path, monkeypatch):
         cfg = config(synth_csv, tmp_path, workers=8)
@@ -242,22 +256,23 @@ class TestRunExperiment:
         assert blas_threads() == before
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
-        # train rows are re-queried during evaluation, so the noise scale is
-        # set from 2*train.n + test.n query events, not train.n + test.n
-        from dpboost.harness import _fit_cell, load_prepared_dataset
+        # evaluation queries each test row once, so the noise scale is set
+        # from train.n + test.n query events
+        from dpboost.harness import _fit_cell, _prepare_cell_data, load_prepared_dataset
 
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        model, _, train, test = _fit_cell(full, cfg, 0.5, 0)
-        expected_queries = 2 * train.n + test.n
+        train, _ = _prepare_cell_data(full, cfg, 0)
+        model, _, test = _fit_cell(full, cfg, 0.5, 0)
+        expected_queries = train.n + test.n
         assert model.vote_scale == pytest.approx(2.0 * expected_queries / 0.5)
 
     def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
         from dpboost import accuracy
-        from dpboost.harness import _fit_cell, _run_cell, load_prepared_dataset
+        from dpboost.harness import _fit_cell, _prepare_cell_data, _run_cell, load_prepared_dataset
 
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
@@ -265,11 +280,11 @@ class TestRunExperiment:
         )
         full, _ = load_prepared_dataset(cfg)
         assert _run_cell(full, cfg, 0.5, 0).error is None
-        # the same evaluation as _run_cell: train accuracy, then test accuracy
-        model, _, train, test = _fit_cell(full, cfg, 0.5, 0)
-        accuracy(model, train)
+        # the same evaluation as _run_cell: test accuracy only
+        train, _ = _prepare_cell_data(full, cfg, 0)
+        model, _, test = _fit_cell(full, cfg, 0.5, 0)
         accuracy(model, test)
-        assert model.queries_spent == model.query_budget == 2 * train.n + test.n
+        assert model.queries_spent == model.query_budget == train.n + test.n
         with pytest.raises(RuntimeError, match="query budget"):
             model.predict(test.X[:1])
 
@@ -284,7 +299,6 @@ class TestRunExperiment:
         full, _ = load_prepared_dataset(cfg)
         replayed = _run_cell(full, cfg, target.epsilon, target.repeat)
         assert replayed.test_accuracy == target.test_accuracy
-        assert replayed.train_accuracy == target.train_accuracy
         assert replayed.streams == target.streams
 
 
@@ -292,7 +306,7 @@ class TestAggregate:
     def rec(self, algo, eps, repeat, acc, error=None):
         return ResultRecord(
             algorithm=algo, epsilon=eps, repeat=repeat, seed=0, streams={},
-            test_accuracy=acc, train_accuracy=acc, wall_time=0.0, error=error,
+            test_accuracy=acc, wall_time=0.0, error=error,
         )
 
     def test_mean_and_sample_std(self):
@@ -409,7 +423,7 @@ class TestEmitters:
     def test_jsonl_round_trip(self, tmp_path):
         rec = ResultRecord(
             algorithm="brc", epsilon=0.1, repeat=0, seed=1, streams={"laplace": 2},
-            test_accuracy=0.7, train_accuracy=0.8, wall_time=0.1,
+            test_accuracy=0.7, wall_time=0.1,
         )
         path = tmp_path / "records.jsonl"
         emit_records_jsonl([rec], path)

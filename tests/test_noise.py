@@ -119,3 +119,6 @@ class TestPrivacyParams:
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan, n=1)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=0)
+        for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
+            with pytest.raises(ValueError, match="must be a number"):
+                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, "n": 1, **bad})

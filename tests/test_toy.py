@@ -140,6 +140,8 @@ class TestToySweep:
         with pytest.raises(ValueError):
             ToyConfig(flip_prob=0.5)
         with pytest.raises(ValueError):
+            ToyConfig(flip_prob=False)
+        with pytest.raises(ValueError):
             ToyConfig(repeats=0)
 
     def test_rule_of_thumb_half_marks_stable_regime(self):
