@@ -37,7 +37,6 @@ from .harness import (
     ResultRecord,
     SummaryRow,
     aggregate,
-    convergence_trace,
     emit_csv,
     emit_svg,
     run_experiment,

@@ -33,7 +33,9 @@ class RoundRecord:
 
     ``chosen`` is "public" or "private" for split fits and "all" for fits
     without public columns; ``err_pub`` is None when no public classifier was
-    trained that round.
+    trained that round. ``test_accuracy`` is the held-out accuracy of the
+    partial ensemble H_1..H_t; the harness sets it and ``brc_fit`` leaves it
+    None.
     """
 
     t: int
@@ -41,15 +43,7 @@ class RoundRecord:
     err_pub: float | None
     err_pri_noisy: float
     alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "chosen": self.chosen,
-            "err_pub": self.err_pub,
-            "err_pri_noisy": self.err_pri_noisy,
-            "alpha": self.alpha,
-        }
+    test_accuracy: float | None = None
 
 
 def weighted_error(mis, weights) -> float:
@@ -94,7 +88,6 @@ def brc_fit(
     train: Dataset,
     split: FeatureSplit,
     params: PrivacyParams,
-    weak_learner=None,
     *,
     classifier_rng: np.random.Generator,
     noise_rng: np.random.Generator,
@@ -102,8 +95,8 @@ def brc_fit(
 ) -> tuple[Ensemble, list[RoundRecord]]:
     """Boost for ``params.rounds`` rounds over a public/private feature split.
 
-    Per round: (a) fit a public classifier on the public columns with the
-    public weights, (b) draw a random classifier on the private columns,
+    Per round: (a) fit a weighted logistic regression on the public columns
+    with the public weights, (b) draw a random classifier on the private columns,
     (c) compute the exact public error and the noisy private error, (d) keep
     the classifier whose error is farther from 0.5 (ties go private),
     (e) set alpha = 0.5 - err of the chosen classifier, and (f) update only
@@ -126,8 +119,6 @@ def brc_fit(
     split.validate_for(train.d)
     if len(split.private_cols) == 0:
         raise ValueError("brc_fit requires a non-empty private column set")
-    if weak_learner is None:
-        weak_learner = fit_logreg_weighted
     if sampler is None:
 
         def sampler(ds, rng):
@@ -144,7 +135,7 @@ def brc_fit(
         h_pub = None
         err_pub = None
         if split.public_cols:
-            h_pub = weak_learner(train, split.public_cols, w_pub)
+            h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
             mis_pub = h_pub.predict(train.X) != train.y
             err_pub = weighted_error(mis_pub, w_pub)
 

@@ -53,6 +53,8 @@ def _cmd_run(args) -> int:
 def _cmd_toy(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise DataError(f"toy config must be a JSON object, got {type(raw).__name__}")
     eps_list = raw.pop("epsilons", None)
     out_dir = raw.pop("output_dir", "results")
     if not isinstance(eps_list, list) or not eps_list:

@@ -50,6 +50,8 @@ def config_from_dict(cls, d: dict):
     or mistyped fields that make the constructor raise ``TypeError``, are
     reported as ``DataError``.
     """
+    if not isinstance(d, dict):
+        raise DataError(f"config must be a JSON object, got {type(d).__name__}")
     d = dict(d)
     if "T" in d:
         d["rounds"] = d.pop("T")
@@ -64,7 +66,7 @@ def config_from_dict(cls, d: dict):
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Declared kind and (for numerics) exogenous value range of one raw column."""
+    """Declared kind and (for numerics, required) exogenous value range of one raw column."""
 
     name: str
     kind: str
@@ -74,6 +76,8 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        if self.kind == NUMERIC and (self.min is None or self.max is None):
+            raise DataError(f"column {self.name!r}: a numeric column needs a declared min and max")
         for bound in ("min", "max"):
             if getattr(self, bound) is not None:
                 check_real(f"column {self.name!r}: {bound}", getattr(self, bound))
@@ -317,38 +321,19 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
     return Dataset(X=X, y=y, columns=tuple(manifest))
 
 
-def normalize(ds: Dataset, schema: Schema, *, ranges_from_data: bool = False) -> Dataset:
+def normalize(ds: Dataset, schema: Schema) -> Dataset:
     """Map every column into [-1, 1].
 
-    Numeric entry v with declared range (min, max) maps to
+    Numeric entry v with the schema's declared range (min, max) maps to
     ``2(v - min)/(max - min) - 1`` and is then clamped to [-1, 1]; one-hot
-    indicator columns map {0,1} onto {-1,+1}.
-
-    Ranges come from the schema. ``ranges_from_data=True`` computes missing
-    ranges from the data instead, which leaks the observed feature extremes
-    and therefore emits a warning.
+    indicator columns map {0,1} onto {-1,+1}. The ranges are exogenous, so
+    nothing about the data's extremes reaches the output.
     """
     X = ds.X.copy()
     for j, (src, tag) in enumerate(ds.columns):
         if tag == NUMERIC:
             spec = schema.column(src)
             lo, hi = spec.min, spec.max
-            if lo is None or hi is None:
-                if not ranges_from_data:
-                    raise DataError(
-                        f"column {src!r}: no declared range; pass ranges_from_data=True "
-                        "to compute one from the data (leaks feature extremes)"
-                    )
-                lo, hi = float(X[:, j].min()), float(X[:, j].max())
-                if not lo < hi:
-                    raise DataError(f"column {src!r}: degenerate range ({lo}, {hi})")
-                warnings.warn(
-                    f"normalize: range for {src!r} computed from data "
-                    f"({lo}, {hi}); this is not covered by any privacy guarantee",
-                    stacklevel=2,
-                )
-            if not lo < hi:
-                raise DataError(f"column {src!r}: degenerate range ({lo}, {hi})")
             X[:, j] = np.clip(2.0 * (X[:, j] - lo) / (hi - lo) - 1.0, -1.0, 1.0)
         else:
             X[:, j] = 2.0 * X[:, j] - 1.0

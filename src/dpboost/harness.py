@@ -1,11 +1,13 @@
 """Experiment orchestration: config-driven sweeps over epsilon with repeated
-runs, aggregation, convergence traces, and CSV/SVG emission.
+runs, aggregation, and CSV/SVG emission.
 
 Each (epsilon, repeat) cell is an independent task: it re-balances and
 re-splits the data with the repeat's shuffle stream, fits the configured
-algorithm, and evaluates its test accuracy. Cells are merged in
-deterministic (epsilon, repeat) order regardless of execution order, so a
-fixed (config, seed) pair always yields byte-identical CSV output.
+algorithm once, and scores it on the test rows. A boosting cell scores every
+partial ensemble H_1..H_T, so each of its round records carries that round's
+test accuracy (the convergence trace) and the last one is the cell's. Cells
+are merged in deterministic (epsilon, repeat) order regardless of execution
+order, so a fixed (config, seed) pair always yields byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -58,7 +60,6 @@ class ExperimentConfig:
     test_frac: float = 0.1
     output_dir: str = "results"
     workers: int = 1
-    ranges_from_data: bool = False
     pate_teachers: int = 25
 
     def __post_init__(self):
@@ -70,8 +71,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, str):
                 raise DataError(f"{name} must be a list, got the string {value!r}")
-        if not isinstance(self.ranges_from_data, bool):
-            raise DataError(f"ranges_from_data must be true or false, got {self.ranges_from_data!r}")
         if not self.epsilons:
             raise DataError("epsilon values must be non-empty")
         if not 0.0 < self.test_frac < 1.0:
@@ -120,7 +119,7 @@ class ResultRecord:
             "error": self.error,
         }
         if self.rounds is not None:
-            d["rounds"] = [r.to_dict() for r in self.rounds]
+            d["rounds"] = [asdict(r) for r in self.rounds]
         return d
 
 
@@ -131,7 +130,7 @@ def load_prepared_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Schema]:
     if unknown:
         raise DataError(f"public columns not in schema: {sorted(unknown)}")
     raw = load_csv(cfg.dataset, schema)
-    ds = normalize(encode(raw, schema), schema, ranges_from_data=cfg.ranges_from_data)
+    ds = normalize(encode(raw, schema), schema)
     return ds, schema
 
 
@@ -189,10 +188,13 @@ def _run_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int) -> 
     start = time.perf_counter()
     try:
         model, rounds, test = _fit_cell(full, cfg, eps, repeat)
-        outcome = {
-            "test_accuracy": accuracy(model, test),
-            "rounds": tuple(rounds) if rounds is not None else None,
-        }
+        if rounds is None:
+            outcome = {"test_accuracy": accuracy(model, test)}
+        else:
+            # one scoring of the test rows gives every prefix H_1..H_T
+            accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
+            rounds = tuple(replace(r, test_accuracy=float(a)) for r, a in zip(rounds, accs))
+            outcome = {"test_accuracy": rounds[-1].test_accuracy, "rounds": rounds}
     except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
         outcome = {"error": f"{type(exc).__name__}: {exc}"}
     return ResultRecord(
@@ -308,32 +310,6 @@ def aggregate(records) -> list[SummaryRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    algorithm: str
-    epsilon: float
-    repeat: int
-    accuracies: tuple[float, ...]  # test accuracy of H_1..H_T
-
-
-def convergence_trace(cfg: ExperimentConfig, full: Dataset = None) -> list[TraceRecord]:
-    """Per-round test accuracy of the partial ensembles H_1..H_T, one trace
-    per (epsilon, repeat) cell. Only meaningful for the boosting algorithms.
-    """
-    if cfg.algorithm not in ("brc", "brc-all-private"):
-        raise DataError("convergence traces require a boosting algorithm")
-    if full is None:
-        full, _ = load_prepared_dataset(cfg)
-    traces = []
-    for eps in cfg.epsilons:
-        for repeat in range(cfg.repeats):
-            model, _, test = _fit_cell(full, cfg, eps, repeat)
-            prefix = model.prefix_predictions(test.X)
-            accs = tuple(float(np.mean(p == test.y)) for p in prefix)
-            traces.append(TraceRecord(cfg.algorithm, eps, repeat, accs))
-    return traces
-
-
 def emit_records_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -360,11 +336,14 @@ def read_summary_csv(path) -> list[SummaryRow]:
         header = fh.readline().strip()
         if header != "algorithm,epsilon,mean_accuracy,std,count":
             raise DataError(f"{path}: unexpected summary header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            algo, eps, mean, std, count = line.strip().split(",")
-            rows.append(SummaryRow(algo, float(eps), float(mean), float(std), int(count)))
+            try:
+                algo, eps, mean, std, count = line.strip().split(",")
+                rows.append(SummaryRow(algo, float(eps), float(mean), float(std), int(count)))
+            except ValueError as exc:
+                raise DataError(f"{path}, line {lineno}: bad summary row {line.strip()!r}: {exc}") from exc
     return rows
 
 

@@ -26,7 +26,6 @@ from dpboost import (
     ToyConfig,
     aggregate,
     brc_fit,
-    convergence_trace,
     flip_and_fit_threshold,
     generate_toy,
     laplace,
@@ -378,8 +377,8 @@ def test_criterion_07a_adult_convergence_gain():
         epsilons=(0.1,), public_columns=ADULT_PUBLIC,
         rounds=25, c1=SQRT2, c2=SQRT2, repeats=5, seed=0, test_frac=0.1,
     )
-    traces = convergence_trace(cfg, full=adult_full())
-    gains = [t.accuracies[-1] - t.accuracies[0] for t in traces]
+    records = run_experiment(cfg, full=adult_full())
+    gains = [rec.rounds[-1].test_accuracy - rec.rounds[0].test_accuracy for rec in records]
     mean_gain = float(np.mean(gains))
     ok = mean_gain >= 0.10
     report("07a adult convergence gain", ok, f"mean gain {mean_gain:.4f} over 5 seeds")

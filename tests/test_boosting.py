@@ -230,7 +230,7 @@ class TestBrcFit:
                 w_pri = clipped_update(w_pri, rec.alpha, mis, SQRT2, SQRT2)
                 assert np.array_equal(w_pub, pub_before)
 
-    def test_single_round_with_perfect_public_classifier(self):
+    def test_single_round_with_perfect_public_classifier(self, monkeypatch):
         toy = generate_toy(100)
         junk = make_rng(0).uniform(-1, 1, size=(100, 1))
         ds = Dataset(
@@ -243,11 +243,9 @@ class TestBrcFit:
         def perfect(data, cols, weights):
             return LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=tuple(cols))
 
+        monkeypatch.setattr(boosting, "fit_logreg_weighted", perfect)
         params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0, n=ds.n)
-        ens, recs = brc_fit(
-            ds, split, params, weak_learner=perfect,
-            classifier_rng=make_rng(1), noise_rng=make_rng(2),
-        )
+        ens, recs = brc_fit(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
         assert len(ens) == 1
         assert ens.members[0].subspace == "public"
         assert ens.members[0].alpha == 0.5
@@ -410,9 +408,11 @@ class TestBrcFitAllPrivate:
         with_rounds, without_rounds = (json.loads(line) for line in path.read_text().splitlines())
         rounds = with_rounds["rounds"]
         assert len(rounds) == 3
-        assert set(rounds[0]) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha"}
+        assert list(rounds[0]) == ["t", "chosen", "err_pub", "err_pri_noisy", "alpha", "test_accuracy"]
         assert [r["t"] for r in rounds] == [1, 2, 3]
         assert all(r["chosen"] == "all" and r["err_pub"] is None for r in rounds)
+        # only the harness scores the prefixes on held-out rows
+        assert all(r["test_accuracy"] is None for r in rounds)
         assert "rounds" not in without_rounds
 
     def test_custom_sampler_injected(self):

@@ -50,10 +50,16 @@ class TestRunCommand:
             second = fh.read()
         assert first == second
 
-    def test_bad_config_is_fatal(self, tmp_path):
+    def test_bad_config_is_fatal(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"algorithm": "brc"}))
         assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("dpboost: error: bad ExperimentConfig")
+        # valid JSON that is not an object
+        for config in ([1, 2], "x", None):
+            path.write_text(json.dumps(config))
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("dpboost: error: config must be a JSON object")
 
     def test_partial_failure_exit_code(self, tmp_path):
         # tiny dataset + dp-logreg at hopeless epsilon: some cells fail
@@ -131,6 +137,14 @@ class TestToyCommand:
         (name,) = overrides
         assert err.startswith("dpboost: error:") and name in err
         assert not os.path.exists(tmp_path / "toyout")
+
+
+    @pytest.mark.parametrize("config", [[1, 2], "x", None], ids=["list", "string", "null"])
+    def test_non_object_config_rejected(self, tmp_path, capsys, config):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(config))
+        assert main(["toy", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("dpboost: error: toy config must be a JSON object")
 
 
 class TestSensitivityCheckCommand:

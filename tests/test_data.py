@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +20,10 @@ from dpboost import (
 from dpboost.noise import make_rng
 
 
-def simple_schema(ranges=True):
+def simple_schema():
     return Schema(
         columns=(
-            ColumnSpec("a", "numeric", min=0.0 if ranges else None, max=100.0 if ranges else None),
+            ColumnSpec("a", "numeric", min=0.0, max=100.0),
             ColumnSpec("sex", "categorical"),
         ),
         label=LabelSpec("label", positive="+", negative="-"),
@@ -38,7 +40,7 @@ class TestLoadCsv:
     def test_three_rows(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,+\n3,4,-\n5,6,+\n")
         schema = Schema(
-            columns=(ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric")),
+            columns=(ColumnSpec("a", "numeric", min=0, max=10), ColumnSpec("b", "numeric", min=0, max=10)),
             label=LabelSpec("label", "+", "-"),
         )
         raw = load_csv(path, schema)
@@ -140,20 +142,23 @@ class TestNormalize:
         assert out.X.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
     def test_missing_range_errors(self):
-        ds = Dataset(X=np.array([[5.0]]), y=np.array([1]), columns=(("a", "numeric"),))
-        with pytest.raises(DataError, match="no declared range"):
-            normalize(ds, simple_schema(ranges=False))
+        # normalize never derives a range from the data: a numeric column
+        # without both bounds is rejected when the schema is built
+        for bounds in ({}, {"min": 0.0}, {"max": 100.0}):
+            with pytest.raises(DataError, match="'a': a numeric column needs a declared min and max"):
+                ColumnSpec("a", "numeric", **bounds)
 
-    def test_ranges_from_data_warns(self):
-        ds = Dataset(X=np.array([[5.0], [15.0]]), y=np.array([1, -1]), columns=(("a", "numeric"),))
-        with pytest.warns(UserWarning, match="not covered by any privacy guarantee"):
-            out = normalize(ds, simple_schema(ranges=False), ranges_from_data=True)
-        assert out.X[:, 0].tolist() == [-1.0, 1.0]
+    def test_schema_without_numeric_range_rejected(self, tmp_path):
+        path = write(tmp_path, json.dumps({
+            "columns": [{"name": "sex", "kind": "categorical"}, {"name": "a", "kind": "numeric", "min": 0}],
+            "label": {"name": "label", "positive": "+", "negative": "-"},
+        }), name="schema.json")
+        with pytest.raises(DataError, match="'a': a numeric column needs a declared min and max"):
+            Schema.from_json_file(path)
 
     def test_degenerate_range(self):
-        ds = Dataset(X=np.array([[5.0], [5.0]]), y=np.array([1, -1]), columns=(("a", "numeric"),))
-        with pytest.raises(DataError, match="degenerate range"):
-            normalize(ds, simple_schema(ranges=False), ranges_from_data=True)
+        with pytest.raises(DataError, match="range requires min < max"):
+            ColumnSpec("a", "numeric", min=5.0, max=5.0)
 
     def test_shape_preserved_and_bounded(self):
         rng = make_rng(0)

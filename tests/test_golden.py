@@ -3,10 +3,13 @@
 The summary and toy-accuracy literals were recorded from the code before the
 all-private fit was folded into ``brc_fit``; the records, toy CSV and toy
 traces pins before config loading was reduced to one function. The records
-pins were then re-derived once, when records stopped carrying a training
-accuracy: each is the sha256 of the earlier text with the
-``"train_accuracy"`` member removed from every line. A refactor must
-reproduce them byte for byte.
+pins were then re-derived twice. When records stopped carrying a training
+accuracy, each became the sha256 of the earlier text with the
+``"train_accuracy"`` member removed from every line. When each round record
+gained its partial ensemble's test accuracy, each became the sha256 of that
+text with every round's value added as ``"test_accuracy"``; those values,
+pinned below, were taken from a separate refit of every cell that scored the
+prefixes H_1..H_T. A refactor must reproduce the pins byte for byte.
 """
 
 import dataclasses
@@ -21,6 +24,23 @@ from dpboost.cli import main
 from dpboost.harness import emit_records_jsonl
 
 from conftest import write_synthetic_csv
+
+
+def golden_config(tmp_path, algorithm):
+    csv_path, schema_path = write_synthetic_csv(str(tmp_path), n=600)
+    return ExperimentConfig(
+        dataset=csv_path,
+        schema=schema_path,
+        algorithm=algorithm,
+        epsilons=(0.5, 8.0),
+        public_columns=("pubnum",),
+        rounds=5,
+        repeats=2,
+        seed=7,
+        test_frac=0.2,
+        output_dir=str(tmp_path),
+    )
+
 
 GOLDEN_SUMMARY = {
     "brc": (
@@ -38,19 +58,7 @@ GOLDEN_SUMMARY = {
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_SUMMARY))
 def test_boosting_summary_csv_is_pinned(tmp_path, algorithm):
-    csv_path, schema_path = write_synthetic_csv(str(tmp_path), n=600)
-    cfg = ExperimentConfig(
-        dataset=csv_path,
-        schema=schema_path,
-        algorithm=algorithm,
-        epsilons=(0.5, 8.0),
-        public_columns=("pubnum",),
-        rounds=5,
-        repeats=2,
-        seed=7,
-        test_frac=0.2,
-        output_dir=str(tmp_path),
-    )
+    cfg = golden_config(tmp_path, algorithm)
     path = os.path.join(str(tmp_path), "summary.csv")
     emit_csv(aggregate(run_experiment(cfg)), path)
     with open(path, encoding="utf-8") as fh:
@@ -67,10 +75,35 @@ def test_toy_accuracies_are_pinned():
     ]
 
 
+# per (epsilon, repeat) cell, the test accuracy of H_1..H_5; same sweeps as above
+GOLDEN_ROUND_ACCURACIES = {
+    "brc": [
+        (0.5, 0, [0.5833333333333334, 0.5833333333333334, 0.5833333333333334, 0.45, 0.6083333333333333]),
+        (0.5, 1, [0.6166666666666667, 0.8, 0.7833333333333333, 0.7833333333333333, 0.8]),
+        (8.0, 0, [0.5833333333333334, 0.5833333333333334, 0.5833333333333334, 0.5833333333333334, 0.5833333333333334]),
+        (8.0, 1, [0.6166666666666667, 0.8, 0.7833333333333333, 0.8, 0.8]),
+    ],
+    "brc-all-private": [
+        (0.5, 0, [0.39166666666666666, 0.7583333333333333, 0.7583333333333333, 0.7583333333333333, 0.8583333333333333]),
+        (0.5, 1, [0.8416666666666667, 0.8416666666666667, 0.8416666666666667, 0.8, 0.8]),
+        (8.0, 0, [0.39166666666666666, 0.7583333333333333, 0.7583333333333333, 0.7583333333333333, 0.8583333333333333]),
+        (8.0, 1, [0.8416666666666667, 0.8416666666666667, 0.8416666666666667, 0.8, 0.8]),
+    ],
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_ROUND_ACCURACIES))
+def test_boosting_round_accuracies_are_pinned(tmp_path, algorithm):
+    records = run_experiment(golden_config(tmp_path, algorithm))
+    assert [
+        (r.epsilon, r.repeat, [rr.test_accuracy for rr in r.rounds]) for r in records
+    ] == GOLDEN_ROUND_ACCURACIES[algorithm]
+
+
 # sha256 of records.jsonl with every wall_time set to None, same sweeps as above
 GOLDEN_RECORDS_SHA256 = {
-    "brc": "738e320e4b5f8d21479a506e24a66b11ac77c2b31066871b656910422510e640",
-    "brc-all-private": "f831947ea84510dfae130a70fef2e8a80763feb1142f10734ab240b4d0338691",
+    "brc": "cee578cecefaa9f730035397d932af7b97daff47d5fa50f0a063d6e98cbceb60",
+    "brc-all-private": "95f8b35e67ae739af1b1e723616debaaed23328b68bd43186a38bb22cd9c3769",
 }
 
 GOLDEN_TOY_CSV = (
@@ -86,19 +119,7 @@ GOLDEN_TOY_TRACES_SHA256 = "9493ba3770327bbdfe310f14a1531c3af75aa5b881be38db9a89
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_RECORDS_SHA256))
 def test_boosting_records_jsonl_is_pinned(tmp_path, algorithm):
-    csv_path, schema_path = write_synthetic_csv(str(tmp_path), n=600)
-    cfg = ExperimentConfig(
-        dataset=csv_path,
-        schema=schema_path,
-        algorithm=algorithm,
-        epsilons=(0.5, 8.0),
-        public_columns=("pubnum",),
-        rounds=5,
-        repeats=2,
-        seed=7,
-        test_frac=0.2,
-        output_dir=str(tmp_path),
-    )
+    cfg = golden_config(tmp_path, algorithm)
     records = [dataclasses.replace(r, wall_time=None) for r in run_experiment(cfg)]
     path = os.path.join(str(tmp_path), "records.jsonl")
     emit_records_jsonl(records, path)

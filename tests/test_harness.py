@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dpboost import DataError, ExperimentConfig, aggregate, convergence_trace, emit_csv, emit_svg, run_experiment
+from dpboost import DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg, run_experiment
 from dpboost import harness
 from dpboost.harness import (
     ResultRecord,
@@ -85,7 +85,6 @@ class TestExperimentConfig:
             {"pate_teachers": 2.5},
             {"workers": 1.5},
             {"workers": 2.0},
-            {"ranges_from_data": "false"},
             {"public_columns": "sex"},
             {"epsilons": "0.5"},
             {"epsilons": (True,)},
@@ -168,7 +167,7 @@ class TestRunExperiment:
             assert set(row) == released
             assert (rounds is not None) == algo.startswith("brc")
             for r in rounds or ():
-                assert set(r) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha"}
+                assert set(r) == {"t", "chosen", "err_pub", "err_pri_noisy", "alpha", "test_accuracy"}
 
     def test_boosting_records_rounds(self, synth_csv, tmp_path):
         cfg = config(synth_csv, tmp_path, algorithm="brc", repeats=1, epsilons=(1.0,), rounds=4)
@@ -347,22 +346,43 @@ class TestAggregate:
 
 
 class TestConvergenceTrace:
+    """The test accuracy of each partial ensemble H_1..H_T, carried by the
+    round records of the sweep's one fit per cell."""
+
     def test_trace_lengths(self, synth_csv, tmp_path):
         cfg = config(synth_csv, tmp_path, algorithm="brc", rounds=6, repeats=2, epsilons=(1.0,))
-        traces = convergence_trace(cfg)
-        assert len(traces) == 2
-        assert all(len(t.accuracies) == 6 for t in traces)
-        assert all(0.0 <= a <= 1.0 for t in traces for a in t.accuracies)
+        records = run_experiment(cfg)
+        assert len(records) == 2
+        for rec in records:
+            accs = [r.test_accuracy for r in rec.rounds]
+            assert len(accs) == 6
+            assert all(0.0 <= a <= 1.0 for a in accs)
+            assert accs[-1] == rec.test_accuracy
 
     def test_single_round_trace(self, synth_csv, tmp_path):
         cfg = config(synth_csv, tmp_path, rounds=1, repeats=1, epsilons=(1.0,))
-        (trace,) = convergence_trace(cfg)
-        assert len(trace.accuracies) == 1
+        (rec,) = run_experiment(cfg)
+        (only,) = rec.rounds
+        assert only.test_accuracy == rec.test_accuracy
 
-    def test_non_boosting_rejected(self, synth_csv, tmp_path):
-        cfg = config(synth_csv, tmp_path, algorithm="logreg")
-        with pytest.raises(DataError, match="boosting"):
-            convergence_trace(cfg)
+    def test_non_boosting_cells_have_no_rounds(self, synth_csv, tmp_path):
+        cfg = config(synth_csv, tmp_path, algorithm="logreg", repeats=1, epsilons=(1.0,))
+        (rec,) = run_experiment(cfg)
+        assert rec.error is None and rec.rounds is None
+
+    @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private"])
+    def test_rounds_score_the_partial_ensembles(self, synth_csv, tmp_path, algorithm):
+        # an independent oracle: refit each cell and score every truncated ensemble
+        from dpboost.harness import _fit_cell
+
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, rounds=6, epsilons=(0.5, 8.0))
+        full, _ = load_prepared_dataset(cfg)
+        for rec in run_experiment(cfg, full=full):
+            model, _, test = _fit_cell(full, cfg, rec.epsilon, rec.repeat)
+            assert rec.test_accuracy == accuracy(model, test)
+            assert [r.test_accuracy for r in rec.rounds] == [
+                accuracy(Ensemble(members=model.members[:t]), test) for t in range(1, 7)
+            ]
 
 
 class TestEmitters:
@@ -402,6 +422,15 @@ class TestEmitters:
         text = path.read_text()
         assert "nan" not in text and "inf</text>" in text
         ET.parse(path)
+
+    @pytest.mark.parametrize(
+        "row", ["brc,0.1,0.5", "brc,0.1,high,0.1,10", "brc,0.1,0.5,0.1,10,extra"], ids=["short", "non-numeric", "long"]
+    )
+    def test_bad_summary_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "summary.csv"
+        path.write_text(f"algorithm,epsilon,mean_accuracy,std,count\nbrc,0.01,0.5,0.1,10\n{row}\n")
+        with pytest.raises(DataError, match=f"summary.csv, line 3: bad summary row '{row}'"):
+            read_summary_csv(path)
 
     def test_csv_round_trips_infinite_epsilon(self, tmp_path):
         path = tmp_path / "inf.csv"
