@@ -146,7 +146,8 @@ def fit_dp_logreg(
     ds: Dataset,
     epsilon: float,
     hyper: LogRegHyper = LogRegHyper(),
-    rng: np.random.Generator = None,
+    *,
+    rng: np.random.Generator,
 ) -> LinearClassifier:
     """Epsilon-DP logistic regression by objective perturbation.
 
@@ -171,8 +172,6 @@ def fit_dp_logreg(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if rng is None:
-        raise ValueError("fit_dp_logreg requires an explicit rng")
     if ds.X.min(initial=0.0) < -1.0 or ds.X.max(initial=0.0) > 1.0:
         raise ValueError("fit_dp_logreg needs features in [-1, 1]; normalize first")
 
@@ -275,10 +274,10 @@ def fit_pate(
     train: Dataset,
     split: FeatureSplit,
     epsilon: float,
-    rng: np.random.Generator = None,
+    rng: np.random.Generator,
     *,
-    k_teachers: int = 25,
-    extra_query_budget: int = 0,
+    k_teachers: int,
+    extra_query_budget: int,
 ) -> PateModel:
     """Train disjoint-shard teachers on private columns and a student on
     public columns plus the noisy winning-label feature.
@@ -291,8 +290,6 @@ def fit_pate(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if rng is None:
-        raise ValueError("fit_pate requires an explicit rng")
     check_int("k_teachers", k_teachers, 2)
     split.validate_for(train.d)
     if len(split.private_cols) == 0 or len(split.public_cols) == 0:

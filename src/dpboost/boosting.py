@@ -157,25 +157,18 @@ def brc_fit(
     return Ensemble(members=tuple(members)), records
 
 
-# Largest instance sensitivity_oracle enumerates; its work grows as n * len(value_grid)**k.
+# Largest instance sensitivity_oracle enumerates; its work grows as n * len(_ORACLE_VALUES)**k.
 _ORACLE_MAX_N, _ORACLE_MAX_DIM = 8, 2
+_ORACLE_VALUES = np.linspace(-1.0, 1.0, 5)  # replacement values for a private feature
 
 
-def sensitivity_oracle(
-    clf,
-    ds: Dataset,
-    weights_grid,
-    c1: float,
-    c2: float,
-    *,
-    value_grid=None,
-) -> float:
+def sensitivity_oracle(clf, ds: Dataset, weights_grid, c1: float, c2: float) -> float:
     """Brute-force the sensitivity of the weighted error on small instances.
 
     Enumerates every neighbor of ``ds`` that differs in one row's private
     features (the columns ``clf`` reads), with replacement values drawn from
-    a finite grid over [-1, 1], and every admissible weight the replaced row
-    may carry in [1/c1, c2]; returns the maximum observed
+    the grid ``_ORACLE_VALUES`` over [-1, 1], and every admissible weight the
+    replaced row may carry in [1/c1, c2]; returns the maximum observed
     |g(clf, D) - g(clf, D')| over all base weight vectors in
     ``weights_grid``. The replaced row's label stays fixed (labels are
     public). The result must never exceed c1*c2/n.
@@ -190,8 +183,6 @@ def sensitivity_oracle(
             f"instance too large for exhaustive search (n={ds.n} > {_ORACLE_MAX_N} "
             f"or private dim {k} > {_ORACLE_MAX_DIM})"
         )
-    if value_grid is None:
-        value_grid = np.linspace(-1.0, 1.0, 5)
 
     lo, hi = 1.0 / c1, c2
     row_weight_grid = np.unique(
@@ -210,7 +201,7 @@ def sensitivity_oracle(
             raise ValueError("weight vector outside the admissible range [1/c1, c2]")
         g_base = g(ds.X, ds.y, w)
         for r in range(ds.n):
-            for replacement in itertools.product(value_grid, repeat=k):
+            for replacement in itertools.product(_ORACLE_VALUES, repeat=k):
                 X_nbr = ds.X.copy()
                 X_nbr[r, list(clf.cols)] = replacement
                 for w_r in row_weight_grid:

@@ -59,6 +59,8 @@ def _cmd_toy(args) -> int:
     out_dir = raw.pop("output_dir", "results")
     if not isinstance(eps_list, list) or not eps_list:
         raise DataError(f"toy config needs epsilons, a non-empty list, got {eps_list!r}")
+    if not isinstance(out_dir, str):
+        raise DataError(f"output_dir must be a string, got {out_dir!r}")
     cfg = config_from_dict(ToyConfig, raw)
     try:
         for eps in eps_list:

@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise DataError(f"{name} must be a list, got the string {value!r}")
         if not self.epsilons:
             raise DataError("epsilon values must be non-empty")
+        if not isinstance(self.output_dir, str):
+            raise DataError(f"output_dir must be a string, got {self.output_dir!r}")
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
         try:
@@ -104,22 +106,13 @@ class ResultRecord:
     streams: dict
     test_accuracy: float | None = None
     wall_time: float | None = None
-    rounds: tuple[RoundRecord, ...] | None = None
     error: str | None = None
+    rounds: tuple[RoundRecord, ...] | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "algorithm": self.algorithm,
-            "epsilon": self.epsilon,
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "streams": self.streams,
-            "test_accuracy": self.test_accuracy,
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
-        if self.rounds is not None:
-            d["rounds"] = [asdict(r) for r in self.rounds]
+        d = asdict(self)
+        if self.rounds is None:
+            del d["rounds"]
         return d
 
 
@@ -237,17 +230,19 @@ def _init_worker(full: Dataset, blas_threads: int) -> None:
     _set_blas_threads(blas_threads)
 
 
-def _worker(args) -> tuple[int, int, ResultRecord]:
-    cfg, ei, eps, repeat = args
-    return ei, repeat, _run_cell(_worker_full, cfg, eps, repeat)
+def _worker(cell) -> ResultRecord:
+    return _run_cell(_worker_full, *cell)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def effective_workers(cfg: ExperimentConfig) -> int:
-    cap = os.environ.get("DPBOOST_WORKERS")
-    workers = cfg.workers
-    if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
+    """The config's worker count, capped at the cores this process may use."""
+    return min(cfg.workers, _usable_cores())
 
 
 def run_experiment(cfg: ExperimentConfig, full: Dataset = None) -> list[ResultRecord]:
@@ -257,27 +252,18 @@ def run_experiment(cfg: ExperimentConfig, full: Dataset = None) -> list[ResultRe
     """
     if full is None:
         full, _ = load_prepared_dataset(cfg)
-    cells = [(ei, eps, r) for ei, eps in enumerate(cfg.epsilons) for r in range(cfg.repeats)]
+    cells = [(cfg, eps, r) for eps in cfg.epsilons for r in range(cfg.repeats)]
     workers = min(effective_workers(cfg), len(cells))
-    results: dict[tuple[int, int], ResultRecord] = {}
     if workers == 1:
-        for ei, eps, r in cells:
-            results[(ei, r)] = _run_cell(full, cfg, eps, r)
-    else:
-        # Keep the default start method: on Linux it forks, and forked
-        # workers inherit the parent's module state, which the benchmark's
-        # tracing wrappers rely on.
-        if hasattr(os, "sched_getaffinity"):
-            cores = len(os.sched_getaffinity(0))
-        else:
-            cores = os.cpu_count() or 1
-        blas_threads = max(1, cores // workers)
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
-        ) as pool:
-            for ei, r, rec in pool.map(_worker, [(cfg, ei, eps, r) for ei, eps, r in cells]):
-                results[(ei, r)] = rec
-    return [results[(ei, r)] for ei, eps, r in cells]
+        return [_run_cell(full, *cell) for cell in cells]
+    # Keep the default start method: on Linux it forks, and forked workers
+    # inherit the parent's module state, which the benchmark's tracing
+    # wrappers rely on. Executor.map yields results in input order.
+    blas_threads = max(1, _usable_cores() // workers)
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
+    ) as pool:
+        return list(pool.map(_worker, cells))
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ class TestDpLogReg:
 
     def test_rng_required(self):
         ds, _ = planted_dataset(n=40)
-        with pytest.raises(ValueError, match="rng"):
+        with pytest.raises(TypeError, match="rng"):
             fit_dp_logreg(ds, 1.0)
 
 
@@ -258,7 +258,7 @@ class TestPate:
     def test_oracle_vote_dominates_with_infinite_budget(self):
         ds, split = separable_private_dataset()
         model = fit_pate(
-            ds, split, math.inf, make_rng(0), k_teachers=2
+            ds, split, math.inf, make_rng(0), k_teachers=2, extra_query_budget=0
         )
         # noiseless votes recover the label, and the student leans on them
         assert np.array_equal(model.noisy_votes(ds.X), ds.y)
@@ -285,7 +285,7 @@ class TestPate:
         ds, split = separable_private_dataset(n=100)
         for k, message in ((20, "shards below 10"), (1, "k_teachers must be >= 2")):
             with pytest.raises(ValueError, match=message):
-                fit_pate(ds, split, 1.0, make_rng(0), k_teachers=k)
+                fit_pate(ds, split, 1.0, make_rng(0), k_teachers=k, extra_query_budget=0)
 
     def test_prediction_deterministic_given_rng(self):
         ds, split = separable_private_dataset(seed=5)
@@ -300,7 +300,10 @@ class TestPate:
     def test_needs_both_sides(self):
         ds, _ = separable_private_dataset(n=100)
         with pytest.raises(ValueError, match="both public and private"):
-            fit_pate(ds, FeatureSplit.all_private(ds.d), 1.0, make_rng(0), k_teachers=2)
+            fit_pate(
+                ds, FeatureSplit.all_private(ds.d), 1.0, make_rng(0), k_teachers=2,
+                extra_query_budget=0,
+            )
 
     def test_fit_draw_count_is_permutation_plus_two_vote_vectors(self):
         # the fit consumes one n-permutation (shards) and 2n Laplace draws

@@ -466,15 +466,12 @@ class TestSensitivityOracle:
         assert val <= 1.0 / n + 1e-12
 
     def test_no_prediction_change_gives_zero(self):
-        # restrict the replacement grid to the rows' own (constant) value:
-        # every neighbor keeps identical predictions, weights are pinned.
-        _, clf = self.oracle_instance(n=4, k=1, seed=3)
+        # 0.1 * x + 0.5 > 0 on all of [-1, 1]: every neighbor keeps identical
+        # predictions, and the weights are pinned.
+        clf = LinearClassifier(coeffs=np.array([0.1]), intercept=0.5, cols=(0,))
         X = np.full((4, 1), 0.5)
         ds0 = Dataset(X=X, y=np.array([1, 1, -1, -1]), columns=(("c", "numeric"),))
-        val0 = sensitivity_oracle(
-            clf, ds0, [np.ones(4)], 1.0, 1.0, value_grid=np.array([0.5])
-        )
-        assert val0 == 0.0
+        assert sensitivity_oracle(clf, ds0, [np.ones(4)], 1.0, 1.0) == 0.0
 
     def test_combinatorial_guard(self):
         ds, clf = self.oracle_instance(n=4, k=2)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from dpboost import cli, harness
 from dpboost.cli import main
 
 from conftest import write_synthetic_csv
@@ -85,6 +86,20 @@ class TestRunCommand:
         assert not os.path.exists(os.path.join(out_dir, "summary.csv"))
         assert not os.path.exists(os.path.join(out_dir, "summary.svg"))
 
+    @pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
+    def test_non_string_output_dir_rejected_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, output_dir
+    ):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, _ = write_run_config(tmp_path, csv_path, schema_path, output_dir=output_dir)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and "output_dir" in err
+
 
 def write_toy_config(tmp_path, **overrides):
     cfg = {
@@ -138,6 +153,18 @@ class TestToyCommand:
         assert err.startswith("dpboost: error:") and name in err
         assert not os.path.exists(tmp_path / "toyout")
 
+    @pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
+    def test_non_string_output_dir_rejected_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, output_dir
+    ):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_toy_sweep", no_sweep)
+        path = write_toy_config(tmp_path, output_dir=output_dir)
+        assert main(["toy", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and "output_dir" in err
 
     @pytest.mark.parametrize("config", [[1, 2], "x", None], ids=["list", "string", "null"])
     def test_non_object_config_rejected(self, tmp_path, capsys, config):
