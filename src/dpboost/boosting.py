@@ -3,9 +3,11 @@ linear classifier and only its error estimate is perturbed for privacy.
 
 ``brc_fit`` is the one booster loop; the feature split picks its shape:
 
-* public and private columns: each round trains a weighted public classifier
+* public and private columns: each round takes a weighted public classifier
   and draws a random private classifier, perturbs the private error with
   Laplace noise, and keeps whichever classifier's error is farther from 0.5.
+  The public classifier is refitted only after a public round moved its
+  weights; otherwise the previous fit is reused, with identical outputs.
 * no public columns (``FeatureSplit.all_private``): every feature is private
   and each round only draws a random classifier and uses its noisy error.
 
@@ -96,12 +98,15 @@ def brc_fit(
     """Boost for ``params.rounds`` rounds over a public/private feature split.
 
     Per round: (a) fit a weighted logistic regression on the public columns
-    with the public weights, (b) draw a random classifier on the private columns,
-    (c) compute the exact public error and the noisy private error, (d) keep
-    the classifier whose error is farther from 0.5 (ties go private),
-    (e) set alpha = 0.5 - err of the chosen classifier, and (f) update only
-    the chosen side's weights; public updates are unclipped, private updates
-    are clipped to [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed
+    with the public weights, in round 1 and after each public round; after
+    a private round the weights have not moved, so the previous fit, its
+    misclassified rows and its error are reused, exactly what the
+    deterministic solver would return again, (b) draw a random classifier
+    on the private columns, (c) compute the exact public error and the
+    noisy private error, (d) keep the classifier whose error is farther
+    from 0.5 (ties go private), (e) set alpha = 0.5 - err of the chosen
+    classifier, and (f) update only the chosen side's weights; public
+    updates are unclipped, private updates are clipped to [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed
     (one per round, from ``noise_rng``), for a total privacy cost of epsilon.
 
     ``classifier_rng`` drives the random private classifiers, ``noise_rng``
@@ -131,13 +136,14 @@ def brc_fit(
     members: list[EnsembleMember] = []
     records: list[RoundRecord] = []
 
+    h_pub = err_pub = None
+    refit_pub = bool(split.public_cols)
     for t in range(1, params.rounds + 1):
-        h_pub = None
-        err_pub = None
-        if split.public_cols:
+        if refit_pub:
             h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
             mis_pub = h_pub.predict(train.X) != train.y
             err_pub = weighted_error(mis_pub, w_pub)
+            refit_pub = False
 
         h_pri = sampler(train, classifier_rng)
         mis_pri = h_pri.predict(train.X) != train.y
@@ -146,6 +152,7 @@ def brc_fit(
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):
             alpha = 0.5 - err_pub
             w_pub = w_pub * np.exp(alpha * mis_pub)
+            refit_pub = True
             members.append(EnsembleMember(alpha=alpha, clf=h_pub, subspace="public"))
             records.append(RoundRecord(t, "public", err_pub, err_pri, alpha))
         else:

@@ -245,7 +245,7 @@ def effective_workers(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, _usable_cores())
 
 
-def run_experiment(cfg: ExperimentConfig, full: Dataset = None) -> list[ResultRecord]:
+def run_experiment(cfg: ExperimentConfig, full: Dataset | None = None) -> list[ResultRecord]:
     """Run every (epsilon, repeat) cell and return records in deterministic
     (epsilon index, repeat) order. A failing cell yields an error record and
     the sweep continues.

@@ -117,7 +117,7 @@ class Ensemble:
         return sign_labels(self.scores(X))
 
     def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(T, n) labels of each partial ensemble H_1..H_T, for convergence traces."""
+        """(T, n) labels of each partial ensemble H_1..H_T, for the per-round test accuracies."""
         alphas = np.array([m.alpha for m in self.members])
         cum = np.cumsum(self.vote_matrix(X) * alphas, axis=1)
         return sign_labels(cum.T)

@@ -62,10 +62,9 @@ class PrivacyParams:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         check_int("rounds", self.rounds, 1)
+        check_int("n", self.n, 1)
         if not (self.c1 >= 1 and self.c2 >= 1):
             raise ValueError("clipping parameters c1 and c2 must be >= 1")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
     def laplace_scale(self) -> float:

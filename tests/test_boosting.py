@@ -20,6 +20,8 @@ from dpboost import (
     sensitivity_oracle,
     weighted_error,
 )
+from dpboost.baselines import fit_logreg_weighted
+from dpboost.model import Ensemble, EnsembleMember
 from dpboost.noise import Purpose, rng_for
 
 from conftest import planted_dataset
@@ -171,6 +173,30 @@ def replay_split_fit(train, split, params, ensemble, records):
             assert not np.any(changed & ~mis) or rec.alpha == 0.0
         assert np.all(w_pri >= lo) and np.all(w_pri <= hi)
     return w_pub, w_pri
+
+
+def refit_every_round(train, split, params, classifier_rng, noise_rng):
+    """The split booster loop written out with a fresh public fit in every
+    round, as a reference for the fit that reuses an unchanged one."""
+    w_pub = np.ones(train.n)
+    w_pri = np.ones(train.n)
+    members, records = [], []
+    for t in range(1, params.rounds + 1):
+        h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
+        mis_pub = h_pub.predict(train.X) != train.y
+        err_pub = weighted_error(mis_pub, w_pub)
+        h_pri = random_linear_classifier(split.private_cols, classifier_rng)
+        mis_pri = h_pri.predict(train.X) != train.y
+        err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
+        if abs(0.5 - err_pub) > abs(0.5 - err_pri):
+            chosen, alpha, clf = "public", 0.5 - err_pub, h_pub
+            w_pub = w_pub * np.exp(alpha * mis_pub)
+        else:
+            chosen, alpha, clf = "private", 0.5 - err_pri, h_pri
+            w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
+        members.append(EnsembleMember(alpha=alpha, clf=clf, subspace=chosen))
+        records.append(boosting.RoundRecord(t, chosen, err_pub, err_pri, alpha))
+    return Ensemble(members=tuple(members)), records
 
 
 class TestBrcFit:
@@ -326,10 +352,40 @@ class TestBrcFit:
             monkeypatch.setattr(boosting, name, counting)
         _, recs = brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
         private_rounds = sum(r.chosen == "private" for r in recs)
-        # one public error per round, plus one inside each noisy private error
+        # the public learner is fitted in round 1 and after each public round
+        fits = 1 + sum(r.chosen == "public" for r in recs[:-1])
+        assert fits < params.rounds  # some rounds reuse the previous fit
+        # one public error per fit, plus one inside each noisy private error
         assert calls["noisy_private_error"] == params.rounds
-        assert calls["weighted_error"] == 2 * params.rounds
+        assert calls["weighted_error"] == params.rounds + fits
         assert calls["clipped_update"] == private_rounds
+
+    @pytest.mark.parametrize("epsilon", [0.5, math.inf])
+    def test_reused_public_fit_matches_refitting_every_round(self, monkeypatch, epsilon):
+        ds, split = planted_dataset(n=240, seed=8)
+        params = PrivacyParams(epsilon=epsilon, rounds=14, c1=SQRT2, c2=SQRT2, n=ds.n)
+        ref_ens, ref_recs = refit_every_round(ds, split, params, make_rng(30), make_rng(31))
+
+        fits = []
+        real = boosting.fit_logreg_weighted
+
+        def counting(*args):
+            fits.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
+        ens, recs = brc_fit(
+            ds, split, params, classifier_rng=make_rng(30), noise_rng=make_rng(31)
+        )
+        assert recs == ref_recs
+        assert ens.to_json() == ref_ens.to_json()
+        public_rounds = sum(r.chosen == "public" for r in recs[:-1])
+        assert 0 < public_rounds < params.rounds - 1
+        assert len(fits) == 1 + public_rounds
+
+        fits.clear()
+        fit_all_private(ds, params, 30, 31)
+        assert fits == []
 
     def test_noise_stream_consumption_is_data_independent(self):
         # After a fit, the noise stream sits exactly T laplace draws in, and

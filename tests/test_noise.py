@@ -122,3 +122,10 @@ class TestPrivacyParams:
         for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
             with pytest.raises(ValueError, match="must be a number"):
                 PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, "n": 1, **bad})
+
+    def test_n_must_be_an_integer(self):
+        # n sets the Laplace scale, so a bool or a fraction must not pass for a size
+        for bad in (True, 2.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=bad)
+        assert PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=np.int64(4)).n == 4
