@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSplit, check_int
-from .model import LinearClassifier, sign_labels
+from .model import Ensemble, EnsembleMember, LinearClassifier, sign_labels
 from .noise import laplace
 
 
@@ -232,8 +232,9 @@ class PateModel:
     that would take it past ``query_budget``; a noise-free model (infinite
     epsilon) has no budget to overrun and is not limited.
 
-    Prediction is stateful: it consumes noise draws from the model's rng,
-    two per predicted row, and spends one query event per predicted row.
+    ``teachers`` is an ``Ensemble`` of unit-weight teachers, scored by one
+    ``vote_matrix`` call. Prediction is stateful: it consumes two noise draws
+    from the model's rng and one query event per predicted row.
     """
 
     def __init__(self, teachers, student, public_cols, vote_scale, rng, query_budget):
@@ -253,9 +254,7 @@ class PateModel:
                 f"{self.queries_spent} of {self.query_budget} reserved"
             )
         self.queries_spent += X.shape[0]
-        plus = np.zeros(X.shape[0])
-        for teacher in self.teachers:
-            plus += teacher.predict(X) == 1
+        plus = np.count_nonzero(self.teachers.vote_matrix(X) == 1, axis=1)
         minus = len(self.teachers) - plus
         if self.vote_scale > 0:
             plus = plus + laplace(self.vote_scale, self._rng, size=X.shape[0])
@@ -304,12 +303,12 @@ def fit_pate(
     for shard in shards:
         if len(np.unique(train.y[shard])) < 2:
             raise ValueError("shard too small to train: only one label present")
-        shard_ds = train.take(shard)
-        teachers.append(fit_logreg_weighted(shard_ds, split.private_cols))
+        teacher = fit_logreg_weighted(train.take(shard), split.private_cols)
+        teachers.append(EnsembleMember(alpha=1.0, clf=teacher, subspace="private"))
 
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
-    model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)
+    model = PateModel(Ensemble(tuple(teachers)), None, split.public_cols, vote_scale, rng, queries)
 
     student_X = model._student_matrix(train.X)
     student_ds = Dataset(

@@ -34,10 +34,10 @@ class RoundRecord:
     """Diagnostics for one boosting round.
 
     ``chosen`` is "public" or "private" for split fits and "all" for fits
-    without public columns; ``err_pub`` is None when no public classifier was
-    trained that round. ``test_accuracy`` is the held-out accuracy of the
-    partial ensemble H_1..H_t; the harness sets it and ``brc_fit`` leaves it
-    None.
+    without public columns; ``err_pub`` is None only in fits without public
+    columns (a round that reuses the public fit records its error).
+    ``test_accuracy`` is the held-out accuracy of the partial ensemble
+    H_1..H_t; the harness sets it and ``brc_fit`` leaves it None.
     """
 
     t: int
@@ -60,7 +60,7 @@ def weighted_error(mis, weights) -> float:
 
 
 def noisy_private_error(mis, w_pri, params: PrivacyParams, rng: np.random.Generator) -> float:
-    """Weighted error plus one Lap(c1*c2*rounds/(epsilon*n)) draw.
+    """Weighted error plus one Lap(c1*c2*rounds/(epsilon*n)) draw, n = len(w_pri).
 
     The result may legitimately fall outside [0, 1]. A zero noise scale
     (epsilon = inf) adds nothing and consumes no draw.
@@ -69,7 +69,7 @@ def noisy_private_error(mis, w_pri, params: PrivacyParams, rng: np.random.Genera
     if w.min() < 1.0 / params.c1 - 1e-12 or w.max() > params.c2 + 1e-12:
         raise ValueError("private weights outside the clipping bounds [1/c1, c2]")
     err = weighted_error(mis, w)
-    scale = params.laplace_scale
+    scale = params.laplace_scale(len(w))
     if scale > 0:
         err += laplace(scale, rng)
     return err
@@ -119,8 +119,6 @@ def brc_fit(
     weights, since the only privacy cost accounted for is the noisy error
     estimate.
     """
-    if params.n != train.n:
-        raise ValueError(f"params.n={params.n} does not match training size {train.n}")
     split.validate_for(train.d)
     if len(split.private_cols) == 0:
         raise ValueError("brc_fit requires a non-empty private column set")

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .boosting import sensitivity_oracle
+from .boosting import _ORACLE_MAX_N, sensitivity_oracle
 from .data import DataError, Dataset, config_from_dict
 from .model import LinearClassifier
 from .noise import PrivacyParams, make_rng
@@ -64,7 +64,7 @@ def _cmd_toy(args) -> int:
     cfg = config_from_dict(ToyConfig, raw)
     try:
         for eps in eps_list:
-            PrivacyParams(eps, cfg.rounds, cfg.c1, cfg.c2, cfg.n)
+            PrivacyParams(eps, cfg.rounds, cfg.c1, cfg.c2)
     except ValueError as exc:
         raise DataError(f"bad toy epsilons: {exc}") from exc
     report = run_toy_sweep(cfg, eps_list)
@@ -82,6 +82,8 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_sensitivity_check(args) -> int:
+    if not 2 <= args.max_n <= _ORACLE_MAX_N:
+        raise DataError(f"--max-n must lie in [2, {_ORACLE_MAX_N}], got {args.max_n}")
     rng = make_rng(args.seed)
     grid = np.linspace(-1.0, 1.0, 5)
     worst_ratio = 0.0

@@ -364,6 +364,8 @@ def split(
     if not 0.0 < test_frac < 1.0:
         raise DataError(f"test_frac must lie strictly between 0 and 1, got {test_frac}")
     n_test = int(round(test_frac * ds.n))
+    if n_test < 1:
+        raise DataError(f"test_frac={test_frac} of {ds.n} rows would leave an empty test set")
     if ds.n - n_test < 1:
         raise DataError("split would leave an empty training set")
     perm = rng.permutation(ds.n)

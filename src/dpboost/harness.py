@@ -73,13 +73,14 @@ class ExperimentConfig:
                 raise DataError(f"{name} must be a list, got the string {value!r}")
         if not self.epsilons:
             raise DataError("epsilon values must be non-empty")
-        if not isinstance(self.output_dir, str):
-            raise DataError(f"output_dir must be a string, got {self.output_dir!r}")
+        for name in ("dataset", "schema", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
         try:
             for e in self.epsilons:
-                PrivacyParams(e, self.rounds, self.c1, self.c2, n=1)
+                PrivacyParams(e, self.rounds, self.c1, self.c2)
         except ValueError as exc:
             raise DataError(f"bad experiment config: {exc}") from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
@@ -146,7 +147,7 @@ def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
         fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
     rounds = None
     if cfg.algorithm in ("brc", "brc-all-private"):
-        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2, n=train.n)
+        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
         model, rounds = brc_fit(
             train,
             fsplit,

@@ -43,18 +43,16 @@ def rng_for(seed: int, repeat: int, purpose: Purpose) -> np.random.Generator:
 class PrivacyParams:
     """Total budget epsilon split over ``rounds`` error queries.
 
-    Weight clipping to [1/c1, c2] bounds the sensitivity of each weighted
-    error at c1*c2/n, so perturbing it with Lap(c1*c2*rounds/(epsilon*n))
-    costs epsilon/rounds per round and epsilon in total under basic
-    composition. ``epsilon=math.inf`` is accepted and yields a zero noise
-    scale (the non-private limit).
+    Weight clipping to [1/c1, c2] (both finite) bounds the sensitivity of a
+    weighted error over n rows at c1*c2/n, so Lap(c1*c2*rounds/(epsilon*n))
+    noise costs epsilon/rounds per round, epsilon in total under basic
+    composition. ``epsilon=math.inf`` gives a zero scale (non-private limit).
     """
 
     epsilon: float
     rounds: int
     c1: float
     c2: float
-    n: int
 
     def __post_init__(self):
         for name in ("epsilon", "c1", "c2"):
@@ -62,13 +60,11 @@ class PrivacyParams:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         check_int("rounds", self.rounds, 1)
-        check_int("n", self.n, 1)
-        if not (self.c1 >= 1 and self.c2 >= 1):
-            raise ValueError("clipping parameters c1 and c2 must be >= 1")
+        if not (1 <= self.c1 < np.inf and 1 <= self.c2 < np.inf):
+            raise ValueError("clipping parameters c1 and c2 must be finite and >= 1")
 
-    @property
-    def laplace_scale(self) -> float:
-        return self.c1 * self.c2 * self.rounds / (self.epsilon * self.n)
+    def laplace_scale(self, n: int) -> float:
+        return self.c1 * self.c2 * self.rounds / (self.epsilon * n)
 
 
 def laplace(scale: float, rng: np.random.Generator, size=None):

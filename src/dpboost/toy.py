@@ -40,7 +40,7 @@ class ToyConfig:
         check_real("flip_prob", self.flip_prob)
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError("flip probability must lie in [0, 0.5)")
-        PrivacyParams(1.0, self.rounds, self.c1, self.c2, self.n)  # checks rounds, c1 and c2
+        PrivacyParams(1.0, self.rounds, self.c1, self.c2)  # checks rounds, c1 and c2
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class ToyReport:
     def noise_scale(self, epsilon: float) -> float:
         """The rule-of-thumb quantity c1*c2*rounds/(epsilon*n) for this config."""
         cfg = self.config
-        return PrivacyParams(epsilon, cfg.rounds, cfg.c1, cfg.c2, cfg.n).laplace_scale
+        return PrivacyParams(epsilon, cfg.rounds, cfg.c1, cfg.c2).laplace_scale(cfg.n)
 
     def accuracies(self, epsilon: float) -> np.ndarray:
         return np.array([r.accuracy for r in self.runs if r.epsilon == epsilon])
@@ -173,7 +173,7 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     ds = generate_toy(cfg.n)
     runs = []
     for eps in eps_list:
-        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2, n=cfg.n)
+        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
         for repeat in range(cfg.repeats):
             thresholds: list[int] = []
 

@@ -418,7 +418,7 @@ def test_criterion_07b_noise_free_trace_matches_reference_adaboost():
     full, _ = planted_dataset(n=260, seed=42)
     train = full.take(np.arange(200))
     test = full.take(np.arange(200, 260))
-    params = PrivacyParams(epsilon=math.inf, rounds=30, c1=SQRT2, c2=SQRT2, n=train.n)
+    params = PrivacyParams(epsilon=math.inf, rounds=30, c1=SQRT2, c2=SQRT2)
     ens, _ = brc_fit(
         train,
         FeatureSplit.all_private(train.d),
@@ -501,7 +501,7 @@ def test_criterion_10_privacy_accounting_audit(monkeypatch):
     """The split fit consumes exactly T Laplace draws, each at scale
     c1*c2*T/(eps*n), and nothing else data-dependent on the noise stream."""
     ds, split = planted_dataset(n=150, seed=10)
-    params = PrivacyParams(epsilon=0.16, rounds=25, c1=SQRT2, c2=SQRT2, n=ds.n)
+    params = PrivacyParams(epsilon=0.16, rounds=25, c1=SQRT2, c2=SQRT2)
     calls = []
     real = boosting.laplace
 
@@ -514,20 +514,20 @@ def test_criterion_10_privacy_accounting_audit(monkeypatch):
     brc_fit(ds, split, params, classifier_rng=make_rng(30), noise_rng=noise_rng)
     ref = make_rng(31)
     for _ in range(params.rounds):
-        real(params.laplace_scale, ref)
+        real(params.laplace_scale(ds.n), ref)
     ok = (
         len(calls) == params.rounds
-        and all(s == params.laplace_scale for s in calls)
+        and all(s == params.laplace_scale(ds.n) for s in calls)
         and noise_rng.bit_generator.state == ref.bit_generator.state
     )
     report(
         "10 privacy accounting audit",
         ok,
-        f"{len(calls)} draws at scale {params.laplace_scale:.6g}, "
+        f"{len(calls)} draws at scale {params.laplace_scale(ds.n):.6g}, "
         f"noise stream advanced exactly {params.rounds} draws",
     )
     assert len(calls) == params.rounds
-    assert all(s == params.laplace_scale for s in calls)
+    assert all(s == params.laplace_scale(ds.n) for s in calls)
     assert noise_rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -76,7 +76,7 @@ class TestNoisyPrivateError:
         self.mis = misclassified(self.clf, self.ds)
 
     def params(self, epsilon, c=SQRT2):
-        return PrivacyParams(epsilon=epsilon, rounds=1, c1=c, c2=c, n=4)
+        return PrivacyParams(epsilon=epsilon, rounds=1, c1=c, c2=c)
 
     def test_vanishing_noise(self):
         # scale ~ 1e-15: the perturbed value collapses onto the exact error
@@ -87,7 +87,7 @@ class TestNoisyPrivateError:
 
     def test_monte_carlo_mean(self):
         p = self.params(epsilon=0.5)
-        scale = p.laplace_scale
+        scale = p.laplace_scale(4)
         exact = weighted_error(self.mis, np.ones(4))
         rng = make_rng(3)
         draws = [noisy_private_error(self.mis, np.ones(4), p, rng) for _ in range(10_000)]
@@ -98,13 +98,28 @@ class TestNoisyPrivateError:
         ds = Dataset(
             X=np.array([[0.5], [0.5]]), y=np.array([1, -1]), columns=(("c", "numeric"),)
         )
-        p = PrivacyParams(epsilon=1.0, rounds=1, c1=SQRT2, c2=SQRT2, n=2)
-        assert p.laplace_scale == pytest.approx(1.0)
+        p = PrivacyParams(epsilon=1.0, rounds=1, c1=SQRT2, c2=SQRT2)
+        assert p.laplace_scale(2) == pytest.approx(1.0)
         rng = make_rng(11)
         mis = misclassified(self.clf, ds)
         draws = np.array([noisy_private_error(mis, np.ones(2), p, rng) for _ in range(2000)])
         frac_outside = np.mean((draws < 0.0) | (draws > 1.0))
         assert frac_outside == pytest.approx(math.exp(-0.5), abs=0.05)
+
+    def test_scale_follows_the_row_count(self, monkeypatch):
+        # one params object, two sizes: each draw is at c1*c2*T/(eps*len(w))
+        p = PrivacyParams(epsilon=0.5, rounds=3, c1=SQRT2, c2=2.0)
+        calls = []
+        real = boosting.laplace
+
+        def counting(scale, rng, size=None):
+            calls.append(scale)
+            return real(scale, rng, size)
+
+        monkeypatch.setattr(boosting, "laplace", counting)
+        for n in (100, 1000):
+            noisy_private_error(np.zeros(n, dtype=bool), np.ones(n), p, make_rng(0))
+        assert calls == [SQRT2 * 2.0 * 3 / (0.5 * 100), SQRT2 * 2.0 * 3 / (0.5 * 1000)]
 
     def test_weights_must_respect_bounds(self):
         p = self.params(epsilon=1.0)
@@ -202,7 +217,7 @@ def refit_every_round(train, split, params, classifier_rng, noise_rng):
 class TestBrcFit:
     def test_round_count_and_subspaces(self):
         ds, split = planted_dataset(n=200)
-        params = PrivacyParams(epsilon=1.0, rounds=8, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=1.0, rounds=8, c1=SQRT2, c2=SQRT2)
         ens, recs = brc_fit(
             ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
         )
@@ -212,7 +227,7 @@ class TestBrcFit:
 
     def test_replay_invariants(self):
         ds, split = planted_dataset(n=300, seed=4)
-        params = PrivacyParams(epsilon=0.8, rounds=12, c1=SQRT2, c2=2.0, n=ds.n)
+        params = PrivacyParams(epsilon=0.8, rounds=12, c1=SQRT2, c2=2.0)
         ens, recs = brc_fit(
             ds, split, params, classifier_rng=make_rng(5), noise_rng=make_rng(6)
         )
@@ -221,7 +236,7 @@ class TestBrcFit:
 
     def test_noise_free_reduction_records_exact_private_error(self):
         ds, split = planted_dataset(n=150, seed=9)
-        params = PrivacyParams(epsilon=math.inf, rounds=10, c1=2.0, c2=2.0, n=ds.n)
+        params = PrivacyParams(epsilon=math.inf, rounds=10, c1=2.0, c2=2.0)
         ens, recs = brc_fit(
             ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2)
         )
@@ -240,7 +255,7 @@ class TestBrcFit:
         # rounds where the public classifier wins must leave w_pri unchanged,
         # and vice versa; checked through the replayed trajectories.
         ds, split = planted_dataset(n=200, seed=2)
-        params = PrivacyParams(epsilon=2.0, rounds=15, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=2.0, rounds=15, c1=SQRT2, c2=SQRT2)
         ens, recs = brc_fit(
             ds, split, params, classifier_rng=make_rng(3), noise_rng=make_rng(4)
         )
@@ -270,7 +285,7 @@ class TestBrcFit:
             return LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=tuple(cols))
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", perfect)
-        params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0, n=ds.n)
+        params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0)
         ens, recs = brc_fit(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
         assert len(ens) == 1
         assert ens.members[0].subspace == "public"
@@ -288,7 +303,7 @@ class TestBrcFit:
             columns=(("junk", "numeric"), ("position", "numeric")),
         )
         split = FeatureSplit(public_cols=(0,), private_cols=(1,))
-        params = PrivacyParams(epsilon=100.0, rounds=50, c1=2.0, c2=2.0, n=2000)
+        params = PrivacyParams(epsilon=100.0, rounds=50, c1=2.0, c2=2.0)
         ens, _ = brc_fit(
             ds, split, params,
             classifier_rng=rng_for(0, 0, Purpose.PRIVATE_CLASSIFIER),
@@ -299,19 +314,13 @@ class TestBrcFit:
     def test_requires_private_columns(self):
         ds, _ = planted_dataset(n=50)
         split = FeatureSplit(public_cols=tuple(range(ds.d)), private_cols=())
-        params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2, n=ds.n)
+        params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2)
         with pytest.raises(ValueError, match="private column set"):
-            brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
-
-    def test_n_mismatch_rejected(self):
-        ds, split = planted_dataset(n=50)
-        params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2, n=49)
-        with pytest.raises(ValueError, match="params.n"):
             brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
 
     def test_deterministic_serialization(self):
         ds, split = planted_dataset(n=120, seed=3)
-        params = PrivacyParams(epsilon=0.3, rounds=6, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=0.3, rounds=6, c1=SQRT2, c2=SQRT2)
 
         def run():
             ens, _ = brc_fit(
@@ -323,7 +332,7 @@ class TestBrcFit:
 
     def test_exactly_t_laplace_draws_at_stated_scale(self, monkeypatch):
         ds, split = planted_dataset(n=100, seed=1)
-        params = PrivacyParams(epsilon=0.4, rounds=7, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=0.4, rounds=7, c1=SQRT2, c2=SQRT2)
         calls = []
         real = boosting.laplace
 
@@ -334,13 +343,13 @@ class TestBrcFit:
         monkeypatch.setattr(boosting, "laplace", counting)
         brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
         assert len(calls) == params.rounds
-        assert all(s == params.laplace_scale for s in calls)
+        assert all(s == params.laplace_scale(ds.n) for s in calls)
 
     def test_loop_calls_the_tested_primitives(self, monkeypatch):
         # every round's errors and private update go through the exported
         # primitives, so their tests cover the code the fit runs
         ds, split = planted_dataset(n=100, seed=5)
-        params = PrivacyParams(epsilon=0.5, rounds=6, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=0.5, rounds=6, c1=SQRT2, c2=SQRT2)
         calls = {"weighted_error": 0, "noisy_private_error": 0, "clipped_update": 0}
         for name in calls:
             real = getattr(boosting, name)
@@ -363,7 +372,7 @@ class TestBrcFit:
     @pytest.mark.parametrize("epsilon", [0.5, math.inf])
     def test_reused_public_fit_matches_refitting_every_round(self, monkeypatch, epsilon):
         ds, split = planted_dataset(n=240, seed=8)
-        params = PrivacyParams(epsilon=epsilon, rounds=14, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=epsilon, rounds=14, c1=SQRT2, c2=SQRT2)
         ref_ens, ref_recs = refit_every_round(ds, split, params, make_rng(30), make_rng(31))
 
         fits = []
@@ -393,13 +402,13 @@ class TestBrcFit:
         # on those streams can depend on the data.
         ds, split = planted_dataset(n=80, seed=6)
         k = len(split.private_cols)
-        params = PrivacyParams(epsilon=0.4, rounds=9, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=0.4, rounds=9, c1=SQRT2, c2=SQRT2)
         clf_rng, noise_rng = make_rng(20), make_rng(21)
         brc_fit(ds, split, params, classifier_rng=clf_rng, noise_rng=noise_rng)
 
         ref_noise = make_rng(21)
         for _ in range(params.rounds):
-            boosting.laplace(params.laplace_scale, ref_noise)
+            boosting.laplace(params.laplace_scale(ds.n), ref_noise)
         assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
 
         ref_clf = make_rng(20)
@@ -421,7 +430,7 @@ def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
 class TestBrcFitAllPrivate:
     def test_round_count_and_tags(self):
         ds, _ = planted_dataset(n=100)
-        params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2, n=ds.n)
+        params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2)
         ens, recs = fit_all_private(ds, params, 0, 1)
         assert len(ens) == 5
         assert all(m.subspace == "all" for m in ens.members)
@@ -432,7 +441,7 @@ class TestBrcFitAllPrivate:
         # One random classifier with a noise-dominated alpha: averaged over
         # seeds the balanced accuracy sits near 1/2.
         ds, _ = planted_dataset(n=200, seed=5)
-        params = PrivacyParams(epsilon=0.001, rounds=1, c1=2.0, c2=2.0, n=ds.n)
+        params = PrivacyParams(epsilon=0.001, rounds=1, c1=2.0, c2=2.0)
         accs = []
         for seed in range(50):
             ens, _ = fit_all_private(ds, params, seed, 1000 + seed)
@@ -441,7 +450,7 @@ class TestBrcFitAllPrivate:
 
     def test_weight_bounds_via_replay(self):
         ds, _ = planted_dataset(n=120, seed=12)
-        params = PrivacyParams(epsilon=0.2, rounds=20, c1=2.0, c2=2.0, n=ds.n)
+        params = PrivacyParams(epsilon=0.2, rounds=20, c1=2.0, c2=2.0)
         ens, recs = fit_all_private(ds, params, 4, 5)
         w = np.ones(ds.n)
         for member, rec in zip(ens.members, recs):
@@ -456,7 +465,7 @@ class TestBrcFitAllPrivate:
         from dpboost.harness import ResultRecord, emit_records_jsonl
 
         ds, _ = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=3, c1=2, c2=2, n=ds.n)
+        params = PrivacyParams(epsilon=1.0, rounds=3, c1=2, c2=2)
         _, recs = fit_all_private(ds, params, 0, 1)
         cell = dict(algorithm="brc-all-private", epsilon=1.0, repeat=0, seed=0, streams={})
         path = tmp_path / "records.jsonl"
@@ -473,7 +482,7 @@ class TestBrcFitAllPrivate:
 
     def test_custom_sampler_injected(self):
         ds, _ = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2, n=ds.n)
+        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
         seen = []
 
         def sampler(data, rng):

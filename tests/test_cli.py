@@ -181,6 +181,13 @@ class TestSensitivityCheckCommand:
         assert "worst oracle/bound ratio" in out
         assert "VIOLATION" not in out
 
+    @pytest.mark.parametrize("max_n", ["1", "9"])
+    def test_max_n_outside_oracle_range_rejected(self, capsys, max_n):
+        assert main(["sensitivity-check", "--max-n", max_n]) == 1
+        captured = capsys.readouterr()
+        assert "--max-n must lie in [2, 8]" in captured.err
+        assert "oracle=" not in captured.out
+
 
 class TestPlotCommand:
     def test_plot_from_csv(self, tmp_path):

@@ -242,6 +242,11 @@ class TestSplit:
         with pytest.raises(DataError):
             split(self.make(), 1.0, make_rng(0))
 
+    @pytest.mark.parametrize("test_frac, side", [(0.1, "test"), (0.9, "training")])
+    def test_empty_side_rejected(self, test_frac, side):
+        with pytest.raises(DataError, match=f"empty {side} set"):
+            split(self.make(4), test_frac, make_rng(0))
+
     def test_deterministic(self):
         ds = self.make()
         a = split(ds, 0.25, make_rng(5))

@@ -90,6 +90,8 @@ class TestExperimentConfig:
             {"epsilons": (True,)},
             {"epsilons": ("0.5",)},
             {"c1": True},
+            {"dataset": 0},
+            {"schema": 0},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -190,6 +192,15 @@ class TestRunExperiment:
         records = run_experiment(cfg, full=small)
         assert records[0].error is not None and "unfixable" in records[0].error
         assert records[1].error is None
+
+    @pytest.mark.parametrize("algorithm", ["brc-all-private", "logreg"])
+    def test_empty_test_split_is_an_error_cell(self, synth_csv, tmp_path, algorithm):
+        # round(0.1 * 4) = 0 test rows: the cell fails instead of scoring nothing
+        full, _ = load_prepared_dataset(config(synth_csv, tmp_path))
+        tiny = full.take(np.concatenate([np.flatnonzero(full.y == 1)[:2], np.flatnonzero(full.y == -1)[:2]]))
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, repeats=1, epsilons=(1.0,), test_frac=0.1)
+        (rec,) = run_experiment(cfg, full=tiny)
+        assert rec.test_accuracy is None and "empty test set" in rec.error
 
     def test_deterministic_records(self, synth_csv, tmp_path):
         cfg = config(synth_csv, tmp_path, algorithm="brc", rounds=3)

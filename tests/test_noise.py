@@ -99,33 +99,27 @@ class TestStreams:
 
 class TestPrivacyParams:
     def test_laplace_scale_formula(self):
-        p = PrivacyParams(epsilon=0.16, rounds=25, c1=math.sqrt(2), c2=math.sqrt(2), n=1000)
-        assert p.laplace_scale == math.sqrt(2) * math.sqrt(2) * 25 / (0.16 * 1000)
+        p = PrivacyParams(epsilon=0.16, rounds=25, c1=math.sqrt(2), c2=math.sqrt(2))
+        assert p.laplace_scale(1000) == math.sqrt(2) * math.sqrt(2) * 25 / (0.16 * 1000)
 
     def test_infinite_epsilon_gives_zero_scale(self):
-        p = PrivacyParams(epsilon=math.inf, rounds=25, c1=2, c2=2, n=100)
-        assert p.laplace_scale == 0.0
+        p = PrivacyParams(epsilon=math.inf, rounds=25, c1=2, c2=2)
+        assert p.laplace_scale(100) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PrivacyParams(epsilon=0.0, rounds=1, c1=1, c2=1, n=1)
+            PrivacyParams(epsilon=0.0, rounds=1, c1=1, c2=1)
         with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, rounds=0, c1=1, c2=1, n=1)
+            PrivacyParams(epsilon=1.0, rounds=0, c1=1, c2=1)
         with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, rounds=2.5, c1=1, c2=1, n=1)
+            PrivacyParams(epsilon=1.0, rounds=2.5, c1=1, c2=1)
         with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, rounds=1, c1=0.5, c2=1, n=1)
+            PrivacyParams(epsilon=1.0, rounds=1, c1=0.5, c2=1)
         with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan, n=1)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=0)
+            PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan)
+        for bad in ({"c1": math.inf}, {"c2": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
         for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
             with pytest.raises(ValueError, match="must be a number"):
-                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, "n": 1, **bad})
-
-    def test_n_must_be_an_integer(self):
-        # n sets the Laplace scale, so a bool or a fraction must not pass for a size
-        for bad in (True, 2.5, 4.0, "4"):
-            with pytest.raises(ValueError, match="n must be an integer"):
-                PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=bad)
-        assert PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=1, n=np.int64(4)).n == 4
+                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
