@@ -41,7 +41,7 @@ from .harness import (
     emit_svg,
     run_experiment,
 )
-from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, sign_labels
+from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, score_matrix, sign_labels
 from .noise import (
     PrivacyParams,
     Purpose,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSplit, check_int
-from .model import Ensemble, EnsembleMember, LinearClassifier, sign_labels
+from .model import LinearClassifier, score_matrix, sign_labels
 from .noise import laplace
 
 
@@ -232,13 +232,13 @@ class PateModel:
     that would take it past ``query_budget``; a noise-free model (infinite
     epsilon) has no budget to overrun and is not limited.
 
-    ``teachers`` is an ``Ensemble`` of unit-weight teachers, scored by one
-    ``vote_matrix`` call. Prediction is stateful: it consumes two noise draws
+    ``teachers`` is a tuple of ``LinearClassifier``, scored by one
+    ``score_matrix`` call. Prediction is stateful: it consumes two noise draws
     from the model's rng and one query event per predicted row.
     """
 
     def __init__(self, teachers, student, public_cols, vote_scale, rng, query_budget):
-        self.teachers = teachers
+        self.teachers = tuple(teachers)
         self.student = student
         self.public_cols = tuple(public_cols)
         self.vote_scale = vote_scale
@@ -254,7 +254,7 @@ class PateModel:
                 f"{self.queries_spent} of {self.query_budget} reserved"
             )
         self.queries_spent += X.shape[0]
-        plus = np.count_nonzero(self.teachers.vote_matrix(X) == 1, axis=1)
+        plus = np.count_nonzero(score_matrix(self.teachers, X) >= 0, axis=1)
         minus = len(self.teachers) - plus
         if self.vote_scale > 0:
             plus = plus + laplace(self.vote_scale, self._rng, size=X.shape[0])
@@ -303,12 +303,11 @@ def fit_pate(
     for shard in shards:
         if len(np.unique(train.y[shard])) < 2:
             raise ValueError("shard too small to train: only one label present")
-        teacher = fit_logreg_weighted(train.take(shard), split.private_cols)
-        teachers.append(EnsembleMember(alpha=1.0, clf=teacher, subspace="private"))
+        teachers.append(fit_logreg_weighted(train.take(shard), split.private_cols))
 
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
-    model = PateModel(Ensemble(tuple(teachers)), None, split.public_cols, vote_scale, rng, queries)
+    model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)
 
     student_X = model._student_matrix(train.X)
     student_ds = Dataset(

@@ -4,12 +4,17 @@ linear classifier and only its error estimate is perturbed for privacy.
 ``brc_fit`` is the one booster loop; the feature split picks its shape:
 
 * public and private columns: each round takes a weighted public classifier
-  and draws a random private classifier, perturbs the private error with
+  and a random private classifier, perturbs the private error with
   Laplace noise, and keeps whichever classifier's error is farther from 0.5.
   The public classifier is refitted only after a public round moved its
   weights; otherwise the previous fit is reused, with identical outputs.
 * no public columns (``FeatureSplit.all_private``): every feature is private
-  and each round only draws a random classifier and uses its noisy error.
+  and each round only takes a random classifier and uses its noisy error.
+
+All rounds' random private classifiers are drawn before round 1, in round
+order, and scored in one matrix product. This reads nothing new: a draw
+ignores the weights and ``classifier_rng`` feeds only the draws, so every
+round gets the classifier it would have drawn itself.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -25,7 +30,7 @@ import numpy as np
 
 from .baselines import fit_logreg_weighted
 from .data import Dataset, FeatureSplit
-from .model import Ensemble, EnsembleMember
+from .model import Ensemble, EnsembleMember, score_matrix
 from .noise import PrivacyParams, laplace, random_linear_classifier
 
 
@@ -101,23 +106,28 @@ def brc_fit(
     with the public weights, in round 1 and after each public round; after
     a private round the weights have not moved, so the previous fit, its
     misclassified rows and its error are reused, exactly what the
-    deterministic solver would return again, (b) draw a random classifier
-    on the private columns, (c) compute the exact public error and the
-    noisy private error, (d) keep the classifier whose error is farther
-    from 0.5 (ties go private), (e) set alpha = 0.5 - err of the chosen
-    classifier, and (f) update only the chosen side's weights; public
-    updates are unclipped, private updates are clipped to [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed
-    (one per round, from ``noise_rng``), for a total privacy cost of epsilon.
+    deterministic solver would return again, (b) take the round's random
+    classifier on the private columns, drawn with all the others before
+    round 1 and scored with them in one product (a draw ignores the
+    weights and ``classifier_rng`` feeds only the draws, so each round gets
+    the classifier it would have drawn itself), (c) compute the exact
+    public error and the noisy private error, (d) keep the classifier whose
+    error is farther from 0.5 (ties go private), (e) set alpha = 0.5 - err
+    of the chosen classifier, and (f) update only the chosen side's
+    weights; public updates are unclipped, private updates are clipped to
+    [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed (one per
+    round, from ``noise_rng``), for a total privacy cost of epsilon.
 
     ``classifier_rng`` drives the random private classifiers, ``noise_rng``
     the Laplace noise; keeping the streams separate means adding consumers
     to one never perturbs the other. If ``split.public_cols`` is empty the
     public branch is skipped and every round is private, tagged "all".
 
-    ``sampler(ds, rng) -> classifier`` replaces the default uniform random
-    linear classifier on the private columns; it must ignore the observation
-    weights, since the only privacy cost accounted for is the noisy error
-    estimate.
+    ``sampler(ds, rng) -> LinearClassifier`` replaces the default uniform
+    random linear classifier on the private columns and is called
+    ``rounds`` times, in round order, before round 1; it must ignore the
+    observation weights, since the only privacy cost accounted for is the
+    noisy error estimate.
     """
     split.validate_for(train.d)
     if len(split.private_cols) == 0:
@@ -134,17 +144,20 @@ def brc_fit(
     members: list[EnsembleMember] = []
     records: list[RoundRecord] = []
 
+    # Row t-1 of mis_pri_all flags the rows that round t's draw misclassifies.
+    draws = [sampler(train, classifier_rng) for _ in range(params.rounds)]
+    positive = np.ascontiguousarray((score_matrix(draws, train.X) >= 0).T)  # 0 predicts +1
+    mis_pri_all = positive != (train.y == 1)
+
     h_pub = err_pub = None
     refit_pub = bool(split.public_cols)
-    for t in range(1, params.rounds + 1):
+    for t, (h_pri, mis_pri) in enumerate(zip(draws, mis_pri_all), start=1):
         if refit_pub:
             h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
             mis_pub = h_pub.predict(train.X) != train.y
             err_pub = weighted_error(mis_pub, w_pub)
             refit_pub = False
 
-        h_pri = sampler(train, classifier_rng)
-        mis_pri = h_pri.predict(train.X) != train.y
         err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
 
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):

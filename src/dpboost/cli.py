@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .boosting import _ORACLE_MAX_N, sensitivity_oracle
+from .boosting import _ORACLE_MAX_N, _ORACLE_VALUES, sensitivity_oracle
 from .data import DataError, Dataset, config_from_dict
 from .model import LinearClassifier
 from .noise import PrivacyParams, make_rng
@@ -85,13 +85,12 @@ def _cmd_sensitivity_check(args) -> int:
     if not 2 <= args.max_n <= _ORACLE_MAX_N:
         raise DataError(f"--max-n must lie in [2, {_ORACLE_MAX_N}], got {args.max_n}")
     rng = make_rng(args.seed)
-    grid = np.linspace(-1.0, 1.0, 5)
     worst_ratio = 0.0
     ok = True
     for n in range(2, args.max_n + 1):
         for k in (1, 2):
             for c in (1.0, math.sqrt(2.0), 2.0):
-                X = rng.choice(grid, size=(n, k))
+                X = rng.choice(_ORACLE_VALUES, size=(n, k))
                 y = np.where(rng.random(n) < 0.5, 1, -1)
                 if np.all(y == y[0]):
                     y[0] = -y[0]

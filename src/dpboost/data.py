@@ -79,8 +79,11 @@ class ColumnSpec:
         if self.kind == NUMERIC and (self.min is None or self.max is None):
             raise DataError(f"column {self.name!r}: a numeric column needs a declared min and max")
         for bound in ("min", "max"):
-            if getattr(self, bound) is not None:
-                check_real(f"column {self.name!r}: {bound}", getattr(self, bound))
+            value = getattr(self, bound)
+            if value is not None:
+                check_real(f"column {self.name!r}: {bound}", value)
+                if not np.isfinite(value):
+                    raise DataError(f"column {self.name!r}: {bound} must be finite, got {value}")
         if self.min is not None and self.max is not None and not self.min < self.max:
             raise DataError(f"column {self.name!r}: range requires min < max")
 
@@ -275,9 +278,11 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
     """Expand categoricals to 0/1 one-hot columns and map labels to +/-1.
 
     Numeric columns pass through unchanged (normalization is a separate
-    step). Rows containing missing values in any schema column are dropped,
-    with the count reported through a warning. One-hot columns are created
-    for the values observed in each categorical column, in sorted order.
+    step); a token that is not a finite number, ``nan`` and ``inf`` included,
+    raises ``DataError`` naming the column and the kept-row index. Rows
+    containing missing values in any schema column are dropped, with the
+    count reported through a warning. One-hot columns are created for the
+    values observed in each categorical column, in sorted order.
     """
     col_idx = {name: raw.header.index(name) for name in schema.feature_names}
     label_idx = raw.header.index(raw.label_column)
@@ -307,6 +312,10 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
                 col = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"non-numeric token in column {spec.name!r}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(f"non-finite value {values[i]!r} in column {spec.name!r} at row {i}")
             blocks.append(col[:, None])
             manifest.append((spec.name, NUMERIC))
         else:

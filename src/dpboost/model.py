@@ -62,6 +62,27 @@ class LinearClassifier:
         return sign_labels(self.scores(X))
 
 
+def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
+    """(n, k) raw scores of the k classifiers ``clfs`` on X, column j for clfs[j].
+
+    Classifiers that read the same columns are scored together: one gather
+    and one matrix product per distinct column set.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, clf in enumerate(clfs):
+        groups.setdefault(clf.cols, []).append(j)
+    scores = np.empty((X.shape[0], len(clfs)))
+    for cols, idx in groups.items():
+        W = np.stack([clfs[j].coeffs for j in idx], axis=1)
+        block = _columns(X, cols) @ W
+        block += np.array([clfs[j].intercept for j in idx])
+        if len(idx) == len(clfs):
+            return block  # one column set: its product is the whole matrix
+        scores[:, idx] = block
+    return scores
+
+
 @dataclass(frozen=True)
 class EnsembleMember:
     alpha: float
@@ -91,23 +112,8 @@ class Ensemble:
         return len(self.members)
 
     def vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(n, T) matrix of member labels, in member order.
-
-        Members that read the same columns are scored together: one gather
-        and one matrix product per distinct column set.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t, m in enumerate(self.members):
-            groups.setdefault(m.clf.cols, []).append(t)
-        votes = np.empty((X.shape[0], len(self.members)), dtype=np.int64)
-        for cols, idx in groups.items():
-            W = np.stack([self.members[t].clf.coeffs for t in idx], axis=1)
-            b = np.array([self.members[t].clf.intercept for t in idx])
-            scores = _columns(X, cols) @ W
-            scores += b
-            votes[:, idx] = sign_labels(scores)
-        return votes
+        """(n, T) matrix of member labels, in member order."""
+        return sign_labels(score_matrix([m.clf for m in self.members], X))
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         alphas = np.array([m.alpha for m in self.members])

@@ -427,7 +427,76 @@ def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
     )
 
 
+def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
+    """The all-private booster loop with each round drawing and scoring its
+    own classifier, as a reference for the fit that draws them up front."""
+    w = np.ones(train.n)
+    members, records = [], []
+    for t in range(1, params.rounds + 1):
+        h = sampler(train, classifier_rng)
+        mis = h.predict(train.X) != train.y
+        err = noisy_private_error(mis, w, params, noise_rng)
+        alpha = 0.5 - err
+        w = clipped_update(w, alpha, mis, params.c1, params.c2)
+        members.append(EnsembleMember(alpha=alpha, clf=h, subspace="all"))
+        records.append(boosting.RoundRecord(t, "all", None, err, alpha))
+    return Ensemble(members=tuple(members)), records
+
+
+def uniform_sampler(ds, rng):
+    return random_linear_classifier(range(ds.d), rng)
+
+
+def column_subset_sampler(ds, rng):
+    """A random classifier on a random set of one to three columns, so that
+    one fit's draws read several different column sets."""
+    cols = tuple(rng.choice(ds.d, size=int(rng.integers(1, 4)), replace=False))
+    return random_linear_classifier(cols, rng)
+
+
 class TestBrcFitAllPrivate:
+    @pytest.mark.parametrize("sampler", [None, column_subset_sampler], ids=["default", "column-subsets"])
+    @pytest.mark.parametrize("epsilon", [0.5, math.inf])
+    def test_up_front_draws_match_drawing_in_each_round(self, sampler, epsilon):
+        ds, _ = planted_dataset(n=240, seed=10)
+        params = PrivacyParams(epsilon=epsilon, rounds=16, c1=SQRT2, c2=SQRT2)
+        ref_ens, ref_recs = draw_in_each_round(
+            ds, params, make_rng(40), make_rng(41), sampler or uniform_sampler
+        )
+        ens, recs = fit_all_private(ds, params, 40, 41, sampler=sampler)
+        assert recs == ref_recs
+        assert ens.to_json() == ref_ens.to_json()
+        if sampler is column_subset_sampler:
+            assert len({m.clf.cols for m in ens.members}) > 1
+
+    @pytest.mark.parametrize("public", [False, True], ids=["all-private", "split"])
+    def test_sampler_called_once_per_round_in_order(self, public):
+        ds, split = planted_dataset(n=120, seed=11)
+        if not public:
+            split = FeatureSplit.all_private(ds.d)
+        params = PrivacyParams(epsilon=0.5, rounds=9, c1=SQRT2, c2=SQRT2)
+        drawn, states = [], []
+
+        def sampler(data, rng):
+            states.append(rng.bit_generator.state)
+            drawn.append(random_linear_classifier(split.private_cols, rng))
+            return drawn[-1]
+
+        ens, recs = brc_fit(ds, split, params, classifier_rng=make_rng(50), noise_rng=make_rng(51),
+                            sampler=sampler)
+        assert len(drawn) == params.rounds
+        # call i continues the stream where call i-1 left it
+        ref = make_rng(50)
+        for state in states:
+            assert state == ref.bit_generator.state
+            random_linear_classifier(split.private_cols, ref)
+        # round t keeps the t-th draw whenever it keeps the private classifier
+        for member, rec in zip(ens.members, recs):
+            if rec.chosen != "public":
+                assert member.clf is drawn[rec.t - 1]
+        assert public == any(r.chosen == "public" for r in recs)
+
+
     def test_round_count_and_tags(self):
         ds, _ = planted_dataset(n=100)
         params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2)

@@ -103,6 +103,14 @@ class TestEncode:
         with pytest.raises(DataError, match="non-numeric token"):
             encode(load_csv(path, simple_schema()), simple_schema())
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_token(self, tmp_path, token):
+        # the row index counts kept rows: the '?' row before it is dropped
+        path = write(tmp_path, f"a,sex,label\n1,M,+\n2,?,-\n3,F,-\n{token},M,+\n")
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            with pytest.raises(DataError, match=f"non-finite value '{token}' in column 'a' at row 2"):
+                encode(load_csv(path, simple_schema()), simple_schema())
+
     def test_missing_rows_dropped_with_count(self, tmp_path):
         path = write(tmp_path, "a,sex,label\n1,M,+\n2,?,-\n,F,+\n4,F,-\n")
         raw = load_csv(path, simple_schema())
@@ -154,6 +162,22 @@ class TestNormalize:
             "label": {"name": "label", "positive": "+", "negative": "-"},
         }), name="schema.json")
         with pytest.raises(DataError, match="'a': a numeric column needs a declared min and max"):
+            Schema.from_json_file(path)
+
+    @pytest.mark.parametrize("bounds", [
+        {"min": 0.0, "max": float("inf")},
+        {"min": float("-inf"), "max": 1.0},
+        {"min": float("nan"), "max": 1.0},
+    ])
+    def test_non_finite_range_rejected(self, bounds):
+        with pytest.raises(DataError, match="'a': m(in|ax) must be finite"):
+            ColumnSpec("a", "numeric", **bounds)
+
+    def test_infinite_range_in_schema_file_rejected(self, tmp_path):
+        # json.loads reads the non-standard token Infinity as float('inf')
+        path = write(tmp_path, '{"columns": [{"name": "a", "kind": "numeric", "min": 0, "max": Infinity}], '
+                               '"label": {"name": "label", "positive": "+", "negative": "-"}}', name="schema.json")
+        with pytest.raises(DataError, match="'a': max must be finite, got inf"):
             Schema.from_json_file(path)
 
     def test_degenerate_range(self):

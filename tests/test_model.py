@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpboost import Dataset, Ensemble, EnsembleMember, LinearClassifier, accuracy, sign_labels
+import dpboost.model as model
+from dpboost import Dataset, Ensemble, EnsembleMember, LinearClassifier, accuracy, score_matrix, sign_labels
 from dpboost.noise import make_rng
 
 
@@ -127,6 +128,60 @@ class TestEnsemble:
         assert prefix.shape == (7, 30)
         assert np.array_equal(prefix[-1], e.predict(X))
         assert np.array_equal(prefix[0], sign_labels(members[0].alpha * members[0].clf.predict(X)))
+
+
+class TestScoreMatrix:
+    """``score_matrix`` against each classifier's own ``scores``.
+
+    Entries, coefficients and intercepts lie on a grid of quarters, so every
+    partial sum is exact and a matrix product agrees bit for bit with each
+    matrix-vector product, whatever summation order the BLAS picks; on
+    general floats the two may differ in the last bit.
+    """
+
+    @staticmethod
+    def grid_classifiers(rng, layout):
+        return [
+            clf(rng.integers(-4, 5, size=len(cols)) / 4, float(rng.integers(-4, 5)) / 4, cols)
+            for cols in layout
+        ]
+
+    def test_mixed_column_sets_match_each_classifier(self):
+        rng = make_rng(4)
+        layout = [(0, 1), (2, 3), (0, 1, 2, 3), (3, 2, 1, 0), (2, 3), (0, 1, 2, 3), (1,)]
+        clfs = self.grid_classifiers(rng, layout)
+        X = rng.integers(-4, 5, size=(300, 4)) / 4
+        expected = np.stack([c.scores(X) for c in clfs], axis=1)
+        assert np.array_equal(score_matrix(clfs, X), expected)
+
+    def test_full_width_in_order_reads_x_without_a_copy(self):
+        rng = make_rng(6)
+        X = rng.integers(-4, 5, size=(200, 3)) / 4
+        assert model._columns(X, (0, 1, 2)) is X
+        clfs = self.grid_classifiers(rng, [(0, 1, 2)] * 5)
+        scores = score_matrix(clfs, X)
+        assert scores.shape == (200, 5) and scores.flags.c_contiguous
+        assert np.array_equal(scores, np.stack([c.scores(X) for c in clfs], axis=1))
+
+    def test_general_floats_agree_to_rounding(self):
+        rng = make_rng(7)
+        clfs = [clf(rng.uniform(-1, 1, size=3), float(rng.uniform(-1, 1)), (1, 3, 4)) for _ in range(9)]
+        X = rng.uniform(-1, 1, size=(500, 6))
+        expected = np.stack([c.scores(X) for c in clfs], axis=1)
+        # each score sums 4 terms of magnitude <= 1 in some order: the two
+        # orders differ by at most 2 * 4 * 4 * eps/2 = 16 eps
+        np.testing.assert_allclose(score_matrix(clfs, X), expected, rtol=0, atol=16 * np.finfo(float).eps)
+
+    def test_exact_zero_score_votes_plus_one(self):
+        # 0.5 * 0.5 - 0.25 == 0 exactly; one member reads a column subset,
+        # one every column, so both the gathered and the full-width path
+        # meet the zero
+        half = clf([0.5], -0.25, (1,))
+        full = clf([0.5, 0.0], -0.25, (0, 1))
+        X = np.array([[0.5, 0.5], [-0.5, -0.5]])
+        assert score_matrix([half, full], X).tolist() == [[0.0, 0.0], [-0.5, -0.5]]
+        members = tuple(EnsembleMember(1.0, c, "all") for c in (half, full))
+        assert Ensemble(members).vote_matrix(X).tolist() == [[1, 1], [-1, -1]]
 
 
 class TestSerialization:
