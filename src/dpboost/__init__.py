@@ -14,6 +14,7 @@ from .boosting import (
     RoundRecord,
     brc_fit,
     clipped_update,
+    draw_private_classifiers,
     noisy_private_error,
     sensitivity_oracle,
     weighted_error,

@@ -11,10 +11,12 @@ linear classifier and only its error estimate is perturbed for privacy.
 * no public columns (``FeatureSplit.all_private``): every feature is private
   and each round only takes a random classifier and uses its noisy error.
 
-All rounds' random private classifiers are drawn before round 1, in round
-order, and scored in one matrix product. This reads nothing new: a draw
-ignores the weights and ``classifier_rng`` feeds only the draws, so every
-round gets the classifier it would have drawn itself.
+All rounds' random private classifiers are drawn by
+``draw_private_classifiers`` before any weight exists, in round order, and
+scored in one matrix product. This reads nothing new: a draw ignores the
+weights and ``classifier_rng`` feeds only the draws, so every round gets the
+classifier it would have drawn itself, and fits that differ only in epsilon
+can share one set of draws.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -30,7 +32,7 @@ import numpy as np
 
 from .baselines import fit_logreg_weighted
 from .data import Dataset, FeatureSplit
-from .model import Ensemble, EnsembleMember, score_matrix
+from .model import Ensemble, EnsembleMember, LinearClassifier, score_matrix
 from .noise import PrivacyParams, laplace, random_linear_classifier
 
 
@@ -91,14 +93,49 @@ def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: 
     return np.where(ok, candidate, w)
 
 
+def _check_split(train: Dataset, split: FeatureSplit) -> None:
+    split.validate_for(train.d)
+    if len(split.private_cols) == 0:
+        raise ValueError("brc_fit requires a non-empty private column set")
+
+
+def draw_private_classifiers(
+    train: Dataset,
+    split: FeatureSplit,
+    rounds: int,
+    classifier_rng: np.random.Generator,
+    sampler=None,
+) -> tuple[list[LinearClassifier], np.ndarray]:
+    """The ``rounds`` random private classifiers of a fit and the training rows
+    each misclassifies: ``(draws, mis)``, where row t-1 of the (rounds, n)
+    matrix ``mis`` flags the rows that round t's draw gets wrong.
+
+    ``classifier_rng`` feeds only the draws. ``sampler(ds, rng) ->
+    LinearClassifier`` replaces the default uniform random linear classifier
+    on the private columns and is called ``rounds`` times, in round order; it
+    must ignore the observation weights (none exist yet), since the only
+    privacy cost accounted for is the noisy error estimate.
+    """
+    _check_split(train, split)
+    if sampler is None:
+
+        def sampler(ds, rng):
+            return random_linear_classifier(split.private_cols, rng)
+
+    draws = [sampler(train, classifier_rng) for _ in range(rounds)]
+    positive = np.ascontiguousarray((score_matrix(draws, train.X) >= 0).T)  # 0 predicts +1
+    mis = positive != (train.y == 1)
+    mis.setflags(write=False)  # shared by every fit that takes these draws
+    return draws, mis
+
+
 def brc_fit(
     train: Dataset,
     split: FeatureSplit,
     params: PrivacyParams,
     *,
-    classifier_rng: np.random.Generator,
+    draws: tuple[list[LinearClassifier], np.ndarray],
     noise_rng: np.random.Generator,
-    sampler=None,
 ) -> tuple[Ensemble, list[RoundRecord]]:
     """Boost for ``params.rounds`` rounds over a public/private feature split.
 
@@ -107,35 +144,33 @@ def brc_fit(
     a private round the weights have not moved, so the previous fit, its
     misclassified rows and its error are reused, exactly what the
     deterministic solver would return again, (b) take the round's random
-    classifier on the private columns, drawn with all the others before
-    round 1 and scored with them in one product (a draw ignores the
-    weights and ``classifier_rng`` feeds only the draws, so each round gets
-    the classifier it would have drawn itself), (c) compute the exact
-    public error and the noisy private error, (d) keep the classifier whose
-    error is farther from 0.5 (ties go private), (e) set alpha = 0.5 - err
-    of the chosen classifier, and (f) update only the chosen side's
-    weights; public updates are unclipped, private updates are clipped to
-    [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed (one per
-    round, from ``noise_rng``), for a total privacy cost of epsilon.
+    classifier on the private columns and its misclassified rows from
+    ``draws``, the result of ``draw_private_classifiers`` on the same
+    ``train`` and ``split``, (c) compute the exact public error and the
+    noisy private error, (d) keep the classifier whose error is farther
+    from 0.5 (ties go private), (e) set alpha = 0.5 - err of the chosen
+    classifier, and (f) update only the chosen side's weights; public
+    updates are unclipped, private updates are clipped to [1/c1, c2].
+    Exactly ``rounds`` Laplace draws are consumed (one per round, from
+    ``noise_rng``), for a total privacy cost of epsilon.
 
-    ``classifier_rng`` drives the random private classifiers, ``noise_rng``
-    the Laplace noise; keeping the streams separate means adding consumers
-    to one never perturbs the other. If ``split.public_cols`` is empty the
-    public branch is skipped and every round is private, tagged "all".
-
-    ``sampler(ds, rng) -> LinearClassifier`` replaces the default uniform
-    random linear classifier on the private columns and is called
-    ``rounds`` times, in round order, before round 1; it must ignore the
-    observation weights, since the only privacy cost accounted for is the
-    noisy error estimate.
+    The draws read no weights and no noise, so fits that differ only in
+    ``params`` may share them. ``noise_rng`` is the fit's own and feeds only
+    the Laplace noise; keeping it apart from the draws' stream means adding
+    consumers to one never perturbs the other. If
+    ``split.public_cols`` is empty the public branch is skipped and every
+    round is private, tagged "all". Raises ``ValueError`` when ``draws``
+    does not hold ``params.rounds`` classifiers and a (rounds, train.n)
+    matrix.
     """
-    split.validate_for(train.d)
-    if len(split.private_cols) == 0:
-        raise ValueError("brc_fit requires a non-empty private column set")
-    if sampler is None:
-
-        def sampler(ds, rng):
-            return random_linear_classifier(split.private_cols, rng)
+    _check_split(train, split)
+    classifiers, mis_pri_all = draws
+    expected = (params.rounds, train.n)
+    if len(classifiers) != params.rounds or np.shape(mis_pri_all) != expected:
+        raise ValueError(
+            f"draws hold {len(classifiers)} classifiers and a {np.shape(mis_pri_all)} matrix; "
+            f"this fit needs {params.rounds} and {expected}"
+        )
 
     private_tag = "private" if split.public_cols else "all"
     n = train.n
@@ -144,14 +179,9 @@ def brc_fit(
     members: list[EnsembleMember] = []
     records: list[RoundRecord] = []
 
-    # Row t-1 of mis_pri_all flags the rows that round t's draw misclassifies.
-    draws = [sampler(train, classifier_rng) for _ in range(params.rounds)]
-    positive = np.ascontiguousarray((score_matrix(draws, train.X) >= 0).T)  # 0 predicts +1
-    mis_pri_all = positive != (train.y == 1)
-
     h_pub = err_pub = None
     refit_pub = bool(split.public_cols)
-    for t, (h_pri, mis_pri) in enumerate(zip(draws, mis_pri_all), start=1):
+    for t, (h_pri, mis_pri) in enumerate(zip(classifiers, mis_pri_all), start=1):
         if refit_pub:
             h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
             mis_pub = h_pub.predict(train.X) != train.y

@@ -349,33 +349,44 @@ def normalize(ds: Dataset, schema: Schema) -> Dataset:
     return Dataset(X=X, y=ds.y, columns=ds.columns)
 
 
-def balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
-    """Equalize label counts by subsampling the majority class.
+def balance_indices(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Row indices that equalize label counts by subsampling the majority class.
 
-    Returns 2*min(n+, n-) rows: the minority class in full, the majority
+    Returns 2*min(n+, n-) indices: the minority class in full, the majority
     class subsampled uniformly without replacement, in shuffled order.
     """
-    pos = np.flatnonzero(ds.y == 1)
-    neg = np.flatnonzero(ds.y == -1)
+    pos = np.flatnonzero(y == 1)
+    neg = np.flatnonzero(y == -1)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("balance requires both labels to be present")
     m = min(len(pos), len(neg))
     pos = rng.permutation(pos)[:m]
     neg = rng.permutation(neg)[:m]
-    idx = rng.permutation(np.concatenate([pos, neg]))
-    return ds.take(idx)
+    return rng.permutation(np.concatenate([pos, neg]))
+
+
+def split_indices(n: int, test_frac: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices of a disjoint uniform-random partition of n
+    rows with |test| = round(test_frac * n)."""
+    if not 0.0 < test_frac < 1.0:
+        raise DataError(f"test_frac must lie strictly between 0 and 1, got {test_frac}")
+    n_test = int(round(test_frac * n))
+    if n_test < 1:
+        raise DataError(f"test_frac={test_frac} of {n} rows would leave an empty test set")
+    if n - n_test < 1:
+        raise DataError("split would leave an empty training set")
+    perm = rng.permutation(n)
+    return perm[n_test:], perm[:n_test]
+
+
+def balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
+    """The rows ``balance_indices`` picks, in its order."""
+    return ds.take(balance_indices(ds.y, rng))
 
 
 def split(
     ds: Dataset, test_frac: float, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
-    """Disjoint uniform-random partition with |test| = round(test_frac * n)."""
-    if not 0.0 < test_frac < 1.0:
-        raise DataError(f"test_frac must lie strictly between 0 and 1, got {test_frac}")
-    n_test = int(round(test_frac * ds.n))
-    if n_test < 1:
-        raise DataError(f"test_frac={test_frac} of {ds.n} rows would leave an empty test set")
-    if ds.n - n_test < 1:
-        raise DataError("split would leave an empty training set")
-    perm = rng.permutation(ds.n)
-    return ds.take(perm[n_test:]), ds.take(perm[:n_test])
+    """(train, test): the partition ``split_indices`` draws."""
+    train, test = split_indices(ds.n, test_frac, rng)
+    return ds.take(train), ds.take(test)

@@ -1,13 +1,17 @@
 """Experiment orchestration: config-driven sweeps over epsilon with repeated
 runs, aggregation, and CSV/SVG emission.
 
-Each (epsilon, repeat) cell is an independent task: it re-balances and
-re-splits the data with the repeat's shuffle stream, fits the configured
-algorithm once, and scores it on the test rows. A boosting cell scores every
-partial ensemble H_1..H_T, so each of its round records carries that round's
-test accuracy (the convergence trace) and the last one is the cell's. Cells
-are merged in deterministic (epsilon, repeat) order regardless of execution
-order, so a fixed (config, seed) pair always yields byte-identical CSV output.
+A sweep's task is one repeat, not one (epsilon, repeat) cell: every input of
+a cell except its Laplace draws depends on the repeat alone. So a task
+balances and splits the data once with the repeat's shuffle stream, does the
+work its epsilons share once (the private classifier draws of a boosting
+fit, the whole fit of an algorithm that ignores epsilon), then fits and
+scores each epsilon's cell. Each record is the one its cell would give if
+run alone. A boosting cell scores every partial ensemble H_1..H_T, so each
+of its round records carries that round's test accuracy (the convergence
+trace) and the last one is the cell's. Records are merged in deterministic
+(epsilon, repeat) order regardless of execution order, so a fixed (config,
+seed) pair always yields byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -25,19 +29,19 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate
-from .boosting import RoundRecord, brc_fit
+from .boosting import RoundRecord, brc_fit, draw_private_classifiers
 from .data import (
     DataError,
     Dataset,
     FeatureSplit,
     Schema,
-    balance,
+    balance_indices,
     check_int,
     config_from_dict,
     encode,
     load_csv,
     normalize,
-    split,
+    split_indices,
 )
 from .model import accuracy
 from .noise import PrivacyParams, Purpose, rng_for, stream_id
@@ -98,7 +102,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One (epsilon, repeat) cell, with enough seed/stream data to replay it."""
+    """One (epsilon, repeat) cell, with enough seed/stream data to replay it.
+
+    ``wall_time`` is the wall time of the cell's repeat task divided equally
+    among that task's cells, one per epsilon: the task shares its data
+    preparation and draws between them, so no cell has a time of its own.
+    """
 
     algorithm: str
     epsilon: float
@@ -132,74 +141,110 @@ def _streams(repeat: int) -> dict:
     return {p.name.lower(): stream_id(repeat, p) for p in Purpose}
 
 
-def _prepare_cell_data(full: Dataset, cfg: ExperimentConfig, repeat: int):
+def _prepare(full: Dataset, cfg: ExperimentConfig, repeat: int):
+    """The repeat's (train, test, feature split): the balanced rows and the
+    split drawn from the SHUFFLE stream, each side taken from ``full`` in
+    one gather."""
     shuffle_rng = rng_for(cfg.seed, repeat, Purpose.SHUFFLE)
-    balanced = balance(full, shuffle_rng)
-    return split(balanced, cfg.test_frac, shuffle_rng)
-
-
-def _fit_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int):
-    """Fit one cell; returns (model, round records or None, test)."""
-    train, test = _prepare_cell_data(full, cfg, repeat)
+    rows = balance_indices(full.y, shuffle_rng)
+    train_rows, test_rows = split_indices(len(rows), cfg.test_frac, shuffle_rng)
+    train, test = full.take(rows[train_rows]), full.take(rows[test_rows])
     if cfg.algorithm == "brc-all-private":
         fsplit = FeatureSplit.all_private(train.d)
     else:
         fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
-    rounds = None
+    return train, test, fsplit
+
+
+def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Dataset, fsplit: FeatureSplit):
+    """Do the work the repeat's epsilons share, then return ``fit(eps) ->
+    (model, round records or None)`` for one cell."""
     if cfg.algorithm in ("brc", "brc-all-private"):
-        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
-        model, rounds = brc_fit(
-            train,
-            fsplit,
-            params,
-            classifier_rng=rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER),
-            noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),
-        )
-    elif cfg.algorithm == "logreg":
-        model = fit_logreg_weighted(train, range(train.d))
-    elif cfg.algorithm == "public-only":
-        if not fsplit.public_cols:
+        classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
+        draws = draw_private_classifiers(train, fsplit, cfg.rounds, classifier_rng)
+
+        def fit(eps):
+            params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
+            noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
+            return brc_fit(train, fsplit, params, draws=draws, noise_rng=noise_rng)
+
+        return fit
+    if cfg.algorithm in ("logreg", "public-only"):
+        if cfg.algorithm == "logreg":
+            cols = range(train.d)
+        elif not fsplit.public_cols:
             raise DataError("public-only baseline needs at least one public column")
-        model = fit_logreg_weighted(train, fsplit.public_cols)
-    elif cfg.algorithm == "dp-logreg":
-        model = fit_dp_logreg(train, eps, rng=rng_for(cfg.seed, repeat, Purpose.BASELINE))
-    elif cfg.algorithm == "pate":
-        model = fit_pate(
-            train,
-            fsplit,
-            eps,
-            rng_for(cfg.seed, repeat, Purpose.BASELINE),
-            k_teachers=cfg.pate_teachers,
-            # evaluation queries each test row once, a fresh noise event each
-            extra_query_budget=test.n,
-        )
-    else:  # pragma: no cover - guarded by config validation
-        raise DataError(f"unknown algorithm {cfg.algorithm!r}")
-    return model, rounds, test
+        else:
+            cols = fsplit.public_cols
+        model = fit_logreg_weighted(train, cols)  # no noise: one fit serves every epsilon
+        return lambda eps: (model, None)
+    if cfg.algorithm == "dp-logreg":
+
+        def fit(eps):
+            return fit_dp_logreg(train, eps, rng=rng_for(cfg.seed, repeat, Purpose.BASELINE)), None
+
+        return fit
+    if cfg.algorithm == "pate":
+
+        def fit(eps):
+            model = fit_pate(
+                train,
+                fsplit,
+                eps,
+                rng_for(cfg.seed, repeat, Purpose.BASELINE),
+                k_teachers=cfg.pate_teachers,
+                # evaluation queries each test row once, a fresh noise event each
+                extra_query_budget=test.n,
+            )
+            return model, None
+
+        return fit
+    raise DataError(f"unknown algorithm {cfg.algorithm!r}")  # pragma: no cover - guarded by config validation
 
 
-def _run_cell(full: Dataset, cfg: ExperimentConfig, eps: float, repeat: int) -> ResultRecord:
+def _error(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _cell_outcome(fit, eps: float, test: Dataset) -> dict:
+    """Fit and score one cell; its record's outcome fields."""
+    try:
+        model, rounds = fit(eps)
+        if rounds is None:
+            return {"test_accuracy": accuracy(model, test)}
+        # one scoring of the test rows gives every prefix H_1..H_T
+        accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
+        rounds = tuple(replace(r, test_accuracy=float(a)) for r, a in zip(rounds, accs))
+        return {"test_accuracy": rounds[-1].test_accuracy, "rounds": rounds}
+    except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
+        return _error(exc)
+
+
+def _run_repeat(full: Dataset, cfg: ExperimentConfig, repeat: int) -> list[ResultRecord]:
+    """One sweep task: the records of every epsilon's cell of ``repeat``, in
+    epsilon order. A failing preparation fails all of them with its error;
+    a failing fit fails its own cell only."""
     start = time.perf_counter()
     try:
-        model, rounds, test = _fit_cell(full, cfg, eps, repeat)
-        if rounds is None:
-            outcome = {"test_accuracy": accuracy(model, test)}
-        else:
-            # one scoring of the test rows gives every prefix H_1..H_T
-            accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
-            rounds = tuple(replace(r, test_accuracy=float(a)) for r, a in zip(rounds, accs))
-            outcome = {"test_accuracy": rounds[-1].test_accuracy, "rounds": rounds}
-    except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
-        outcome = {"error": f"{type(exc).__name__}: {exc}"}
-    return ResultRecord(
-        algorithm=cfg.algorithm,
-        epsilon=eps,
-        repeat=repeat,
-        seed=cfg.seed,
-        streams=_streams(repeat),
-        wall_time=time.perf_counter() - start,
-        **outcome,
-    )
+        train, test, fsplit = _prepare(full, cfg, repeat)
+        fit = _cell_fitter(cfg, repeat, train, test, fsplit)
+    except Exception as exc:  # noqa: BLE001 - a bad repeat must not kill the sweep
+        outcomes = [_error(exc)] * len(cfg.epsilons)
+    else:
+        outcomes = [_cell_outcome(fit, eps, test) for eps in cfg.epsilons]
+    wall_time = (time.perf_counter() - start) / len(cfg.epsilons)
+    return [
+        ResultRecord(
+            algorithm=cfg.algorithm,
+            epsilon=eps,
+            repeat=repeat,
+            seed=cfg.seed,
+            streams=_streams(repeat),
+            wall_time=wall_time,
+            **outcome,
+        )
+        for eps, outcome in zip(cfg.epsilons, outcomes)
+    ]
 
 
 _worker_full: Dataset | None = None  # the sweep's dataset, set once per pool worker
@@ -223,7 +268,7 @@ def _set_blas_threads(threads: int) -> None:
 
 
 def _init_worker(full: Dataset, blas_threads: int) -> None:
-    """Pool initializer: keep the dataset for every cell this worker runs, and
+    """Pool initializer: keep the dataset for every repeat this worker runs, and
     split the cores' BLAS threads between the workers so they do not
     oversubscribe them."""
     global _worker_full
@@ -231,8 +276,8 @@ def _init_worker(full: Dataset, blas_threads: int) -> None:
     _set_blas_threads(blas_threads)
 
 
-def _worker(cell) -> ResultRecord:
-    return _run_cell(_worker_full, *cell)
+def _worker(task) -> list[ResultRecord]:
+    return _run_repeat(_worker_full, *task)
 
 
 def _usable_cores() -> int:
@@ -247,24 +292,27 @@ def effective_workers(cfg: ExperimentConfig) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig, full: Dataset | None = None) -> list[ResultRecord]:
-    """Run every (epsilon, repeat) cell and return records in deterministic
-    (epsilon index, repeat) order. A failing cell yields an error record and
-    the sweep continues.
+    """Run every (epsilon, repeat) cell, one task per repeat, and return
+    records in deterministic (epsilon index, repeat) order. A failing cell
+    yields an error record and the sweep continues.
     """
     if full is None:
         full, _ = load_prepared_dataset(cfg)
-    cells = [(cfg, eps, r) for eps in cfg.epsilons for r in range(cfg.repeats)]
-    workers = min(effective_workers(cfg), len(cells))
+    tasks = [(cfg, r) for r in range(cfg.repeats)]
+    workers = min(effective_workers(cfg), len(tasks))
     if workers == 1:
-        return [_run_cell(full, *cell) for cell in cells]
-    # Keep the default start method: on Linux it forks, and forked workers
-    # inherit the parent's module state, which the benchmark's tracing
-    # wrappers rely on. Executor.map yields results in input order.
-    blas_threads = max(1, _usable_cores() // workers)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
-    ) as pool:
-        return list(pool.map(_worker, cells))
+        by_repeat = [_run_repeat(full, *task) for task in tasks]
+    else:
+        # Keep the default start method: on Linux it forks, and forked workers
+        # inherit the parent's module state, which the benchmark's tracing
+        # wrappers rely on. Executor.map yields results in input order.
+        blas_threads = max(1, _usable_cores() // workers)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
+        ) as pool:
+            by_repeat = list(pool.map(_worker, tasks))
+    # each task gives its repeat's records in epsilon order
+    return [rec for records in zip(*by_repeat) for rec in records]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ global convention makes label flips exact inverses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +54,7 @@ class LinearClassifier:
         object.__setattr__(self, "cols", cols)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return _columns(X, self.cols) @ self.coeffs + self.intercept
+        return score_matrix([self], X)[:, 0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return sign_labels(self.scores(X))
@@ -66,7 +64,11 @@ def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
     """(n, k) raw scores of the k classifiers ``clfs`` on X, column j for clfs[j].
 
     Classifiers that read the same columns are scored together: one gather
-    and one matrix product per distinct column set.
+    and one matrix product per distinct column set. A lone classifier's
+    coefficients go in twice, because the BLAS computes a one-column product
+    as a matrix-vector product, which rounds differently from a column of a
+    matrix product; so a classifier's scores are the same bits whether it
+    is scored alone or with others.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -75,7 +77,9 @@ def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
     scores = np.empty((X.shape[0], len(clfs)))
     for cols, idx in groups.items():
         W = np.stack([clfs[j].coeffs for j in idx], axis=1)
-        block = _columns(X, cols) @ W
+        if len(idx) == 1:
+            W = np.repeat(W, 2, axis=1)
+        block = (_columns(X, cols) @ W)[:, : len(idx)]
         block += np.array([clfs[j].intercept for j in idx])
         if len(idx) == len(clfs):
             return block  # one column set: its product is the whole matrix
@@ -127,39 +131,6 @@ class Ensemble:
         alphas = np.array([m.alpha for m in self.members])
         cum = np.cumsum(self.vote_matrix(X) * alphas, axis=1)
         return sign_labels(cum.T)
-
-    def to_json(self) -> str:
-        payload = {
-            "members": [
-                {
-                    "alpha": m.alpha,
-                    "cols": list(m.clf.cols),
-                    "coeffs": [float(c) for c in m.clf.coeffs],
-                    "intercept": m.clf.intercept,
-                    "subspace": m.subspace,
-                }
-                for m in self.members
-            ]
-        }
-        # json round-trips Python floats through repr, which is exact.
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Ensemble":
-        payload = json.loads(text)
-        members = tuple(
-            EnsembleMember(
-                alpha=float(m["alpha"]),
-                clf=LinearClassifier(
-                    coeffs=np.array(m["coeffs"], dtype=np.float64),
-                    intercept=float(m["intercept"]),
-                    cols=tuple(m["cols"]),
-                ),
-                subspace=m["subspace"],
-            )
-            for m in payload["members"]
-        )
-        return cls(members=members)
 
 
 def accuracy(predictor, ds: Dataset) -> float:

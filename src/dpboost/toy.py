@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .boosting import brc_fit
+from .boosting import brc_fit, draw_private_classifiers
 from .data import Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, rng_for
@@ -168,35 +168,39 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     per-round (threshold, alpha) trace.
 
     Repeats are paired across epsilon values: repeat r always uses the
-    streams (seed, r, purpose), so cells differ only in the noise scale.
+    streams (seed, r, purpose), so cells differ only in the noise scale. A
+    repeat's thresholds are drawn once and shared by its epsilons' fits,
+    each with its own Laplace stream; the runs come out in (epsilon,
+    repeat) order.
     """
+    all_params = [PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2) for eps in eps_list]
     ds = generate_toy(cfg.n)
-    runs = []
-    for eps in eps_list:
-        params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
-        for repeat in range(cfg.repeats):
-            thresholds: list[int] = []
+    split = FeatureSplit.all_private(ds.d)
+    by_repeat = []
+    for repeat in range(cfg.repeats):
+        thresholds: list[int] = []
 
-            def sampler(data, rng):
-                thr = flip_and_fit_threshold(data, cfg.flip_prob, rng)
-                thresholds.append(thr.index)
-                return thr.as_linear()
+        def sampler(data, rng):
+            thr = flip_and_fit_threshold(data, cfg.flip_prob, rng)
+            thresholds.append(thr.index)
+            return thr.as_linear()
 
+        draws = draw_private_classifiers(
+            ds, split, cfg.rounds, rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER), sampler
+        )
+        runs = []
+        for params in all_params:
             ensemble, _ = brc_fit(
-                ds,
-                FeatureSplit.all_private(ds.d),
-                params,
-                classifier_rng=rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER),
-                noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE),
-                sampler=sampler,
+                ds, split, params, draws=draws, noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE)
             )
             runs.append(
                 ToyRun(
-                    epsilon=eps,
+                    epsilon=params.epsilon,
                     repeat=repeat,
                     accuracy=accuracy(ensemble, ds),
                     thresholds=tuple(thresholds),
                     alphas=tuple(m.alpha for m in ensemble.members),
                 )
             )
-    return ToyReport(config=cfg, runs=tuple(runs))
+        by_repeat.append(runs)
+    return ToyReport(config=cfg, runs=tuple(run for column in zip(*by_repeat) for run in column))

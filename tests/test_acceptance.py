@@ -25,7 +25,6 @@ from dpboost import (
     PrivacyParams,
     ToyConfig,
     aggregate,
-    brc_fit,
     flip_and_fit_threshold,
     generate_toy,
     laplace,
@@ -38,7 +37,7 @@ from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
 from dpboost.cli import main as cli_main
 from dpboost.harness import load_prepared_dataset
 
-from conftest import planted_dataset, write_synthetic_csv
+from conftest import fit_with_draws, planted_dataset, write_synthetic_csv
 
 REPO = Path(__file__).resolve().parents[1]
 ADULT_CSV = REPO / "data" / "adult.csv"
@@ -419,7 +418,7 @@ def test_criterion_07b_noise_free_trace_matches_reference_adaboost():
     train = full.take(np.arange(200))
     test = full.take(np.arange(200, 260))
     params = PrivacyParams(epsilon=math.inf, rounds=30, c1=SQRT2, c2=SQRT2)
-    ens, _ = brc_fit(
+    ens, _ = fit_with_draws(
         train,
         FeatureSplit.all_private(train.d),
         params,
@@ -511,7 +510,7 @@ def test_criterion_10_privacy_accounting_audit(monkeypatch):
 
     monkeypatch.setattr(boosting, "laplace", counting)
     noise_rng = make_rng(31)
-    brc_fit(ds, split, params, classifier_rng=make_rng(30), noise_rng=noise_rng)
+    fit_with_draws(ds, split, params, classifier_rng=make_rng(30), noise_rng=noise_rng)
     ref = make_rng(31)
     for _ in range(params.rounds):
         real(params.laplace_scale(ds.n), ref)

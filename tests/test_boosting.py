@@ -12,6 +12,7 @@ from dpboost import (
     PrivacyParams,
     accuracy,
     brc_fit,
+    draw_private_classifiers,
     clipped_update,
     generate_toy,
     make_rng,
@@ -24,7 +25,7 @@ from dpboost.baselines import fit_logreg_weighted
 from dpboost.model import Ensemble, EnsembleMember
 from dpboost.noise import Purpose, rng_for
 
-from conftest import planted_dataset
+from conftest import fit_with_draws, planted_dataset
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,6 +38,14 @@ def tiny_dataset(y, d=1):
 
 def misclassified(clf, ds):
     return clf.predict(ds.X) != ds.y
+
+
+def assert_same_ensemble(a, b):
+    """Exactly the same members: alphas, columns, coefficients, intercepts, subspaces."""
+    assert len(a) == len(b)
+    for m, r in zip(a.members, b.members):
+        assert (m.alpha, m.subspace, m.clf.cols, m.clf.intercept) == (r.alpha, r.subspace, r.clf.cols, r.clf.intercept)
+        assert np.array_equal(m.clf.coeffs, r.clf.coeffs)
 
 
 class TestWeightedError:
@@ -218,7 +227,7 @@ class TestBrcFit:
     def test_round_count_and_subspaces(self):
         ds, split = planted_dataset(n=200)
         params = PrivacyParams(epsilon=1.0, rounds=8, c1=SQRT2, c2=SQRT2)
-        ens, recs = brc_fit(
+        ens, recs = fit_with_draws(
             ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
         )
         assert len(ens) == len(recs) == 8
@@ -228,7 +237,7 @@ class TestBrcFit:
     def test_replay_invariants(self):
         ds, split = planted_dataset(n=300, seed=4)
         params = PrivacyParams(epsilon=0.8, rounds=12, c1=SQRT2, c2=2.0)
-        ens, recs = brc_fit(
+        ens, recs = fit_with_draws(
             ds, split, params, classifier_rng=make_rng(5), noise_rng=make_rng(6)
         )
         replay_split_fit(ds, split, params, ens, recs)
@@ -237,7 +246,7 @@ class TestBrcFit:
     def test_noise_free_reduction_records_exact_private_error(self):
         ds, split = planted_dataset(n=150, seed=9)
         params = PrivacyParams(epsilon=math.inf, rounds=10, c1=2.0, c2=2.0)
-        ens, recs = brc_fit(
+        ens, recs = fit_with_draws(
             ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2)
         )
         # replay private weights and recompute each round's exact private error
@@ -256,7 +265,7 @@ class TestBrcFit:
         # and vice versa; checked through the replayed trajectories.
         ds, split = planted_dataset(n=200, seed=2)
         params = PrivacyParams(epsilon=2.0, rounds=15, c1=SQRT2, c2=SQRT2)
-        ens, recs = brc_fit(
+        ens, recs = fit_with_draws(
             ds, split, params, classifier_rng=make_rng(3), noise_rng=make_rng(4)
         )
         w_pub = np.ones(ds.n)
@@ -286,7 +295,7 @@ class TestBrcFit:
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", perfect)
         params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0)
-        ens, recs = brc_fit(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
+        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
         assert len(ens) == 1
         assert ens.members[0].subspace == "public"
         assert ens.members[0].alpha == 0.5
@@ -304,7 +313,7 @@ class TestBrcFit:
         )
         split = FeatureSplit(public_cols=(0,), private_cols=(1,))
         params = PrivacyParams(epsilon=100.0, rounds=50, c1=2.0, c2=2.0)
-        ens, _ = brc_fit(
+        ens, _ = fit_with_draws(
             ds, split, params,
             classifier_rng=rng_for(0, 0, Purpose.PRIVATE_CLASSIFIER),
             noise_rng=rng_for(0, 0, Purpose.LAPLACE),
@@ -316,19 +325,55 @@ class TestBrcFit:
         split = FeatureSplit(public_cols=tuple(range(ds.d)), private_cols=())
         params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2)
         with pytest.raises(ValueError, match="private column set"):
-            brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
+            draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+        draws = draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), params.rounds, make_rng(0))
+        with pytest.raises(ValueError, match="private column set"):
+            brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(1))
+
+    def test_rejects_draws_of_the_wrong_length_or_shape(self):
+        ds, split = planted_dataset(n=60)
+        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
+        classifiers, mis = draw_private_classifiers(ds, split, 4, make_rng(0))
+        other_rows, _ = planted_dataset(n=40)
+        _, mis_other_rows = draw_private_classifiers(other_rows, split, 4, make_rng(0))
+        bad = {
+            "too few": draw_private_classifiers(ds, split, 3, make_rng(0)),
+            "too many": draw_private_classifiers(ds, split, 5, make_rng(0)),
+            "other rows": (classifiers, mis_other_rows),
+            "transposed": (classifiers, mis.T),
+            "short matrix": (classifiers, mis[:3]),
+        }
+        for name, draws in bad.items():
+            with pytest.raises(ValueError, match="this fit needs 4 and \\(4, 60\\)"):
+                brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(1))
+
+    @pytest.mark.parametrize("all_private", [False, True], ids=["split", "all-private"])
+    def test_shared_draws_give_each_fit_its_own_result(self, all_private):
+        # fits that differ only in epsilon share one set of draws; each comes
+        # out as it would on draws of its own, so a fit leaves them unchanged
+        ds, split = planted_dataset(n=200, seed=13)
+        if all_private:
+            split = FeatureSplit.all_private(ds.d)
+        draws = draw_private_classifiers(ds, split, 10, make_rng(60))
+        for epsilon in (0.1, 2.0, math.inf, 0.1):
+            params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
+            ens, recs = brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(61))
+            ref_ens, ref_recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(60), noise_rng=make_rng(61))
+            assert recs == ref_recs
+            assert_same_ensemble(ens, ref_ens)
+        assert not draws[1].flags.writeable
 
     def test_deterministic_serialization(self):
         ds, split = planted_dataset(n=120, seed=3)
         params = PrivacyParams(epsilon=0.3, rounds=6, c1=SQRT2, c2=SQRT2)
 
         def run():
-            ens, _ = brc_fit(
+            ens, _ = fit_with_draws(
                 ds, split, params, classifier_rng=make_rng(8), noise_rng=make_rng(9)
             )
-            return ens.to_json()
+            return ens
 
-        assert run() == run()
+        assert_same_ensemble(run(), run())
 
     def test_exactly_t_laplace_draws_at_stated_scale(self, monkeypatch):
         ds, split = planted_dataset(n=100, seed=1)
@@ -341,7 +386,7 @@ class TestBrcFit:
             return real(scale, rng, size)
 
         monkeypatch.setattr(boosting, "laplace", counting)
-        brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
+        fit_with_draws(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
         assert len(calls) == params.rounds
         assert all(s == params.laplace_scale(ds.n) for s in calls)
 
@@ -359,7 +404,7 @@ class TestBrcFit:
                 return _real(*args)
 
             monkeypatch.setattr(boosting, name, counting)
-        _, recs = brc_fit(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
+        _, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
         private_rounds = sum(r.chosen == "private" for r in recs)
         # the public learner is fitted in round 1 and after each public round
         fits = 1 + sum(r.chosen == "public" for r in recs[:-1])
@@ -383,11 +428,11 @@ class TestBrcFit:
             return real(*args)
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
-        ens, recs = brc_fit(
+        ens, recs = fit_with_draws(
             ds, split, params, classifier_rng=make_rng(30), noise_rng=make_rng(31)
         )
         assert recs == ref_recs
-        assert ens.to_json() == ref_ens.to_json()
+        assert_same_ensemble(ens, ref_ens)
         public_rounds = sum(r.chosen == "public" for r in recs[:-1])
         assert 0 < public_rounds < params.rounds - 1
         assert len(fits) == 1 + public_rounds
@@ -404,7 +449,7 @@ class TestBrcFit:
         k = len(split.private_cols)
         params = PrivacyParams(epsilon=0.4, rounds=9, c1=SQRT2, c2=SQRT2)
         clf_rng, noise_rng = make_rng(20), make_rng(21)
-        brc_fit(ds, split, params, classifier_rng=clf_rng, noise_rng=noise_rng)
+        fit_with_draws(ds, split, params, classifier_rng=clf_rng, noise_rng=noise_rng)
 
         ref_noise = make_rng(21)
         for _ in range(params.rounds):
@@ -417,7 +462,7 @@ class TestBrcFit:
 
 
 def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
-    return brc_fit(
+    return fit_with_draws(
         ds,
         FeatureSplit.all_private(ds.d),
         params,
@@ -465,7 +510,7 @@ class TestBrcFitAllPrivate:
         )
         ens, recs = fit_all_private(ds, params, 40, 41, sampler=sampler)
         assert recs == ref_recs
-        assert ens.to_json() == ref_ens.to_json()
+        assert_same_ensemble(ens, ref_ens)
         if sampler is column_subset_sampler:
             assert len({m.clf.cols for m in ens.members}) > 1
 
@@ -482,7 +527,7 @@ class TestBrcFitAllPrivate:
             drawn.append(random_linear_classifier(split.private_cols, rng))
             return drawn[-1]
 
-        ens, recs = brc_fit(ds, split, params, classifier_rng=make_rng(50), noise_rng=make_rng(51),
+        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(50), noise_rng=make_rng(51),
                             sampler=sampler)
         assert len(drawn) == params.rounds
         # call i continues the stream where call i-1 left it

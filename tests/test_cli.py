@@ -91,9 +91,9 @@ class TestRunCommand:
         self, tmp_path, capsys, monkeypatch, output_dir
     ):
         def no_cell(*args):
-            raise AssertionError("a cell ran")
+            raise AssertionError("a repeat ran")
 
-        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        monkeypatch.setattr(harness, "_run_repeat", no_cell)
         csv_path, schema_path = write_synthetic_csv(str(tmp_path))
         cfg_path, _ = write_run_config(tmp_path, csv_path, schema_path, output_dir=output_dir)
         assert main(["run", "--config", str(cfg_path)]) == 1

@@ -53,6 +53,17 @@ def config(synth_csv, tmp_path, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def fit_cell(full, cfg, eps, repeat):
+    """Fit one cell by itself, as its repeat's task does: (model, round records, test)."""
+    train, test, fsplit = harness._prepare(full, cfg, repeat)
+    model, rounds = harness._cell_fitter(cfg, repeat, train, test, fsplit)(eps)
+    return model, rounds, test
+
+
+def without_wall_time(records):
+    return [dataclasses.replace(r, wall_time=None) for r in records]
+
+
 class TestExperimentConfig:
     def test_unknown_algorithm(self, synth_csv, tmp_path):
         with pytest.raises(DataError, match="unknown algorithm"):
@@ -230,9 +241,7 @@ class TestRunExperiment:
         for overrides, data in cases:
             serial = run_experiment(config(synth_csv, tmp_path, **overrides), full=data)
             parallel = run_experiment(config(synth_csv, tmp_path, workers=2, **overrides), full=data)
-            assert [dataclasses.replace(r, wall_time=None) for r in serial] == [
-                dataclasses.replace(r, wall_time=None) for r in parallel
-            ]
+            assert without_wall_time(serial) == without_wall_time(parallel)
         assert serial[0].error is not None and serial[-1].error is None
 
     def test_single_cell_runs_without_a_pool(self, synth_csv, tmp_path, monkeypatch):
@@ -250,49 +259,50 @@ class TestRunExperiment:
             pytest.skip("numpy bundles no OpenBLAS")
         before = blas_threads()
 
-        def report_threads(full, cfg, eps, repeat):
-            return ResultRecord(
-                algorithm=cfg.algorithm, epsilon=eps, repeat=repeat, seed=cfg.seed,
-                streams={}, wall_time=float(blas_threads()),
-            )
+        def report_threads(full, cfg, repeat):
+            return [
+                ResultRecord(
+                    algorithm=cfg.algorithm, epsilon=eps, repeat=repeat, seed=cfg.seed,
+                    streams={}, wall_time=float(blas_threads()),
+                )
+                for eps in cfg.epsilons
+            ]
 
-        # forked workers inherit the patched cell runner; two cores, so a
+        # forked workers inherit the patched repeat task; two cores, so a
         # pool runs even on a one-core machine
-        monkeypatch.setattr(harness, "_run_cell", report_threads)
+        monkeypatch.setattr(harness, "_run_repeat", report_threads)
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-        # two cells, so the pool has two workers, not eight
-        records = run_experiment(config(synth_csv, tmp_path, workers=8, repeats=1))
-        assert [r.wall_time for r in records] == [1, 1]
+        # two repeats, so the pool has two workers, not eight
+        records = run_experiment(config(synth_csv, tmp_path, workers=8, repeats=2))
+        assert [r.wall_time for r in records] == [1, 1, 1, 1]
+        assert [(r.epsilon, r.repeat) for r in records] == [(0.5, 0), (0.5, 1), (8.0, 0), (8.0, 1)]
         assert blas_threads() == before
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # evaluation queries each test row once, so the noise scale is set
         # from train.n + test.n query events
-        from dpboost.harness import _fit_cell, _prepare_cell_data, load_prepared_dataset
-
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        train, _ = _prepare_cell_data(full, cfg, 0)
-        model, _, test = _fit_cell(full, cfg, 0.5, 0)
+        train, _, _ = harness._prepare(full, cfg, 0)
+        model, _, test = fit_cell(full, cfg, 0.5, 0)
         expected_queries = train.n + test.n
         assert model.vote_scale == pytest.approx(2.0 * expected_queries / 0.5)
 
     def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
         from dpboost import accuracy
-        from dpboost.harness import _fit_cell, _prepare_cell_data, _run_cell, load_prepared_dataset
 
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        assert _run_cell(full, cfg, 0.5, 0).error is None
-        # the same evaluation as _run_cell: test accuracy only
-        train, _ = _prepare_cell_data(full, cfg, 0)
-        model, _, test = _fit_cell(full, cfg, 0.5, 0)
+        assert harness._run_repeat(full, cfg, 0)[0].error is None
+        # the same evaluation as the repeat task: test accuracy only
+        train, _, _ = harness._prepare(full, cfg, 0)
+        model, _, test = fit_cell(full, cfg, 0.5, 0)
         accuracy(model, test)
         assert model.queries_spent == model.query_budget == train.n + test.n
         with pytest.raises(RuntimeError, match="query budget"):
@@ -301,15 +311,92 @@ class TestRunExperiment:
     def test_record_replays_in_isolation(self, synth_csv, tmp_path):
         # a record's (seed, epsilon, repeat) suffice to re-run just that cell
         # and land on the identical accuracy
-        from dpboost.harness import _run_cell
-
         cfg = config(synth_csv, tmp_path, algorithm="brc", rounds=3, repeats=2, epsilons=(0.5,))
         records = run_experiment(cfg)
         target = records[1]
         full, _ = load_prepared_dataset(cfg)
-        replayed = _run_cell(full, cfg, target.epsilon, target.repeat)
+        (replayed,) = harness._run_repeat(full, dataclasses.replace(cfg, epsilons=(target.epsilon,)), target.repeat)
         assert replayed.test_accuracy == target.test_accuracy
         assert replayed.streams == target.streams
+
+
+class TestRepeatTasks:
+    """A sweep task is one repeat: it prepares the data and does the work its
+    epsilons share once, and each of its records is the one its cell gives
+    when run alone."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_every_record_equals_its_single_epsilon_run(self, synth_csv, tmp_path, monkeypatch, algorithm, workers):
+        # two cores, so a pool runs even on a one-core machine
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, rounds=4, pate_teachers=5, workers=workers)
+        full, _ = load_prepared_dataset(cfg)
+        records = run_experiment(cfg, full=full)
+        assert [(r.epsilon, r.repeat) for r in records] == [(0.5, 0), (0.5, 1), (8.0, 0), (8.0, 1)]
+        alone = []
+        for eps in cfg.epsilons:
+            alone += run_experiment(dataclasses.replace(cfg, epsilons=(eps,), workers=1), full=full)
+        assert without_wall_time(records) == without_wall_time(alone)
+        assert all(r.error is None for r in records), [r.error for r in records]
+
+    def test_shared_work_runs_once_per_repeat(self, synth_csv, tmp_path, monkeypatch):
+        counts = {"balance_indices": 0, "draw_private_classifiers": 0, "fit_logreg_weighted": 0}
+        for name in counts:
+            real = getattr(harness, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        epsilons = (0.1, 0.5, 8.0)
+        for algorithm in ("brc-all-private", "logreg"):
+            run_experiment(config(synth_csv, tmp_path, algorithm=algorithm, epsilons=epsilons, repeats=2))
+        assert counts == {"balance_indices": 4, "draw_private_classifiers": 2, "fit_logreg_weighted": 2}
+
+    def test_records_share_the_task_wall_time(self, synth_csv, tmp_path):
+        records = run_experiment(config(synth_csv, tmp_path, epsilons=(0.1, 0.5, 8.0), repeats=2))
+        for repeat in (0, 1):
+            times = {r.wall_time for r in records if r.repeat == repeat}
+            assert len(times) == 1 and times.pop() > 0
+
+    def test_failing_preparation_fails_every_epsilon_of_the_repeat(self, synth_csv, tmp_path):
+        full, _ = load_prepared_dataset(config(synth_csv, tmp_path))
+        one_label = full.take(np.flatnonzero(full.y == 1))
+        cfg = config(synth_csv, tmp_path, epsilons=(0.1, 0.5, 8.0), repeats=2)
+        records = run_experiment(cfg, full=one_label)
+        assert [(r.epsilon, r.repeat) for r in records] == [(e, r) for e in (0.1, 0.5, 8.0) for r in (0, 1)]
+        assert {r.error for r in records} == {"DataError: balance requires both labels to be present"}
+        assert all(r.test_accuracy is None and r.wall_time > 0 for r in records)
+
+    @pytest.mark.parametrize(
+        "algorithm, fitter, epsilon_of",
+        [
+            ("brc", "brc_fit", lambda args: args[2].epsilon),
+            ("dp-logreg", "fit_dp_logreg", lambda args: args[1]),
+            ("pate", "fit_pate", lambda args: args[2]),
+        ],
+        ids=["brc", "dp-logreg", "pate"],
+    )
+    def test_failing_fit_leaves_the_other_epsilons_intact(
+        self, synth_csv, tmp_path, monkeypatch, algorithm, fitter, epsilon_of
+    ):
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, rounds=4, pate_teachers=5)
+        full, _ = load_prepared_dataset(cfg)
+        clean = run_experiment(cfg, full=full)
+        real = getattr(harness, fitter)
+
+        def fails_at_eps_8(*args, **kwargs):
+            if epsilon_of(args) == 8.0:
+                raise RuntimeError("no fit at eps 8")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, fitter, fails_at_eps_8)
+        records = run_experiment(cfg, full=full)
+        assert without_wall_time(records[:2]) == without_wall_time(clean[:2])
+        assert [r.error for r in records[2:]] == ["RuntimeError: no fit at eps 8"] * 2
+        assert all(r.test_accuracy is None and r.rounds is None for r in records[2:])
 
 
 class TestAggregate:
@@ -384,12 +471,10 @@ class TestConvergenceTrace:
     @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private"])
     def test_rounds_score_the_partial_ensembles(self, synth_csv, tmp_path, algorithm):
         # an independent oracle: refit each cell and score every truncated ensemble
-        from dpboost.harness import _fit_cell
-
         cfg = config(synth_csv, tmp_path, algorithm=algorithm, rounds=6, epsilons=(0.5, 8.0))
         full, _ = load_prepared_dataset(cfg)
         for rec in run_experiment(cfg, full=full):
-            model, _, test = _fit_cell(full, cfg, rec.epsilon, rec.repeat)
+            model, _, test = fit_cell(full, cfg, rec.epsilon, rec.repeat)
             assert rec.test_accuracy == accuracy(model, test)
             assert [r.test_accuracy for r in rec.rounds] == [
                 accuracy(Ensemble(members=model.members[:t]), test) for t in range(1, 7)

@@ -133,10 +133,11 @@ class TestEnsemble:
 class TestScoreMatrix:
     """``score_matrix`` against each classifier's own ``scores``.
 
-    Entries, coefficients and intercepts lie on a grid of quarters, so every
-    partial sum is exact and a matrix product agrees bit for bit with each
-    matrix-vector product, whatever summation order the BLAS picks; on
-    general floats the two may differ in the last bit.
+    A classifier's ``scores`` are its column of a ``score_matrix`` call of
+    its own, so the two agree bit for bit on any floats. Where entries,
+    coefficients and intercepts lie on a grid of quarters, every partial sum
+    is also exact, so the expected values are known whatever summation order
+    the BLAS picks.
     """
 
     @staticmethod
@@ -168,9 +169,33 @@ class TestScoreMatrix:
         clfs = [clf(rng.uniform(-1, 1, size=3), float(rng.uniform(-1, 1)), (1, 3, 4)) for _ in range(9)]
         X = rng.uniform(-1, 1, size=(500, 6))
         expected = np.stack([c.scores(X) for c in clfs], axis=1)
-        # each score sums 4 terms of magnitude <= 1 in some order: the two
-        # orders differ by at most 2 * 4 * 4 * eps/2 = 16 eps
-        np.testing.assert_allclose(score_matrix(clfs, X), expected, rtol=0, atol=16 * np.finfo(float).eps)
+        assert np.array_equal(score_matrix(clfs, X), expected)
+        # and both agree with a plain matrix-vector product up to the order of
+        # summing 4 terms of magnitude <= 1: at most 2 * 4 * 4 * eps/2 = 16 eps
+        direct = np.stack([X[:, list(c.cols)] @ c.coeffs + c.intercept for c in clfs], axis=1)
+        np.testing.assert_allclose(expected, direct, rtol=0, atol=16 * np.finfo(float).eps)
+
+    def test_member_predictions_are_their_vote_columns_bit_for_bit(self):
+        # Each member's intercept puts one row's score on 0 as its group's
+        # matrix product rounds it, so a member scored any other way (a
+        # matrix-vector product rounds differently in the last bits) would
+        # vote -1 on some of those rows where the ensemble votes +1.
+        rng = make_rng(8)
+        n, d = 20_000, 104
+        X = rng.uniform(-1, 1, size=(n, d))
+        layout = [tuple(range(56))] + [tuple(range(56, d))] * 12 + [tuple(range(d))] * 12
+        coeffs = [rng.uniform(-1, 1, size=len(cols)) for cols in layout]
+        raw = score_matrix([clf(w, 0.0, cols) for w, cols in zip(coeffs, layout)], X)
+        rows = rng.integers(0, n, size=len(layout))
+        members = tuple(
+            EnsembleMember(1.0, clf(w, -raw[i, j], cols), "all")
+            for j, (w, cols, i) in enumerate(zip(coeffs, layout, rows))
+        )
+        votes = Ensemble(members).vote_matrix(X)
+        assert np.all(votes[rows, np.arange(len(layout))] == 1)
+        for j, m in enumerate(members):
+            assert np.array_equal(m.clf.predict(X), votes[:, j])
+            assert np.array_equal(m.clf.scores(X), score_matrix([x.clf for x in members], X)[:, j])
 
     def test_exact_zero_score_votes_plus_one(self):
         # 0.5 * 0.5 - 0.25 == 0 exactly; one member reads a column subset,
@@ -182,34 +207,6 @@ class TestScoreMatrix:
         assert score_matrix([half, full], X).tolist() == [[0.0, 0.0], [-0.5, -0.5]]
         members = tuple(EnsembleMember(1.0, c, "all") for c in (half, full))
         assert Ensemble(members).vote_matrix(X).tolist() == [[1, 1], [-1, -1]]
-
-
-class TestSerialization:
-    def random_ensemble(self, seed=0, T=6):
-        rng = make_rng(seed)
-        members = tuple(
-            EnsembleMember(
-                alpha=float(rng.normal()),
-                clf=clf(rng.normal(size=3), float(rng.normal()), (0, 2, 4)),
-                subspace="private",
-            )
-            for _ in range(T)
-        )
-        return Ensemble(members)
-
-    def test_round_trip_exact(self):
-        e = self.random_ensemble()
-        back = Ensemble.from_json(e.to_json())
-        for m1, m2 in zip(e.members, back.members):
-            assert m1.alpha == m2.alpha
-            assert m1.clf.intercept == m2.clf.intercept
-            assert m1.clf.cols == m2.clf.cols
-            assert np.array_equal(m1.clf.coeffs, m2.clf.coeffs)
-            assert m1.subspace == m2.subspace
-
-    def test_serialization_deterministic(self):
-        e = self.random_ensemble(seed=5)
-        assert e.to_json() == Ensemble.from_json(e.to_json()).to_json()
 
 
 class TestAccuracy:
