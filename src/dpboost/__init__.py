@@ -27,11 +27,11 @@ from .data import (
     LabelSpec,
     RawTable,
     Schema,
-    balance,
+    balance_indices,
     encode,
     load_csv,
     normalize,
-    split,
+    split_indices,
 )
 from .harness import (
     ExperimentConfig,
@@ -51,6 +51,6 @@ from .noise import (
     random_linear_classifier,
     rng_for,
 )
-from .toy import ToyConfig, ToyReport, ThresholdClassifier, flip_and_fit_threshold, generate_toy, run_toy_sweep
+from .toy import ToyConfig, ToyReport, flip_and_fit_threshold, generate_toy, run_toy_sweep, threshold_classifier
 
 __version__ = "0.1.0"

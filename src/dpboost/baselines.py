@@ -142,13 +142,7 @@ def fit_logreg_weighted(
 _MAX_LAM = 10.0  # largest ridge coefficient fit_dp_logreg may raise lam to
 
 
-def fit_dp_logreg(
-    ds: Dataset,
-    epsilon: float,
-    hyper: LogRegHyper = LogRegHyper(),
-    *,
-    rng: np.random.Generator,
-) -> LinearClassifier:
+def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> LinearClassifier:
     """Epsilon-DP logistic regression by objective perturbation.
 
     Appends a constant column and divides every row by sqrt(ds.d + 1). That
@@ -165,7 +159,8 @@ def fit_dp_logreg(
     exceeds 10 the instance is too small and the fit fails.
 
     The guarantee covers only the exact minimizer, so the objective is
-    solved by damped Newton to the gradient-norm tolerance ``tol``.
+    solved by damped Newton to the gradient-norm tolerance ``tol`` of the
+    default ``LogRegHyper``, whose ``lam`` is the starting ridge coefficient.
 
     Consumes exactly d+1 draws from ``rng`` (one gamma, d normals), where d
     counts the constant column.
@@ -175,6 +170,7 @@ def fit_dp_logreg(
     if ds.X.min(initial=0.0) < -1.0 or ds.X.max(initial=0.0) > 1.0:
         raise ValueError("fit_dp_logreg needs features in [-1, 1]; normalize first")
 
+    hyper = LogRegHyper()
     n = ds.n
     lam = hyper.lam
     eps_prime = epsilon - 2.0 * math.log(1.0 + 1.0 / (4.0 * n * lam))

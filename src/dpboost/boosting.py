@@ -194,12 +194,12 @@ def brc_fit(
             alpha = 0.5 - err_pub
             w_pub = w_pub * np.exp(alpha * mis_pub)
             refit_pub = True
-            members.append(EnsembleMember(alpha=alpha, clf=h_pub, subspace="public"))
+            members.append(EnsembleMember(alpha=alpha, clf=h_pub))
             records.append(RoundRecord(t, "public", err_pub, err_pri, alpha))
         else:
             alpha = 0.5 - err_pri
             w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
-            members.append(EnsembleMember(alpha=alpha, clf=h_pri, subspace=private_tag))
+            members.append(EnsembleMember(alpha=alpha, clf=h_pri))
             records.append(RoundRecord(t, private_tag, err_pub, err_pri, alpha))
 
     return Ensemble(members=tuple(members)), records

@@ -1,6 +1,7 @@
 """Tabular data pipeline: CSV ingestion, one-hot encoding, [-1,1] normalization,
-label balancing, and train/test splitting, plus the loading and the integer and
-real-number checks shared by the experiment and toy configs.
+and the row indices of label balancing and train/test splitting, plus the
+loading and the integer and real-number checks shared by the experiment and
+toy configs.
 
 All types are immutable after construction and all operations are pure
 functions of (input, seed), so repeated runs with the same seed produce
@@ -46,15 +47,11 @@ def check_real(name: str, value) -> None:
 def config_from_dict(cls, d: dict):
     """Build the config dataclass ``cls`` from a parsed JSON object.
 
-    ``T`` is accepted as an alias for ``rounds``. Unknown keys, and missing
-    or mistyped fields that make the constructor raise ``TypeError``, are
-    reported as ``DataError``.
+    Unknown keys, and missing or mistyped fields that make the constructor
+    raise ``TypeError``, are reported as ``DataError``.
     """
     if not isinstance(d, dict):
         raise DataError(f"config must be a JSON object, got {type(d).__name__}")
-    d = dict(d)
-    if "T" in d:
-        d["rounds"] = d.pop("T")
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -156,11 +153,10 @@ class Schema:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV contents: header, string records, and the label column name."""
+    """Parsed CSV contents: header and string records."""
 
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-    label_column: str
 
     @property
     def n(self) -> int:
@@ -250,8 +246,9 @@ def load_csv(path, schema: Schema) -> RawTable:
     """Read an RFC-4180-style CSV with a header row.
 
     Cell whitespace is stripped. Raises ``DataError`` on a missing header,
-    a ragged row (the 0-based data row index is reported), or when the
-    schema's label column is absent from the header.
+    a ragged row (the 0-based data row index is reported), or when a column
+    the schema reads (a feature or the label) is absent from the header or
+    named there more than once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -271,7 +268,10 @@ def load_csv(path, schema: Schema) -> RawTable:
     for name in schema.feature_names:
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")
-    return RawTable(header=tuple(header), rows=tuple(rows), label_column=schema.label.name)
+    for name in (schema.label.name, *schema.feature_names):
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} is named {header.count(name)} times in the header")
+    return RawTable(header=tuple(header), rows=tuple(rows))
 
 
 def encode(raw: RawTable, schema: Schema) -> Dataset:
@@ -285,7 +285,7 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
     values observed in each categorical column, in sorted order.
     """
     col_idx = {name: raw.header.index(name) for name in schema.feature_names}
-    label_idx = raw.header.index(raw.label_column)
+    label_idx = raw.header.index(schema.label.name)
     used = list(col_idx.values()) + [label_idx]
 
     kept = [r for r in raw.rows if not any(r[i] in MISSING_TOKENS for i in used)]
@@ -377,16 +377,3 @@ def split_indices(n: int, test_frac: float, rng: np.random.Generator) -> tuple[n
         raise DataError("split would leave an empty training set")
     perm = rng.permutation(n)
     return perm[n_test:], perm[:n_test]
-
-
-def balance(ds: Dataset, rng: np.random.Generator) -> Dataset:
-    """The rows ``balance_indices`` picks, in its order."""
-    return ds.take(balance_indices(ds.y, rng))
-
-
-def split(
-    ds: Dataset, test_frac: float, rng: np.random.Generator
-) -> tuple[Dataset, Dataset]:
-    """(train, test): the partition ``split_indices`` draws."""
-    train, test = split_indices(ds.n, test_frac, rng)
-    return ds.take(train), ds.take(test)

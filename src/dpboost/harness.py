@@ -88,6 +88,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise DataError(f"bad experiment config: {exc}") from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        if len(set(self.epsilons)) != len(self.epsilons):
+            raise DataError(f"epsilons must not repeat a value, got {list(self.epsilons)}")
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
 
     @classmethod

@@ -12,8 +12,6 @@ import numpy as np
 
 from .data import Dataset
 
-SUBSPACES = ("public", "private", "all")
-
 
 def sign_labels(scores: np.ndarray) -> np.ndarray:
     """Map real scores to labels: +1 for score >= 0, else -1."""
@@ -91,11 +89,6 @@ def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
 class EnsembleMember:
     alpha: float
     clf: LinearClassifier
-    subspace: str
-
-    def __post_init__(self):
-        if self.subspace not in SUBSPACES:
-            raise ValueError(f"unknown subspace tag {self.subspace!r}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,10 @@ class Ensemble:
     """Weighted vote of classifiers: H(x) = sign(sum_t alpha_t * h_t(x)).
 
     Each member contributes its +/-1 label scaled by alpha; scaling every
-    alpha by the same positive factor leaves all predictions unchanged.
+    alpha by the same positive factor leaves all predictions unchanged. The
+    weighted votes are summed in member order, one running sum for every
+    prefix, so ``predict`` is the last row of ``prefix_predictions`` bit for
+    bit.
     """
 
     members: tuple[EnsembleMember, ...]
@@ -119,18 +115,16 @@ class Ensemble:
         """(n, T) matrix of member labels, in member order."""
         return sign_labels(score_matrix([m.clf for m in self.members], X))
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        alphas = np.array([m.alpha for m in self.members])
-        return self.vote_matrix(X) @ alphas
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return sign_labels(self.scores(X))
+        return self.prefix_predictions(X)[-1]
 
     def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
         """(T, n) labels of each partial ensemble H_1..H_T, for the per-round test accuracies."""
         alphas = np.array([m.alpha for m in self.members])
-        cum = np.cumsum(self.vote_matrix(X) * alphas, axis=1)
-        return sign_labels(cum.T)
+        running = np.multiply(self.vote_matrix(X).T, alphas[:, None], order="C")
+        for t in range(1, len(running)):
+            running[t] += running[t - 1]  # one n-wide add per member, cheaper than a cumsum along T
+        return sign_labels(running)
 
 
 def accuracy(predictor, ds: Dataset) -> float:

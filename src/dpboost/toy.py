@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .boosting import brc_fit, draw_private_classifiers
-from .data import Dataset, FeatureSplit, check_int, check_real
+from .data import DataError, Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, rng_for
 
@@ -43,31 +43,19 @@ class ToyConfig:
         PrivacyParams(1.0, self.rounds, self.c1, self.c2)  # checks rounds, c1 and c2
 
 
-@dataclass(frozen=True)
-class ThresholdClassifier:
-    """Cut at integer position i: points with index < i are -1, >= i are +1.
+def threshold_classifier(index: int, n: int) -> LinearClassifier:
+    """The cut at integer position ``index`` of ``n`` sorted points: points
+    with index < ``index`` are -1, the others +1.
 
     Valid indices run from 0 (everything +1) to n (everything -1). Assumes
     rows sorted ascending by the single feature, as ``generate_toy`` emits.
     """
-
-    index: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.index <= self.n:
-            raise ValueError(f"threshold index must lie in [0, {self.n}]")
-
-    def cut_value(self) -> float:
-        # Positions are -1 + 2i/(n-1); index n cuts one step past the last point.
-        step = 2.0 / (self.n - 1)
-        return -1.0 + self.index * step
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.as_linear().predict(X)
-
-    def as_linear(self) -> LinearClassifier:
-        return LinearClassifier(coeffs=np.array([1.0]), intercept=-self.cut_value(), cols=(0,))
+    if not 0 <= index <= n:
+        raise ValueError(f"threshold index must lie in [0, {n}]")
+    # Positions are -1 + 2i/(n-1); index n cuts one step past the last point.
+    step = 2.0 / (n - 1)
+    cut = -1.0 + index * step
+    return LinearClassifier(coeffs=np.array([1.0]), intercept=-cut, cols=(0,))
 
 
 def generate_toy(n: int) -> Dataset:
@@ -79,9 +67,10 @@ def generate_toy(n: int) -> Dataset:
     return Dataset(X=x[:, None], y=y, columns=(("position", "numeric"),))
 
 
-def flip_and_fit_threshold(ds: Dataset, p: float, rng: np.random.Generator) -> ThresholdClassifier:
+def flip_and_fit_threshold(ds: Dataset, p: float, rng: np.random.Generator) -> int:
     """Flip each label independently with probability p, then return the
-    threshold maximizing unit-weight accuracy on the flipped labels.
+    index of the threshold (see ``threshold_classifier``) maximizing
+    unit-weight accuracy on the flipped labels.
 
     Ties break to the smallest index, which favors index 0 over index n: at
     n=2000, p=0.49 index 0 has about twice the probability of index n. Scans
@@ -99,8 +88,7 @@ def flip_and_fit_threshold(ds: Dataset, p: float, rng: np.random.Generator) -> T
     total_plus = int(np.sum(y_flipped == 1))
     idx = np.arange(n + 1)
     correct = prefix_minus + total_plus - (idx - prefix_minus)
-    best = int(np.argmax(correct))  # argmax returns the first (smallest) maximizer
-    return ThresholdClassifier(index=best, n=n)
+    return int(np.argmax(correct))  # argmax returns the first (smallest) maximizer
 
 
 @dataclass(frozen=True)
@@ -171,9 +159,12 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     streams (seed, r, purpose), so cells differ only in the noise scale. A
     repeat's thresholds are drawn once and shared by its epsilons' fits,
     each with its own Laplace stream; the runs come out in (epsilon,
-    repeat) order.
+    repeat) order. A repeated epsilon raises ``DataError``, since its runs
+    would be counted twice.
     """
     all_params = [PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2) for eps in eps_list]
+    if len({p.epsilon for p in all_params}) != len(all_params):
+        raise DataError(f"epsilons must not repeat a value, got {list(eps_list)}")
     ds = generate_toy(cfg.n)
     split = FeatureSplit.all_private(ds.d)
     by_repeat = []
@@ -181,9 +172,9 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         thresholds: list[int] = []
 
         def sampler(data, rng):
-            thr = flip_and_fit_threshold(data, cfg.flip_prob, rng)
-            thresholds.append(thr.index)
-            return thr.as_linear()
+            index = flip_and_fit_threshold(data, cfg.flip_prob, rng)
+            thresholds.append(index)
+            return threshold_classifier(index, data.n)
 
         draws = draw_private_classifiers(
             ds, split, cfg.rounds, rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER), sampler

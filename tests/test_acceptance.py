@@ -189,7 +189,7 @@ def test_criterion_03_toy_regime_boundary():
 
 
 def _threshold_argmax_law(n, p):
-    """Exact law of ``flip_and_fit_threshold(generate_toy(n), p, rng).index``.
+    """Exact law of ``flip_and_fit_threshold(generate_toy(n), p, rng)``.
 
     The accuracy count correct(k) is a +/-1 walk with step X_k = -y~_k, so
     X_k = +1 with probability 1-p on the left half and p on the right half.
@@ -241,7 +241,7 @@ def _threshold_argmax_law_by_enumeration(n, p):
     law = np.zeros(n + 1)
     for pattern in range(2**n):
         flips = (pattern >> np.arange(n)) & 1 == 1
-        index = flip_and_fit_threshold(ds, p, _FixedFlips(flips)).index
+        index = flip_and_fit_threshold(ds, p, _FixedFlips(flips))
         law[index] += p ** flips.sum() * (1.0 - p) ** (n - flips.sum())
     return law
 
@@ -274,7 +274,7 @@ def test_criterion_04a_threshold_distribution_uniformity():
 
     ds = generate_toy(2000)
     rng = make_rng(404)
-    draws = np.array([flip_and_fit_threshold(ds, 0.49, rng).index for _ in range(10_000)])
+    draws = np.array([flip_and_fit_threshold(ds, 0.49, rng) for _ in range(10_000)])
     buckets = np.minimum(draws * 20 // 2001, 19).astype(int)
     counts = np.bincount(buckets, minlength=20)
     chi2, p_value = stats.chisquare(counts, f_exp=expected)

@@ -41,10 +41,10 @@ def misclassified(clf, ds):
 
 
 def assert_same_ensemble(a, b):
-    """Exactly the same members: alphas, columns, coefficients, intercepts, subspaces."""
+    """Exactly the same members: alphas, columns, coefficients, intercepts."""
     assert len(a) == len(b)
     for m, r in zip(a.members, b.members):
-        assert (m.alpha, m.subspace, m.clf.cols, m.clf.intercept) == (r.alpha, r.subspace, r.clf.cols, r.clf.intercept)
+        assert (m.alpha, m.clf.cols, m.clf.intercept) == (r.alpha, r.clf.cols, r.clf.intercept)
         assert np.array_equal(m.clf.coeffs, r.clf.coeffs)
 
 
@@ -218,7 +218,7 @@ def refit_every_round(train, split, params, classifier_rng, noise_rng):
         else:
             chosen, alpha, clf = "private", 0.5 - err_pri, h_pri
             w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
-        members.append(EnsembleMember(alpha=alpha, clf=clf, subspace=chosen))
+        members.append(EnsembleMember(alpha=alpha, clf=clf))
         records.append(boosting.RoundRecord(t, chosen, err_pub, err_pri, alpha))
     return Ensemble(members=tuple(members)), records
 
@@ -231,7 +231,9 @@ class TestBrcFit:
             ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
         )
         assert len(ens) == len(recs) == 8
-        assert all(m.subspace in ("public", "private") for m in ens.members)
+        # a member's columns show the side it came from, as its round's tag says
+        for m, r in zip(ens.members, recs):
+            assert m.clf.cols == {"public": split.public_cols, "private": split.private_cols}[r.chosen]
         assert [r.t for r in recs] == list(range(1, 9))
 
     def test_replay_invariants(self):
@@ -297,7 +299,7 @@ class TestBrcFit:
         params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0)
         ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
         assert len(ens) == 1
-        assert ens.members[0].subspace == "public"
+        assert recs[0].chosen == "public" and ens.members[0].clf.cols == (0,)
         assert ens.members[0].alpha == 0.5
         assert accuracy(ens, ds) == 1.0
 
@@ -483,7 +485,7 @@ def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
         err = noisy_private_error(mis, w, params, noise_rng)
         alpha = 0.5 - err
         w = clipped_update(w, alpha, mis, params.c1, params.c2)
-        members.append(EnsembleMember(alpha=alpha, clf=h, subspace="all"))
+        members.append(EnsembleMember(alpha=alpha, clf=h))
         records.append(boosting.RoundRecord(t, "all", None, err, alpha))
     return Ensemble(members=tuple(members)), records
 
@@ -547,7 +549,6 @@ class TestBrcFitAllPrivate:
         params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2)
         ens, recs = fit_all_private(ds, params, 0, 1)
         assert len(ens) == 5
-        assert all(m.subspace == "all" for m in ens.members)
         assert all(m.clf.cols == tuple(range(ds.d)) for m in ens.members)
         assert all(r.chosen == "all" and r.err_pub is None for r in recs)
 

@@ -141,6 +141,7 @@ class TestToyCommand:
             {"epsilons": "0.5"},
             {"epsilons": ["0.5"]},
             {"epsilons": [0.5, -1.0]},
+            {"epsilons": [0.5, 0.5]},
             {"c1": True},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),

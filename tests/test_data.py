@@ -11,11 +11,11 @@ from dpboost import (
     FeatureSplit,
     LabelSpec,
     Schema,
-    balance,
+    balance_indices,
     encode,
     load_csv,
     normalize,
-    split,
+    split_indices,
 )
 from dpboost.noise import make_rng
 
@@ -58,9 +58,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing header"):
             load_csv(path, simple_schema())
 
-    def test_missing_label_column(self, tmp_path):
+    def test_label_absent_from_header(self, tmp_path):
         path = write(tmp_path, "a,sex\n1,M\n")
         with pytest.raises(DataError, match="missing label column"):
+            load_csv(path, simple_schema())
+
+    @pytest.mark.parametrize("header, name", [("a,a,sex,label", "a"), ("a,sex,label,label", "label")])
+    def test_column_named_twice_rejected(self, tmp_path, header, name):
+        path = write(tmp_path, f"{header}\n1,2,M,+\n")
+        with pytest.raises(DataError, match=f"column '{name}' is named 2 times"):
             load_csv(path, simple_schema())
 
     def test_missing_file(self, tmp_path):
@@ -202,88 +208,64 @@ class TestNormalize:
         assert -1.0 <= out.X[0, 0] <= 1.0
 
 
-def row_multiset(ds):
-    return sorted(map(tuple, np.column_stack([ds.X, ds.y]).tolist()))
-
-
 class TestBalance:
-    def make(self, n_pos, n_neg, seed=0):
-        rng = make_rng(seed)
-        X = rng.uniform(-1, 1, size=(n_pos + n_neg, 2))
-        y = np.array([1] * n_pos + [-1] * n_neg)
-        return Dataset(X=X, y=y, columns=(("a", "numeric"), ("b", "numeric")))
+    def labels(self, n_pos, n_neg):
+        return np.array([1] * n_pos + [-1] * n_neg)
 
     def test_majority_subsampled(self):
-        out = balance(self.make(10, 4), make_rng(1))
-        assert out.n == 8
-        assert int(np.sum(out.y == 1)) == 4
-        assert int(np.sum(out.y == -1)) == 4
+        y = self.labels(10, 4)
+        rows = balance_indices(y, make_rng(1))
+        assert len(rows) == 8
+        assert int(np.sum(y[rows] == 1)) == 4
+        assert int(np.sum(y[rows] == -1)) == 4
 
     def test_already_balanced_keeps_multiset(self):
-        ds = self.make(5, 5)
-        out = balance(ds, make_rng(2))
-        assert out.n == 10
-        assert row_multiset(out) == row_multiset(ds)
+        rows = balance_indices(self.labels(5, 5), make_rng(2))
+        assert sorted(rows.tolist()) == list(range(10))
 
     def test_deterministic_given_seed(self):
-        ds = self.make(1000, 200)
-        a = balance(ds, make_rng(3))
-        b = balance(ds, make_rng(3))
-        assert a.n == 400
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+        y = self.labels(1000, 200)
+        a = balance_indices(y, make_rng(3))
+        b = balance_indices(y, make_rng(3))
+        assert len(a) == 400
+        assert np.array_equal(a, b)
 
     def test_output_is_sub_multiset(self):
-        ds = self.make(30, 12)
-        out = balance(ds, make_rng(4))
-        original = row_multiset(ds)
-        for row in row_multiset(out):
-            original.remove(row)  # raises ValueError if not contained
+        rows = balance_indices(self.labels(30, 12), make_rng(4))
+        assert len(set(rows.tolist())) == len(rows) == 24  # no row picked twice
+        assert rows.min() >= 0 and rows.max() < 42
 
     def test_one_class_absent(self):
-        ds = self.make(5, 0)
         with pytest.raises(DataError, match="both labels"):
-            balance(ds, make_rng(0))
+            balance_indices(self.labels(5, 0), make_rng(0))
 
 
 class TestSplit:
-    def make(self, n=100):
-        rng = make_rng(7)
-        return Dataset(
-            X=rng.uniform(-1, 1, size=(n, 2)),
-            y=np.where(rng.random(n) < 0.5, 1, -1),
-            columns=(("a", "numeric"), ("b", "numeric")),
-        )
-
     def test_sizes(self):
-        train, test = split(self.make(100), 0.1, make_rng(0))
-        assert test.n == 10 and train.n == 90
+        train, test = split_indices(100, 0.1, make_rng(0))
+        assert len(test) == 10 and len(train) == 90
 
     def test_fraction_zero_rejected(self):
         with pytest.raises(DataError):
-            split(self.make(), 0.0, make_rng(0))
+            split_indices(100, 0.0, make_rng(0))
 
     def test_fraction_one_rejected(self):
         with pytest.raises(DataError):
-            split(self.make(), 1.0, make_rng(0))
+            split_indices(100, 1.0, make_rng(0))
 
     @pytest.mark.parametrize("test_frac, side", [(0.1, "test"), (0.9, "training")])
     def test_empty_side_rejected(self, test_frac, side):
         with pytest.raises(DataError, match=f"empty {side} set"):
-            split(self.make(4), test_frac, make_rng(0))
+            split_indices(4, test_frac, make_rng(0))
 
     def test_deterministic(self):
-        ds = self.make()
-        a = split(ds, 0.25, make_rng(5))
-        b = split(ds, 0.25, make_rng(5))
-        assert np.array_equal(a[0].X, b[0].X) and np.array_equal(a[1].X, b[1].X)
+        a = split_indices(100, 0.25, make_rng(5))
+        b = split_indices(100, 0.25, make_rng(5))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_partition(self):
-        ds = self.make(60)
-        train, test = split(ds, 0.3, make_rng(9))
-        assert sorted(row_multiset(train) + row_multiset(test)) == row_multiset(ds)
-        train_rows = set(map(tuple, train.X.tolist()))
-        test_rows = set(map(tuple, test.X.tolist()))
-        assert not train_rows & test_rows
+        train, test = split_indices(60, 0.3, make_rng(9))
+        assert sorted(train.tolist() + test.tolist()) == list(range(60))
 
 
 class TestSchema:

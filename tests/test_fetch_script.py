@@ -1,16 +1,18 @@
-"""Offline checks for the census fetch script's parsing and for the full
-experiment path on a fabricated file with the same shape (header, missing
-tokens, label values) the script would produce."""
+"""Offline checks for the census fetch script's parsing, and for the full
+experiment path and the README quick start on a fabricated file with the
+same shape (header, missing tokens, label values) the script would produce."""
 
 import importlib.util
 import math
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpboost import ExperimentConfig, aggregate, run_experiment
-from dpboost.harness import load_prepared_dataset
+from dpboost.harness import _prepare, load_prepared_dataset
 from dpboost.noise import make_rng
 
 REPO = Path(__file__).resolve().parents[1]
@@ -123,3 +125,32 @@ class TestAdultShapedPipeline:
         assert all(r.error is None for r in records), [r.error for r in records]
         rows = aggregate(records)
         assert 0.0 <= rows[0].mean_accuracy <= 1.0
+
+    def test_readme_quick_start_reproduces_the_sweeps_repeat_0(self, tmp_path, monkeypatch):
+        # Runs the README's first python block in a directory laid out like
+        # a checkout, with a fabricated data/adult.csv, and compares its
+        # train/test with what a seed-0 sweep prepares for repeat 0.
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "data").mkdir()
+        shutil.copy(REPO / "configs" / "adult.schema.json", tmp_path / "configs")
+        fabricate_adult_like(tmp_path / "data" / "adult.csv")
+        block = re.search(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        with pytest.warns(UserWarning, match="dropped"):
+            exec(compile(block, "README.md", "exec"), namespace)
+
+        cfg = ExperimentConfig(
+            dataset="data/adult.csv",
+            schema="configs/adult.schema.json",
+            algorithm="brc",
+            epsilons=(0.16,),
+            seed=0,
+            test_frac=0.1,
+        )
+        with pytest.warns(UserWarning, match="dropped"):
+            full, _ = load_prepared_dataset(cfg)
+        train, test, _ = _prepare(full, cfg, repeat=0)
+        for mine, theirs in ((namespace["train"], train), (namespace["test"], test)):
+            assert np.array_equal(mine.X, theirs.X) and np.array_equal(mine.y, theirs.y)
+            assert mine.columns == theirs.columns

@@ -100,6 +100,8 @@ class TestExperimentConfig:
             {"epsilons": "0.5"},
             {"epsilons": (True,)},
             {"epsilons": ("0.5",)},
+            {"epsilons": (0.5, 0.5)},
+            {"epsilons": (1, 0.5, 1.0)},
             {"c1": True},
             {"dataset": 0},
             {"schema": 0},
@@ -110,18 +112,18 @@ class TestExperimentConfig:
         with pytest.raises(DataError):
             config(synth_csv, tmp_path, **overrides)
 
-    def test_rounds_alias(self, synth_csv, tmp_path):
+    def test_T_alias_rejected(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv
-        cfg = ExperimentConfig.from_dict(
-            {
-                "dataset": csv_path,
-                "schema": schema_path,
-                "algorithm": "brc",
-                "epsilons": [0.1],
-                "T": 13,
-            }
-        )
-        assert cfg.rounds == 13
+        with pytest.raises(DataError, match=r"unknown config keys: \['T'\]"):
+            ExperimentConfig.from_dict(
+                {
+                    "dataset": csv_path,
+                    "schema": schema_path,
+                    "algorithm": "brc",
+                    "epsilons": [0.1],
+                    "T": 13,
+                }
+            )
 
     def test_unknown_keys_rejected(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv

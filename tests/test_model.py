@@ -55,14 +55,14 @@ class TestEnsemble:
         minus = clf([0.0], -1.0, (0,))
         return Ensemble(
             members=(
-                EnsembleMember(a1, plus, "public"),
-                EnsembleMember(a2, minus, "private"),
+                EnsembleMember(a1, plus),
+                EnsembleMember(a2, minus),
             )
         )
 
     def test_single_member_reduction(self):
         c = clf([1.0], 0.0, (0,))
-        e = Ensemble(members=(EnsembleMember(1.0, c, "all"),))
+        e = Ensemble(members=(EnsembleMember(1.0, c),))
         X = make_rng(0).uniform(-1, 1, size=(50, 1))
         assert np.array_equal(e.predict(X), c.predict(X))
 
@@ -86,12 +86,11 @@ class TestEnsemble:
             EnsembleMember(
                 alpha=float(rng.uniform(-0.5, 0.5)),
                 clf=clf(rng.uniform(-1, 1, size=2), float(rng.uniform(-1, 1)), (0, 1)),
-                subspace="all",
             )
             for _ in range(5)
         )
         scaled = tuple(
-            EnsembleMember(m.alpha * lam, m.clf, m.subspace) for m in members
+            EnsembleMember(m.alpha * lam, m.clf) for m in members
         )
         X = rng.uniform(-1, 1, size=(40, 2))
         assert np.array_equal(Ensemble(members).predict(X), Ensemble(scaled).predict(X))
@@ -101,15 +100,13 @@ class TestEnsemble:
         """Members over 4 columns whose column sets interleave: public (0, 1),
         private (2, 3), every column in order, and every column permuted."""
         pub, pri, every, permuted = (0, 1), (2, 3), (0, 1, 2, 3), (3, 2, 1, 0)
-        layout = [(pub, "public"), (pri, "private"), (every, "all"), (permuted, "all"),
-                  (pri, "private"), (every, "all"), (pub, "public")]
+        layout = [pub, pri, every, permuted, pri, every, pub]
         return tuple(
             EnsembleMember(
                 alpha=float(rng.uniform(-0.5, 0.5)),
                 clf=clf(rng.uniform(-1, 1, size=len(cols)), float(rng.uniform(-1, 1)), cols),
-                subspace=subspace,
             )
-            for cols, subspace in layout
+            for cols in layout
         )
 
     def test_vote_matrix_matches_member_predictions(self):
@@ -128,6 +125,30 @@ class TestEnsemble:
         assert prefix.shape == (7, 30)
         assert np.array_equal(prefix[-1], e.predict(X))
         assert np.array_equal(prefix[0], sign_labels(members[0].alpha * members[0].clf.predict(X)))
+
+    def test_predict_is_last_prefix_where_summation_order_matters(self):
+        # Alphas of 1e16 and 0.1 make the final score depend on the order in
+        # which the weighted votes are summed: a BLAS dot product adds them in
+        # another order than the running sum of prefix_predictions, and on
+        # some rows the two land on opposite signs. predict must be the last
+        # prefix bit for bit there too, so a sweep's reported accuracy and
+        # accuracy(model, test) agree.
+        rng = make_rng(12)
+        X = rng.uniform(-1, 1, size=(200, 1))
+        order_matters = 0
+        for _ in range(50):
+            alphas = rng.choice([1e16, 0.1], size=6) * rng.choice([-1.0, 1.0], size=6)
+            members = tuple(
+                EnsembleMember(float(a), clf([rng.choice([-1.0, 1.0])], float(rng.uniform(-1, 1)), (0,)))
+                for a in alphas
+            )
+            e = Ensemble(members)
+            prefix = e.prefix_predictions(X)
+            # every prefix is the running sum of the weighted votes in member order
+            assert np.array_equal(prefix, sign_labels(np.cumsum(e.vote_matrix(X) * alphas, axis=1).T))
+            assert np.array_equal(e.predict(X), prefix[-1])
+            order_matters += not np.array_equal(sign_labels(e.vote_matrix(X) @ alphas), prefix[-1])
+        assert order_matters > 0
 
 
 class TestScoreMatrix:
@@ -188,7 +209,7 @@ class TestScoreMatrix:
         raw = score_matrix([clf(w, 0.0, cols) for w, cols in zip(coeffs, layout)], X)
         rows = rng.integers(0, n, size=len(layout))
         members = tuple(
-            EnsembleMember(1.0, clf(w, -raw[i, j], cols), "all")
+            EnsembleMember(1.0, clf(w, -raw[i, j], cols))
             for j, (w, cols, i) in enumerate(zip(coeffs, layout, rows))
         )
         votes = Ensemble(members).vote_matrix(X)
@@ -205,7 +226,7 @@ class TestScoreMatrix:
         full = clf([0.5, 0.0], -0.25, (0, 1))
         X = np.array([[0.5, 0.5], [-0.5, -0.5]])
         assert score_matrix([half, full], X).tolist() == [[0.0, 0.0], [-0.5, -0.5]]
-        members = tuple(EnsembleMember(1.0, c, "all") for c in (half, full))
+        members = tuple(EnsembleMember(1.0, c) for c in (half, full))
         assert Ensemble(members).vote_matrix(X).tolist() == [[1, 1], [-1, -1]]
 
 

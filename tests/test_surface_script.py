@@ -19,7 +19,7 @@ def load_surface_module():
 
 def test_settable_value_count_is_pinned():
     values = load_surface_module().settable_values()
-    assert len(values) == len(set(values)) == 41
+    assert len(values) == len(set(values)) == 40
     assert "boosting.RoundRecord.test_accuracy" in values
     assert "dpboost sensitivity-check --max-n" in values
 
@@ -29,5 +29,5 @@ def test_script_prints_line_count_and_total():
         [sys.executable, str(SCRIPT)], capture_output=True, text=True, check=True, cwd=REPO
     ).stdout.splitlines()
     assert out[0].startswith("src lines: ") and int(out[0].split(": ")[1]) > 0
-    assert out[-1] == "settable values: 41"
-    assert len(out) == 41 + 2
+    assert out[-1] == "settable values: 40"
+    assert len(out) == 40 + 2

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from dpboost import (
-    ThresholdClassifier,
     ToyConfig,
     accuracy,
     flip_and_fit_threshold,
     generate_toy,
     make_rng,
     run_toy_sweep,
+    threshold_classifier,
 )
 
 
@@ -20,16 +20,21 @@ class TestGenerateToy:
 
     def test_perfect_midpoint_threshold(self):
         ds = generate_toy(2000)
-        assert accuracy(ThresholdClassifier(index=1000, n=2000), ds) == 1.0
+        assert accuracy(threshold_classifier(1000, 2000), ds) == 1.0
 
     def test_threshold_zero_is_constant_plus(self):
         ds = generate_toy(2000)
-        assert accuracy(ThresholdClassifier(index=0, n=2000), ds) == 0.5
+        assert accuracy(threshold_classifier(0, 2000), ds) == 0.5
 
     def test_threshold_n_is_constant_minus(self):
         ds = generate_toy(100)
-        clf = ThresholdClassifier(index=100, n=100)
+        clf = threshold_classifier(100, 100)
         assert np.all(clf.predict(ds.X) == -1)
+
+    @pytest.mark.parametrize("index", [-1, 101])
+    def test_index_outside_range_rejected(self, index):
+        with pytest.raises(ValueError, match=r"lie in \[0, 100\]"):
+            threshold_classifier(index, 100)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -44,8 +49,7 @@ class TestFlipAndFitThreshold:
     def test_no_flips_recovers_separator(self):
         ds = generate_toy(200)
         for seed in range(5):
-            thr = flip_and_fit_threshold(ds, 0.0, make_rng(seed))
-            assert thr.index == 100
+            assert flip_and_fit_threshold(ds, 0.0, make_rng(seed)) == 100
 
     def test_matches_quadratic_rescan(self):
         # the O(n) scan must agree with an O(n^2) brute force, including the
@@ -64,10 +68,10 @@ class TestFlipAndFitThreshold:
             ds = generate_toy(n)
             fit_rng = make_rng(trial)
             clone = make_rng(trial)
-            thr = flip_and_fit_threshold(ds, 0.35, fit_rng)
+            index = flip_and_fit_threshold(ds, 0.35, fit_rng)
             flips = clone.random(n) < 0.35
             y_flipped = np.where(flips, -ds.y, ds.y)
-            assert thr.index == oracle(y_flipped)
+            assert index == oracle(y_flipped)
 
     def test_flip_probability_bounds(self):
         ds = generate_toy(10)
@@ -76,8 +80,7 @@ class TestFlipAndFitThreshold:
 
     def test_classifier_semantics_match_index(self):
         ds = generate_toy(20)
-        thr = ThresholdClassifier(index=7, n=20)
-        pred = thr.predict(ds.X)
+        pred = threshold_classifier(7, 20).predict(ds.X)
         assert np.all(pred[:7] == -1) and np.all(pred[7:] == 1)
 
 
@@ -162,8 +165,6 @@ class TestToySweep:
         ds = generate_toy(2000)
         wins = 0
         for run in report.runs:
-            member_accs = [
-                accuracy(ThresholdClassifier(index=t, n=2000), ds) for t in run.thresholds
-            ]
+            member_accs = [accuracy(threshold_classifier(t, 2000), ds) for t in run.thresholds]
             wins += run.accuracy > float(np.median(member_accs))
         assert wins >= 9
