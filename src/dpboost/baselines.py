@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSplit, check_int
-from .model import LinearClassifier, score_matrix, sign_labels
+from .model import LinearClassifier, _columns, score_matrix, sign_labels
 from .noise import laplace
 
 
@@ -126,7 +126,9 @@ def fit_logreg_weighted(
     if w.shape != (ds.n,) or not np.all(w > 0):
         raise ValueError("weights must be strictly positive, one per row")
 
-    X = ds.X[:, list(cols)]
+    # the solver always sees an F-ordered matrix: the BLAS rounds the two
+    # layouts differently, and a fancy-indexed column gather is F-ordered
+    X = np.asfortranarray(_columns(ds.X, cols))
     y = ds.y.astype(np.float64)
     lam = hyper.lam
     x = _newton(

@@ -8,15 +8,17 @@ linear classifier and only its error estimate is perturbed for privacy.
   Laplace noise, and keeps whichever classifier's error is farther from 0.5.
   The public classifier is refitted only after a public round moved its
   weights; otherwise the previous fit is reused, with identical outputs.
+  Every refit and its misclassified-row flags read one copy of the public
+  columns, gathered before round 1.
 * no public columns (``FeatureSplit.all_private``): every feature is private
   and each round only takes a random classifier and uses its noisy error.
 
 All rounds' random private classifiers are drawn by
 ``draw_private_classifiers`` before any weight exists, in round order, and
-scored in one matrix product. This reads nothing new: a draw ignores the
-weights and ``classifier_rng`` feeds only the draws, so every round gets the
-classifier it would have drawn itself, and fits that differ only in epsilon
-can share one set of draws.
+scored one block of rounds per matrix product. This reads nothing new: a
+draw ignores the weights and ``classifier_rng`` feeds only the draws, so
+every round gets the classifier it would have drawn itself, and fits that
+differ only in epsilon can share one set of draws.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -26,7 +28,7 @@ force check lives in ``sensitivity_oracle``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,6 +101,11 @@ def _check_split(train: Dataset, split: FeatureSplit) -> None:
         raise ValueError("brc_fit requires a non-empty private column set")
 
 
+# Draws scored per matrix product in draw_private_classifiers: bounds its
+# float temporaries at n * _DRAW_BLOCK, whatever the number of rounds.
+_DRAW_BLOCK = 128
+
+
 def draw_private_classifiers(
     train: Dataset,
     split: FeatureSplit,
@@ -114,7 +121,9 @@ def draw_private_classifiers(
     LinearClassifier`` replaces the default uniform random linear classifier
     on the private columns and is called ``rounds`` times, in round order; it
     must ignore the observation weights (none exist yet), since the only
-    privacy cost accounted for is the noisy error estimate.
+    privacy cost accounted for is the noisy error estimate. The draws are
+    scored ``_DRAW_BLOCK`` at a time, so the float temporaries stay at
+    O(n * _DRAW_BLOCK) however many rounds there are.
     """
     _check_split(train, split)
     if sampler is None:
@@ -123,8 +132,12 @@ def draw_private_classifiers(
             return random_linear_classifier(split.private_cols, rng)
 
     draws = [sampler(train, classifier_rng) for _ in range(rounds)]
-    positive = np.ascontiguousarray((score_matrix(draws, train.X) >= 0).T)  # 0 predicts +1
-    mis = positive != (train.y == 1)
+    mis = np.empty((rounds, train.n), dtype=bool)
+    y_positive = train.y == 1
+    for start in range(0, rounds, _DRAW_BLOCK):
+        block = draws[start : start + _DRAW_BLOCK]
+        positive = score_matrix(block, train.X) >= 0  # 0 predicts +1
+        np.not_equal(positive.T, y_positive, out=mis[start : start + len(block)])
     mis.setflags(write=False)  # shared by every fit that takes these draws
     return draws, mis
 
@@ -143,16 +156,19 @@ def brc_fit(
     with the public weights, in round 1 and after each public round; after
     a private round the weights have not moved, so the previous fit, its
     misclassified rows and its error are reused, exactly what the
-    deterministic solver would return again, (b) take the round's random
-    classifier on the private columns and its misclassified rows from
-    ``draws``, the result of ``draw_private_classifiers`` on the same
-    ``train`` and ``split``, (c) compute the exact public error and the
-    noisy private error, (d) keep the classifier whose error is farther
-    from 0.5 (ties go private), (e) set alpha = 0.5 - err of the chosen
-    classifier, and (f) update only the chosen side's weights; public
-    updates are unclipped, private updates are clipped to [1/c1, c2].
-    Exactly ``rounds`` Laplace draws are consumed (one per round, from
-    ``noise_rng``), for a total privacy cost of epsilon.
+    deterministic solver would return again; every refit and its
+    misclassified rows read one copy of the public columns, gathered before
+    round 1 into the F-ordered matrix the solver would gather itself, (b)
+    take the round's random classifier on the private columns and its
+    misclassified rows from ``draws``, the result of
+    ``draw_private_classifiers`` on the same ``train`` and ``split``, (c)
+    compute the exact public error and the noisy private error, (d) keep
+    the classifier whose error is farther from 0.5 (ties go private), (e)
+    set alpha = 0.5 - err of the chosen classifier, and (f) update only the
+    chosen side's weights; public updates are unclipped, private updates
+    are clipped to [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed
+    (one per round, from ``noise_rng``), for a total privacy cost of
+    epsilon.
 
     The draws read no weights and no noise, so fits that differ only in
     ``params`` may share them. ``noise_rng`` is the fit's own and feeds only
@@ -181,10 +197,17 @@ def brc_fit(
 
     h_pub = err_pub = None
     refit_pub = bool(split.public_cols)
+    if refit_pub:
+        public = Dataset(
+            X=train.X[:, list(split.public_cols)],
+            y=train.y,
+            columns=tuple(train.columns[c] for c in split.public_cols),
+        )
     for t, (h_pri, mis_pri) in enumerate(zip(classifiers, mis_pri_all), start=1):
         if refit_pub:
-            h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
-            mis_pub = h_pub.predict(train.X) != train.y
+            fitted = fit_logreg_weighted(public, range(public.d), w_pub)
+            mis_pub = fitted.predict(public.X) != train.y
+            h_pub = replace(fitted, cols=split.public_cols)  # the member reads train's columns
             err_pub = weighted_error(mis_pub, w_pub)
             refit_pub = False
 

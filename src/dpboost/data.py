@@ -169,7 +169,9 @@ class Dataset:
 
     ``columns`` records, per encoded column, the raw source column and an
     encoding tag: ``"numeric"`` for pass-through columns and ``"=<value>"``
-    for one-hot indicator columns.
+    for one-hot indicator columns. A C- or F-contiguous ``X`` keeps its
+    layout (the BLAS rounds the two differently); any other is copied to C
+    order.
     """
 
     X: np.ndarray
@@ -177,7 +179,9 @@ class Dataset:
     columns: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X, dtype=np.float64)
+        if not (X.flags.c_contiguous or X.flags.f_contiguous):
+            X = np.ascontiguousarray(X)
         y = np.asarray(self.y, dtype=np.int64)
         if X.ndim != 2:
             raise DataError("X must be a 2-d matrix")

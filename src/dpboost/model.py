@@ -72,14 +72,14 @@ def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, clf in enumerate(clfs):
         groups.setdefault(clf.cols, []).append(j)
-    scores = np.empty((X.shape[0], len(clfs)))
+    scores = None if len(groups) == 1 else np.empty((X.shape[0], len(clfs)))
     for cols, idx in groups.items():
         W = np.stack([clfs[j].coeffs for j in idx], axis=1)
         if len(idx) == 1:
             W = np.repeat(W, 2, axis=1)
         block = (_columns(X, cols) @ W)[:, : len(idx)]
         block += np.array([clfs[j].intercept for j in idx])
-        if len(idx) == len(clfs):
+        if scores is None:
             return block  # one column set: its product is the whole matrix
         scores[:, idx] = block
     return scores

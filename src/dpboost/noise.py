@@ -78,8 +78,9 @@ def laplace(scale: float, rng: np.random.Generator, size=None):
     if not scale > 0:
         raise ValueError(f"laplace scale must be positive, got {scale}")
     u = np.asarray(rng.random(size))
-    # rng.random() lives in [0, 1); nudge an exact 0 to keep the draw finite.
-    u = np.where(u == 0.0, np.finfo(np.float64).tiny, u) - 0.5
+    # rng.random() lives in [0, 1 - 2**-53]; an exact 0 becomes 2**-53, which
+    # survives the subtraction, so the draw stays finite and mirrors 1 - 2**-53.
+    u = np.where(u == 0.0, 2.0**-53, u) - 0.5
     out = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
     return float(out) if size is None else out
 

@@ -141,6 +141,27 @@ class TestWeightedLogReg:
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.intercept == b.intercept
 
+    def test_fit_ignores_gather_and_layout(self):
+        # the solver gets the same F-ordered matrix from (ds, cols), from a
+        # dataset of those columns alone, and from a C- or F-ordered whole
+        n, d = 3000, 40
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, size=(n, d))
+        y = np.where(X[:, :5].sum(axis=1) + rng.normal(0, 1, size=n) > 0, 1, -1)
+        ds = Dataset(X=X, y=y, columns=tuple(("f", f"={j}") for j in range(d)))
+        w = rng.uniform(0.5, 2.0, size=n)
+        cols = tuple(range(1, d, 2))
+        gathered = Dataset(X=ds.X[:, list(cols)], y=y, columns=tuple(ds.columns[c] for c in cols))
+        fortran = Dataset(X=np.asfortranarray(X), y=y, columns=ds.columns)
+        assert ds.X.flags.c_contiguous and fortran.X.flags.f_contiguous
+        pairs = [
+            (fit_logreg_weighted(ds, cols, w), fit_logreg_weighted(gathered, range(len(cols)), w)),
+            (fit_logreg_weighted(ds, range(d), w), fit_logreg_weighted(fortran, range(d), w)),
+        ]
+        for a, b in pairs:
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.intercept == b.intercept
+
     def test_non_positive_ridge_rejected(self):
         for lam in (0.0, -1e-3):
             with pytest.raises(ValueError, match="ridge"):

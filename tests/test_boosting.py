@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,27 @@ class TestBrcFit:
         fit_all_private(ds, params, 30, 31)
         assert fits == []
 
+    def test_public_fits_share_one_gathered_matrix(self, monkeypatch):
+        # every public refit of a fit, and its misclassified-row flags, reads
+        # one F-ordered copy of the public columns; members keep split's columns
+        ds, split = planted_dataset(n=240, seed=8)
+        params = PrivacyParams(epsilon=0.5, rounds=14, c1=SQRT2, c2=SQRT2)
+        seen = []
+        real = boosting.fit_logreg_weighted
+
+        def counting(data, cols, weights):
+            seen.append(data.X)
+            return real(data, cols, weights)
+
+        monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
+        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(30), noise_rng=make_rng(31))
+        assert len(seen) > 1
+        assert all(X is seen[0] for X in seen)
+        assert seen[0].flags.f_contiguous and seen[0].shape == (ds.n, len(split.public_cols))
+        assert np.array_equal(seen[0], ds.X[:, list(split.public_cols)])
+        public = [m.clf for m, r in zip(ens.members, recs) if r.chosen == "public"]
+        assert public and all(clf.cols == split.public_cols for clf in public)
+
     def test_noise_stream_consumption_is_data_independent(self):
         # After a fit, the noise stream sits exactly T laplace draws in, and
         # the classifier stream exactly T * (k+1) uniforms in: nothing else
@@ -499,6 +521,35 @@ def column_subset_sampler(ds, rng):
     one fit's draws read several different column sets."""
     cols = tuple(rng.choice(ds.d, size=int(rng.integers(1, 4)), replace=False))
     return random_linear_classifier(cols, rng)
+
+
+class TestDrawPrivateClassifiers:
+    def test_scoring_memory_does_not_grow_with_the_round_count(self):
+        # 1,000 draws at n = 20,000: the (T, n) flags take 20 MB, and their
+        # scores are built a block of rounds at a time, not as one (n, T) product
+        n, d = 20_000, 104
+        rng = np.random.default_rng(0)
+        ds = Dataset(
+            X=rng.uniform(-1, 1, size=(n, d)),
+            y=np.where(rng.random(n) < 0.5, 1, -1),
+            columns=tuple(("f", f"={j}") for j in range(d)),
+        )
+        tracemalloc.start()
+        try:
+            _, mis = draw_private_classifiers(ds, FeatureSplit.all_private(d), 1_000, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mis.shape == (1_000, n)
+        assert peak < 64e6
+
+    def test_blocks_of_rounds_match_scoring_each_draw_alone(self, monkeypatch):
+        monkeypatch.setattr(boosting, "_DRAW_BLOCK", 4)
+        ds, split = planted_dataset(n=150, seed=14)
+        draws, mis = draw_private_classifiers(ds, split, 11, make_rng(70))
+        assert len(draws) == 11 and mis.flags.c_contiguous
+        for clf, row in zip(draws, mis):
+            assert np.array_equal(row, clf.predict(ds.X) != ds.y)
 
 
 class TestBrcFitAllPrivate:

@@ -42,6 +42,23 @@ class TestLaplaceSampler:
         vector = laplace(1.0, make_rng(5), size=3)
         assert scalars[0] == vector[0]
 
+    @pytest.mark.parametrize("size", [None, 3], ids=["scalar", "array"])
+    def test_extreme_uniforms_give_finite_mirrored_draws(self, size):
+        class Fixed:
+            """Stands in for a Generator whose every uniform is ``value``."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, size=None):
+                return self.value if size is None else np.full(size, self.value)
+
+        low = laplace(2.5, Fixed(0.0), size)
+        high = laplace(2.5, Fixed(1.0 - 2.0**-53), size)  # largest rng.random() value
+        assert np.all(np.isfinite(low))
+        assert np.all(low == pytest.approx(-2.5 * 52 * math.log(2.0), rel=1e-12))
+        assert np.array_equal(low, -high)
+
     def test_one_uniform_per_draw(self):
         consumed = make_rng(9)
         laplace(1.0, consumed, size=250)
