@@ -34,12 +34,9 @@ class LogRegHyper:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows: 1/(1+exp(-t)) for t >= 0, exp(t)/(1+exp(t)) below
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def weighted_logistic_loss(theta, intercept, X, y, weights, lam) -> float:
@@ -47,7 +44,9 @@ def weighted_logistic_loss(theta, intercept, X, y, weights, lam) -> float:
     z = X @ theta + intercept
     margins = -y * z
     w = np.asarray(weights, dtype=np.float64)
-    data = float(np.dot(w, np.logaddexp(0.0, margins)) / np.sum(w))
+    # log(1 + exp(m)) = max(m, 0) + log1p(exp(-|m|)), without overflow
+    terms = np.maximum(margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
+    data = float(np.dot(w, terms) / np.sum(w))
     return data + 0.5 * lam * float(np.dot(theta, theta))
 
 
@@ -63,6 +62,8 @@ def weighted_logistic_hess(theta, intercept, X, y, weights, lam):
     """Hessian of ``weighted_logistic_loss`` w.r.t. (theta, intercept), intercept last.
 
     The intercept is unregularized, so ``lam`` sits on the theta block only.
+    The intercept row and column are the curvature-weighted column sums of
+    X, taken in one matrix-vector product ``curv @ X``.
     """
     z = X @ theta + intercept
     w = np.asarray(weights, dtype=np.float64)
@@ -74,7 +75,7 @@ def weighted_logistic_hess(theta, intercept, X, y, weights, lam):
     Xc = X * curv[:, None]
     H[:d, :d] = X.T @ Xc
     H[:d, :d][np.diag_indices(d)] += lam
-    H[:d, d] = H[d, :d] = Xc.sum(axis=0)
+    H[:d, d] = H[d, :d] = curv @ X
     H[d, d] = curv.sum()
     return H
 

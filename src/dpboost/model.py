@@ -61,23 +61,28 @@ class LinearClassifier:
 def score_matrix(clfs, X: np.ndarray) -> np.ndarray:
     """(n, k) raw scores of the k classifiers ``clfs`` on X, column j for clfs[j].
 
+    The result is F-ordered: each classifier's column is contiguous, and its
+    transpose is the C-ordered (k, n) matrix of one row per classifier.
+
     Classifiers that read the same columns are scored together: one gather
-    and one matrix product per distinct column set. A lone classifier's
-    coefficients go in twice, because the BLAS computes a one-column product
-    as a matrix-vector product, which rounds differently from a column of a
-    matrix product; so a classifier's scores are the same bits whether it
-    is scored alone or with others.
+    and one matrix product per distinct column set, computed as
+    ``(W @ X.T).T`` for the (k, d) coefficient rows W: the BLAS's fast
+    orientation for a short W against a tall X, in either layout. A lone
+    classifier's coefficients go in twice, because the BLAS computes a
+    one-row product as a matrix-vector product, which rounds differently
+    from a row of a matrix product; so a classifier's scores are the same
+    bits whether it is scored alone or with others.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, clf in enumerate(clfs):
         groups.setdefault(clf.cols, []).append(j)
-    scores = None if len(groups) == 1 else np.empty((X.shape[0], len(clfs)))
+    scores = None if len(groups) == 1 else np.empty((X.shape[0], len(clfs)), order="F")
     for cols, idx in groups.items():
-        W = np.stack([clfs[j].coeffs for j in idx], axis=1)
+        W = np.stack([clfs[j].coeffs for j in idx])  # one row per classifier
         if len(idx) == 1:
-            W = np.repeat(W, 2, axis=1)
-        block = (_columns(X, cols) @ W)[:, : len(idx)]
+            W = np.repeat(W, 2, axis=0)
+        block = (W @ _columns(X, cols).T).T[:, : len(idx)]
         block += np.array([clfs[j].intercept for j in idx])
         if scores is None:
             return block  # one column set: its product is the whole matrix

@@ -1,8 +1,11 @@
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dpboost import baselines
 from dpboost import (
     Dataset,
     FeatureSplit,
@@ -14,6 +17,7 @@ from dpboost import (
     make_rng,
 )
 from dpboost.baselines import (
+    _sigmoid,
     weighted_logistic_grad,
     weighted_logistic_hess,
     weighted_logistic_loss,
@@ -176,6 +180,103 @@ class TestWeightedLogReg:
         ds, _ = planted_dataset(n=40)
         with pytest.raises(ValueError):
             fit_logreg_weighted(ds, (0,), np.zeros(ds.n))
+
+
+def masked_sigmoid(t):
+    """The two-pass sigmoid: 1/(1+exp(-t)) where t >= 0, exp(t)/(1+exp(t)) elsewhere."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def column_sum_hess(theta, intercept, X, y, weights, lam):
+    """The Hessian with its intercept row summed from the scaled copy of X."""
+    z = X @ theta + intercept
+    w = np.asarray(weights, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    curv = w * e / (1.0 + e) ** 2 / np.sum(w)
+    d = X.shape[1]
+    H = np.empty((d + 1, d + 1))
+    Xc = X * curv[:, None]
+    H[:d, :d] = X.T @ Xc
+    H[:d, :d][np.diag_indices(d)] += lam
+    H[:d, d] = H[d, :d] = Xc.sum(axis=0)
+    H[d, d] = curv.sum()
+    return H
+
+
+class TestKernels:
+    """The solver's kernels against the formulas they replace."""
+
+    def test_sigmoid_bit_identical_to_masked_formula(self):
+        t = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
+        t = np.concatenate([t, make_rng(0).uniform(-50, 50, size=1000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, ref = _sigmoid(t), masked_sigmoid(t)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        finite = ~np.isnan(ref)
+        assert np.array_equal(got[finite].view(np.uint64), ref[finite].view(np.uint64))
+
+    def test_loss_within_two_ulp_of_logaddexp(self):
+        margins = np.concatenate([np.linspace(-800.0, 800.0, 3201), [0.0, -1e-300, 1e-300, -37.0, 37.0]])
+        one = np.ones(1)
+        for m in margins:
+            # one row with y = 1 and score -m has margin m
+            got = weighted_logistic_loss(one, 0.0, np.array([[-m]]), one, one, 0.0)
+            ref = float(np.logaddexp(0.0, m))
+            assert abs(got - ref) <= 2 * np.spacing(ref), m
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_hessian_intercept_row_matches_column_sum(self, order):
+        # F is the layout fit_logreg_weighted hands the solver, C the one fit_dp_logreg builds
+        rng = make_rng(5)
+        n, d = 2000, 9
+        X = np.asarray(rng.uniform(-1, 1, size=(n, d)), order=order)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        w = rng.uniform(0.2, 3.0, size=n)
+        theta, b = rng.normal(size=d), float(rng.normal())
+        got = weighted_logistic_hess(theta, b, X, y, w, 1e-3)
+        ref = column_sum_hess(theta, b, X, y, w, 1e-3)
+        assert np.array_equal(got[:d, :d], ref[:d, :d]) and got[d, d] == ref[d, d]
+        # relative to the sum of magnitudes, which no cancellation can shrink
+        z = X @ theta + b
+        e = np.exp(-np.abs(z))
+        magnitude = (w * e / (1.0 + e) ** 2 / np.sum(w)) @ np.abs(X)
+        assert np.all(np.abs(got[d, :d] - ref[d, :d]) <= 1e-15 * magnitude)
+        assert np.array_equal(got[d, :d], got[:d, d])
+
+
+class TestSolverWork:
+    """The Newton solver's exact kernel calls on fixed inputs: a kernel change
+    that adds an iteration or a backtracking step changes these counts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("loss", "grad", "hess"):
+            kernel = getattr(baselines, f"weighted_logistic_{name}")
+
+            def counted(*args, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(baselines, f"weighted_logistic_{name}", counted)
+        return calls
+
+    def test_weighted_fit_calls(self, calls):
+        ds, split = planted_dataset(n=600, seed=3)
+        w = make_rng(11).uniform(0.2, 3.0, size=ds.n)
+        fit_logreg_weighted(ds, split.public_cols + split.private_cols, w)
+        assert dict(calls) == {"loss": 8, "grad": 8, "hess": 7}
+
+    def test_dp_fit_calls(self, calls):
+        ds, _ = planted_dataset(n=500, seed=4)
+        fit_dp_logreg(ds, 1.0, rng=make_rng(12))
+        assert dict(calls) == {"loss": 7, "grad": 7, "hess": 6}
 
 
 class TestDpLogReg:

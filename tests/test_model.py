@@ -182,8 +182,20 @@ class TestScoreMatrix:
         assert model._columns(X, (0, 1, 2)) is X
         clfs = self.grid_classifiers(rng, [(0, 1, 2)] * 5)
         scores = score_matrix(clfs, X)
-        assert scores.shape == (200, 5) and scores.flags.c_contiguous
+        # F-ordered (n, k), so the (k, n) transpose the draws consume is C-ordered
+        assert scores.shape == (200, 5) and scores.flags.f_contiguous
+        assert scores.T.flags.c_contiguous
         assert np.array_equal(scores, np.stack([c.scores(X) for c in clfs], axis=1))
+
+    def test_two_column_sets_fill_an_f_ordered_matrix(self):
+        rng = make_rng(9)
+        X = rng.integers(-4, 5, size=(200, 4)) / 4
+        clfs = self.grid_classifiers(rng, [(0, 1, 2, 3), (2, 0), (0, 1, 2, 3), (2, 0)])
+        scores = score_matrix(clfs, X)
+        assert scores.shape == (200, 4) and scores.flags.f_contiguous
+        assert scores.T.flags.c_contiguous
+        for j, c in enumerate(clfs):
+            assert np.array_equal(scores[:, j], c.scores(X))
 
     def test_general_floats_agree_to_rounding(self):
         rng = make_rng(7)
