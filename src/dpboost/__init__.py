@@ -11,6 +11,7 @@ from .baselines import (
     fit_pate,
 )
 from .boosting import (
+    PublicChain,
     RoundRecord,
     brc_fit,
     clipped_update,

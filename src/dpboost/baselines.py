@@ -87,7 +87,7 @@ def _newton(loss_fn, grad_fn, hess_fn, x, hyper: LogRegHyper):
     the loss does not rise, so the loss sequence is non-increasing. Stops
     once the gradient norm is <= ``tol``, after ``max_iters`` iterations, or
     when no halved step keeps the loss from rising (the loss is then flat to
-    rounding).
+    rounding). Returns ``(x, stopped at the gradient tolerance)``.
     """
     loss = loss_fn(x)
     if not math.isfinite(loss):
@@ -95,7 +95,7 @@ def _newton(loss_fn, grad_fn, hess_fn, x, hyper: LogRegHyper):
     for _ in range(hyper.max_iters):
         g = grad_fn(x)
         if np.linalg.norm(g) <= hyper.tol:
-            break
+            return x, True
         s = np.linalg.solve(hess_fn(x), g)
         t = 1.0
         for _ in range(31):
@@ -107,7 +107,7 @@ def _newton(loss_fn, grad_fn, hess_fn, x, hyper: LogRegHyper):
         else:
             break
         x, loss = cand, cand_loss
-    return x
+    return x, False
 
 
 def fit_logreg_weighted(
@@ -132,7 +132,7 @@ def fit_logreg_weighted(
     X = np.asfortranarray(_columns(ds.X, cols))
     y = ds.y.astype(np.float64)
     lam = hyper.lam
-    x = _newton(
+    x, _ = _newton(
         lambda x: weighted_logistic_loss(x[:-1], x[-1], X, y, w, lam),
         lambda x: np.append(*weighted_logistic_grad(x[:-1], x[-1], X, y, w, lam)),
         lambda x: weighted_logistic_hess(x[:-1], x[-1], X, y, w, lam),
@@ -163,7 +163,7 @@ def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> L
 
     The guarantee covers only the exact minimizer, so the objective is
     solved by damped Newton to the gradient-norm tolerance ``tol`` of the
-    default ``LogRegHyper``, whose ``lam`` is the starting ridge coefficient.
+    default ``LogRegHyper`` (``lam`` is the starting ridge), or raises.
 
     Consumes exactly d+1 draws from ``rng`` (one gamma, d normals), where d
     counts the constant column.
@@ -203,13 +203,15 @@ def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> L
     # The constant column carries the intercept, so the intercept slot stays
     # pinned at 0 and lam regularizes every coordinate of theta.
     ones = np.ones(n)
-    theta = _newton(
+    theta, converged = _newton(
         lambda t: weighted_logistic_loss(t, 0.0, Xs, y, ones, lam) + float(np.dot(b_vec, t)) / n,
         lambda t: weighted_logistic_grad(t, 0.0, Xs, y, ones, lam)[0] + b_vec / n,
         lambda t: weighted_logistic_hess(t, 0.0, Xs, y, ones, lam)[:-1, :-1],
         np.zeros(d),
         hyper,
     )
+    if not converged:
+        raise RuntimeError(f"dp-logreg: Newton stopped above the gradient tolerance {hyper.tol}; not released")
     return LinearClassifier(
         coeffs=theta[:-1] / scale,
         intercept=float(theta[-1]) / scale,

@@ -3,13 +3,12 @@ linear classifier and only its error estimate is perturbed for privacy.
 
 ``brc_fit`` is the one booster loop; the feature split picks its shape:
 
-* public and private columns: each round takes a weighted public classifier
-  and a random private classifier, perturbs the private error with
-  Laplace noise, and keeps whichever classifier's error is farther from 0.5.
-  The public classifier is refitted only after a public round moved its
-  weights; otherwise the previous fit is reused, with identical outputs.
-  Every refit and its misclassified-row flags read one copy of the public
-  columns, gathered before round 1.
+* public and private columns: each round weighs the next link of a
+  ``PublicChain`` (the public classifier fitted after the fit's public rounds
+  so far) against a random private classifier, perturbs only the private
+  error with Laplace noise, and keeps whichever classifier's error is
+  farther from 0.5. The chain reads public data only, so fits that differ
+  only in epsilon walk prefixes of one chain.
 * no public columns (``FeatureSplit.all_private``): every feature is private
   and each round only takes a random classifier and uses its noisy error.
 
@@ -43,8 +42,8 @@ class RoundRecord:
     """Diagnostics for one boosting round.
 
     ``chosen`` is "public" or "private" for split fits and "all" for fits
-    without public columns; ``err_pub`` is None only in fits without public
-    columns (a round that reuses the public fit records its error).
+    without public columns; ``err_pub`` is the error of the chain link the
+    round read, and None only in fits without public columns.
     ``test_accuracy`` is the held-out accuracy of the partial ensemble
     H_1..H_t; the harness sets it and ``brc_fit`` leaves it None.
     """
@@ -142,42 +141,68 @@ def draw_private_classifiers(
     return draws, mis
 
 
+class PublicChain:
+    """The public weak learners of split fits on ``train``, fitted lazily:
+    ``chain[k]`` is ``(h_k, mis_k, err_k)``, the ``fit_logreg_weighted`` fit
+    on one F-ordered copy of the public columns after k public rounds, the
+    rows it gets wrong and its weighted error.
+
+    Exact: from unit weights at link 0, link k+1 is fitted on link k's
+    weights times ``exp((0.5 - err_k) * mis_k)``, the only update a fit makes
+    to its public weights, so after k public rounds every fit holds link k's
+    weights. Free: the links read public columns and labels only, no private
+    column, noise or epsilon, so fits that share a chain spend no budget on it.
+    """
+
+    def __init__(self, train: Dataset, split: FeatureSplit):
+        self.n, self.cols = train.n, split.public_cols
+        X = train.X[:, list(self.cols)]
+        self._public = Dataset(X=X, y=train.y, columns=tuple(train.columns[c] for c in self.cols))
+        self._links: list[tuple[LinearClassifier, np.ndarray, float]] = []
+        self._weights = np.ones(train.n)
+
+    def __getitem__(self, k: int) -> tuple[LinearClassifier, np.ndarray, float]:
+        while len(self._links) <= k:
+            fitted = fit_logreg_weighted(self._public, range(self._public.d), self._weights)
+            mis = fitted.predict(self._public.X) != self._public.y
+            err = weighted_error(mis, self._weights)
+            self._links.append((replace(fitted, cols=self.cols), mis, err))  # members read train's columns
+            self._weights = self._weights * np.exp((0.5 - err) * mis)
+        return self._links[k]
+
+
 def brc_fit(
     train: Dataset,
     split: FeatureSplit,
     params: PrivacyParams,
     *,
     draws: tuple[list[LinearClassifier], np.ndarray],
+    public: PublicChain | None,
     noise_rng: np.random.Generator,
 ) -> tuple[Ensemble, list[RoundRecord]]:
     """Boost for ``params.rounds`` rounds over a public/private feature split.
 
-    Per round: (a) fit a weighted logistic regression on the public columns
-    with the public weights, in round 1 and after each public round; after
-    a private round the weights have not moved, so the previous fit, its
-    misclassified rows and its error are reused, exactly what the
-    deterministic solver would return again; every refit and its
-    misclassified rows read one copy of the public columns, gathered before
-    round 1 into the F-ordered matrix the solver would gather itself, (b)
-    take the round's random classifier on the private columns and its
-    misclassified rows from ``draws``, the result of
-    ``draw_private_classifiers`` on the same ``train`` and ``split``, (c)
-    compute the exact public error and the noisy private error, (d) keep
-    the classifier whose error is farther from 0.5 (ties go private), (e)
-    set alpha = 0.5 - err of the chosen classifier, and (f) update only the
-    chosen side's weights; public updates are unclipped, private updates
-    are clipped to [1/c1, c2]. Exactly ``rounds`` Laplace draws are consumed
-    (one per round, from ``noise_rng``), for a total privacy cost of
-    epsilon.
+    Round t merges two precomputed streams: link k of ``public``, the
+    ``PublicChain`` of ``train`` and ``split``, where k counts the public
+    rounds before t, and round t's private classifier and misclassified rows
+    from ``draws``, the ``draw_private_classifiers`` result on the same
+    ``train`` and ``split``. It then (a) adds Laplace noise to the private
+    error only, (b) keeps the classifier whose error is farther from 0.5
+    (ties go private), (c) sets alpha = 0.5 - err of the chosen classifier,
+    and (d) after a private round updates the private weights, clipped to
+    [1/c1, c2]; a public round moves on to the next link. Exactly ``rounds``
+    Laplace draws are consumed (one per round, from ``noise_rng``), for a
+    total privacy cost of epsilon.
 
-    The draws read no weights and no noise, so fits that differ only in
-    ``params`` may share them. ``noise_rng`` is the fit's own and feeds only
-    the Laplace noise; keeping it apart from the draws' stream means adding
-    consumers to one never perturbs the other. If
-    ``split.public_cols`` is empty the public branch is skipped and every
-    round is private, tagged "all". Raises ``ValueError`` when ``draws``
-    does not hold ``params.rounds`` classifiers and a (rounds, train.n)
-    matrix.
+    Neither stream reads this fit's weights, noise or epsilon, so fits that
+    differ only in ``params`` may share them. ``noise_rng`` is the fit's own
+    and feeds only the Laplace noise; keeping it apart from the draws'
+    stream means adding consumers to one never perturbs the other. Without
+    public columns ``public`` is None and every round is private, tagged
+    "all". Raises ``ValueError`` when ``draws`` does not hold
+    ``params.rounds`` classifiers and a (rounds, train.n) matrix, or when
+    ``public`` is None on a split with public columns, a chain on a split
+    without, or a chain of other rows or public columns.
     """
     _check_split(train, split)
     classifiers, mis_pri_all = draws
@@ -187,36 +212,23 @@ def brc_fit(
             f"draws hold {len(classifiers)} classifiers and a {np.shape(mis_pri_all)} matrix; "
             f"this fit needs {params.rounds} and {expected}"
         )
+    want = (train.n, split.public_cols) if split.public_cols else None
+    got = None if public is None else (public.n, public.cols)
+    if got != want:
+        raise ValueError(f"public chain (rows, public columns): this fit needs {want}, got {got}")
 
-    private_tag = "private" if split.public_cols else "all"
-    n = train.n
-    w_pub = np.ones(n)
-    w_pri = np.ones(n)
+    private_tag = "all" if public is None else "private"
+    w_pri = np.ones(train.n)
     members: list[EnsembleMember] = []
     records: list[RoundRecord] = []
-
-    h_pub = err_pub = None
-    refit_pub = bool(split.public_cols)
-    if refit_pub:
-        public = Dataset(
-            X=train.X[:, list(split.public_cols)],
-            y=train.y,
-            columns=tuple(train.columns[c] for c in split.public_cols),
-        )
+    k = 0  # public rounds so far
     for t, (h_pri, mis_pri) in enumerate(zip(classifiers, mis_pri_all), start=1):
-        if refit_pub:
-            fitted = fit_logreg_weighted(public, range(public.d), w_pub)
-            mis_pub = fitted.predict(public.X) != train.y
-            h_pub = replace(fitted, cols=split.public_cols)  # the member reads train's columns
-            err_pub = weighted_error(mis_pub, w_pub)
-            refit_pub = False
-
+        h_pub, _, err_pub = (None, None, None) if public is None else public[k]
         err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
 
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):
             alpha = 0.5 - err_pub
-            w_pub = w_pub * np.exp(alpha * mis_pub)
-            refit_pub = True
+            k += 1
             members.append(EnsembleMember(alpha=alpha, clf=h_pub))
             records.append(RoundRecord(t, "public", err_pub, err_pri, alpha))
         else:

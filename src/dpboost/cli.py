@@ -24,7 +24,7 @@ from . import harness
 from .boosting import _ORACLE_MAX_N, _ORACLE_VALUES, sensitivity_oracle
 from .data import DataError, Dataset, config_from_dict
 from .model import LinearClassifier
-from .noise import PrivacyParams, make_rng
+from .noise import make_rng
 from .toy import ToyConfig, run_toy_sweep
 
 
@@ -57,17 +57,9 @@ def _cmd_toy(args) -> int:
         raise DataError(f"toy config must be a JSON object, got {type(raw).__name__}")
     eps_list = raw.pop("epsilons", None)
     out_dir = raw.pop("output_dir", "results")
-    if not isinstance(eps_list, list) or not eps_list:
-        raise DataError(f"toy config needs epsilons, a non-empty list, got {eps_list!r}")
     if not isinstance(out_dir, str):
         raise DataError(f"output_dir must be a string, got {out_dir!r}")
-    cfg = config_from_dict(ToyConfig, raw)
-    try:
-        for eps in eps_list:
-            PrivacyParams(eps, cfg.rounds, cfg.c1, cfg.c2)
-    except ValueError as exc:
-        raise DataError(f"bad toy epsilons: {exc}") from exc
-    report = run_toy_sweep(cfg, eps_list)
+    report = run_toy_sweep(config_from_dict(ToyConfig, raw), eps_list)  # checks eps_list first
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "toy_accuracy.csv"))
     report.to_json(os.path.join(out_dir, "toy_traces.json"))

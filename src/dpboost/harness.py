@@ -4,10 +4,11 @@ runs, aggregation, and CSV/SVG emission.
 A sweep's task is one repeat, not one (epsilon, repeat) cell: every input of
 a cell except its Laplace draws depends on the repeat alone. So a task
 balances and splits the data once with the repeat's shuffle stream, does the
-work its epsilons share once (the private classifier draws of a boosting
-fit, the whole fit of an algorithm that ignores epsilon), then fits and
-scores each epsilon's cell. Each record is the one its cell would give if
-run alone. A boosting cell scores every partial ensemble H_1..H_T, so each
+work its epsilons share once (a boosting fit's private draws and public
+chain, whose links are fitted when the first epsilon reaches them, or the
+whole fit of an algorithm that ignores epsilon), then fits and scores each
+epsilon's cell. Each record is the one its cell would give if run alone.
+A boosting cell scores every partial ensemble H_1..H_T, so each
 of its round records carries that round's test accuracy (the convergence
 trace) and the last one is the cell's. Records are merged in deterministic
 (epsilon, repeat) order regardless of execution order, so a fixed (config,
@@ -29,7 +30,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate
-from .boosting import RoundRecord, brc_fit, draw_private_classifiers
+from .boosting import PublicChain, RoundRecord, brc_fit, draw_private_classifiers
 from .data import (
     DataError,
     Dataset,
@@ -44,7 +45,7 @@ from .data import (
     split_indices,
 )
 from .model import accuracy
-from .noise import PrivacyParams, Purpose, rng_for, stream_id
+from .noise import PrivacyParams, Purpose, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
 
@@ -71,25 +72,14 @@ class ExperimentConfig:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
         for name, minimum in (("repeats", 1), ("seed", 0), ("workers", 1), ("pate_teachers", 2)):
             check_int(name, getattr(self, name), minimum)
-        for name in ("epsilons", "public_columns"):
-            value = getattr(self, name)
-            if isinstance(value, str):
-                raise DataError(f"{name} must be a list, got the string {value!r}")
-        if not self.epsilons:
-            raise DataError("epsilon values must be non-empty")
+        if isinstance(self.public_columns, str):
+            raise DataError(f"public_columns must be a list, got the string {self.public_columns!r}")
         for name in ("dataset", "schema", "output_dir"):
             if not isinstance(getattr(self, name), str):
                 raise DataError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
-        try:
-            for e in self.epsilons:
-                PrivacyParams(e, self.rounds, self.c1, self.c2)
-        except ValueError as exc:
-            raise DataError(f"bad experiment config: {exc}") from exc
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise DataError(f"epsilons must not repeat a value, got {list(self.epsilons)}")
+        object.__setattr__(self, "epsilons", check_epsilons(self.epsilons, self.rounds, self.c1, self.c2))
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
 
     @classmethod
@@ -164,11 +154,12 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Datas
     if cfg.algorithm in ("brc", "brc-all-private"):
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
         draws = draw_private_classifiers(train, fsplit, cfg.rounds, classifier_rng)
+        public = PublicChain(train, fsplit) if fsplit.public_cols else None
 
         def fit(eps):
             params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
             noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
-            return brc_fit(train, fsplit, params, draws=draws, noise_rng=noise_rng)
+            return brc_fit(train, fsplit, params, draws=draws, public=public, noise_rng=noise_rng)
 
         return fit
     if cfg.algorithm in ("logreg", "public-only"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_int, check_real
+from .data import DataError, check_int, check_real
 from .model import LinearClassifier
 
 
@@ -65,6 +65,21 @@ class PrivacyParams:
 
     def laplace_scale(self, n: int) -> float:
         return self.c1 * self.c2 * self.rounds / (self.epsilon * n)
+
+
+def check_epsilons(epsilons, rounds: int, c1: float, c2: float) -> tuple[float, ...]:
+    """A sweep's epsilons as floats; ``DataError`` unless they form a non-empty
+    list or tuple, valid as ``PrivacyParams`` with ``rounds``, ``c1`` and
+    ``c2``, that repeats no value (its runs would be counted twice)."""
+    if not isinstance(epsilons, (list, tuple)) or not epsilons:
+        raise DataError(f"epsilons must be a non-empty list, got {epsilons!r}")
+    try:
+        values = tuple(float(PrivacyParams(e, rounds, c1, c2).epsilon) for e in epsilons)
+    except ValueError as exc:
+        raise DataError(f"bad privacy parameters for epsilons {list(epsilons)}: {exc}") from exc
+    if len(set(values)) != len(values):
+        raise DataError(f"epsilons must not repeat a value, got {list(epsilons)}")
+    return values
 
 
 def laplace(scale: float, rng: np.random.Generator, size=None):

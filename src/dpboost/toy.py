@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .boosting import brc_fit, draw_private_classifiers
-from .data import DataError, Dataset, FeatureSplit, check_int, check_real
+from .data import Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier, accuracy
-from .noise import PrivacyParams, Purpose, rng_for
+from .noise import PrivacyParams, Purpose, check_epsilons, rng_for
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,10 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     streams (seed, r, purpose), so cells differ only in the noise scale. A
     repeat's thresholds are drawn once and shared by its epsilons' fits,
     each with its own Laplace stream; the runs come out in (epsilon,
-    repeat) order. A repeated epsilon raises ``DataError``, since its runs
-    would be counted twice.
+    repeat) order. ``eps_list`` is checked by ``check_epsilons``.
     """
+    check_epsilons(eps_list, cfg.rounds, cfg.c1, cfg.c2)
     all_params = [PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2) for eps in eps_list]
-    if len({p.epsilon for p in all_params}) != len(all_params):
-        raise DataError(f"epsilons must not repeat a value, got {list(eps_list)}")
     ds = generate_toy(cfg.n)
     split = FeatureSplit.all_private(ds.d)
     by_repeat = []
@@ -181,9 +179,8 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         )
         runs = []
         for params in all_params:
-            ensemble, _ = brc_fit(
-                ds, split, params, draws=draws, noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE)
-            )
+            noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
+            ensemble, _ = brc_fit(ds, split, params, draws=draws, public=None, noise_rng=noise_rng)
             runs.append(
                 ToyRun(
                     epsilon=params.epsilon,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dpboost import Dataset, FeatureSplit, brc_fit, draw_private_classifiers
+from dpboost import Dataset, FeatureSplit, PublicChain, brc_fit, draw_private_classifiers
 
 
 def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, seed=0):
@@ -29,9 +29,11 @@ def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, s
 
 
 def fit_with_draws(train, split, params, *, classifier_rng, noise_rng, sampler=None):
-    """``brc_fit`` on private classifiers drawn for this fit alone."""
+    """``brc_fit`` on private classifiers drawn, and a public chain built,
+    for this fit alone."""
     draws = draw_private_classifiers(train, split, params.rounds, classifier_rng, sampler)
-    return brc_fit(train, split, params, draws=draws, noise_rng=noise_rng)
+    public = PublicChain(train, split) if split.public_cols else None
+    return brc_fit(train, split, params, draws=draws, public=public, noise_rng=noise_rng)
 
 
 def write_synthetic_csv(directory, n=600, seed=0, positive_frac=0.55):

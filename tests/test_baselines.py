@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import warnings
 
@@ -280,6 +281,13 @@ class TestSolverWork:
 
 
 class TestDpLogReg:
+    def test_newton_stopping_short_of_the_tolerance_is_not_released(self, monkeypatch):
+        # the guarantee covers only the minimizer; one Newton step does not reach it
+        ds, _ = planted_dataset(n=500, seed=4)
+        monkeypatch.setattr(baselines, "LogRegHyper", functools.partial(LogRegHyper, max_iters=1))
+        with pytest.raises(RuntimeError, match="gradient tolerance"):
+            fit_dp_logreg(ds, 1.0, rng=make_rng(12))
+
     def test_infinite_budget_matches_plain_fit(self):
         ds, _ = planted_dataset(n=400, seed=1)
         plain = fit_logreg_weighted(ds, range(ds.d))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from dpboost import (
     FeatureSplit,
     LinearClassifier,
     PrivacyParams,
+    PublicChain,
     accuracy,
     brc_fit,
     draw_private_classifiers,
@@ -331,7 +333,7 @@ class TestBrcFit:
             draw_private_classifiers(ds, split, params.rounds, make_rng(0))
         draws = draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), params.rounds, make_rng(0))
         with pytest.raises(ValueError, match="private column set"):
-            brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(1))
+            brc_fit(ds, split, params, draws=draws, public=PublicChain(ds, split), noise_rng=make_rng(1))
 
     def test_rejects_draws_of_the_wrong_length_or_shape(self):
         ds, split = planted_dataset(n=60)
@@ -348,7 +350,7 @@ class TestBrcFit:
         }
         for name, draws in bad.items():
             with pytest.raises(ValueError, match="this fit needs 4 and \\(4, 60\\)"):
-                brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(1))
+                brc_fit(ds, split, params, draws=draws, public=PublicChain(ds, split), noise_rng=make_rng(1))
 
     @pytest.mark.parametrize("all_private", [False, True], ids=["split", "all-private"])
     def test_shared_draws_give_each_fit_its_own_result(self, all_private):
@@ -358,9 +360,10 @@ class TestBrcFit:
         if all_private:
             split = FeatureSplit.all_private(ds.d)
         draws = draw_private_classifiers(ds, split, 10, make_rng(60))
+        public = None if all_private else PublicChain(ds, split)
         for epsilon in (0.1, 2.0, math.inf, 0.1):
             params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
-            ens, recs = brc_fit(ds, split, params, draws=draws, noise_rng=make_rng(61))
+            ens, recs = brc_fit(ds, split, params, draws=draws, public=public, noise_rng=make_rng(61))
             ref_ens, ref_recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(60), noise_rng=make_rng(61))
             assert recs == ref_recs
             assert_same_ensemble(ens, ref_ens)
@@ -483,6 +486,67 @@ class TestBrcFit:
         ref_clf = make_rng(20)
         ref_clf.uniform(-1.0, 1.0, size=params.rounds * (k + 1))
         assert clf_rng.bit_generator.state == ref_clf.bit_generator.state
+
+
+def assert_same_links(a, b, links):
+    """Links 0..links-1 of two chains are bit-equal."""
+    for k in range(links):
+        (h, mis, err), (h_ref, mis_ref, err_ref) = a[k], b[k]
+        assert (h.cols, h.intercept, err) == (h_ref.cols, h_ref.intercept, err_ref)
+        assert np.array_equal(h.coeffs, h_ref.coeffs) and np.array_equal(mis, mis_ref)
+
+
+class TestPublicChain:
+    def test_links_read_no_private_column(self):
+        # the chain's privacy statement: replacing every private feature of
+        # every row leaves each link bit for bit the same
+        ds, split = planted_dataset(n=240, seed=8)
+        X = ds.X.copy()
+        X[:, list(split.private_cols)] = make_rng(5).uniform(-1, 1, size=(ds.n, len(split.private_cols)))
+        other = Dataset(X=X, y=ds.y, columns=ds.columns)
+        assert_same_links(PublicChain(ds, split), PublicChain(other, split), 6)
+
+    def test_each_link_refits_after_one_public_update(self, monkeypatch):
+        # link k+1 is the fit on link k's weights times exp((0.5 - err_k) * mis_k),
+        # fitted lazily, once, when first read
+        ds, split = planted_dataset(n=200, seed=2)
+        fits = []
+        real = boosting.fit_logreg_weighted
+
+        def counting(data, cols, weights):
+            fits.append(np.array(weights))
+            return real(data, cols, weights)
+
+        monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
+        chain = PublicChain(ds, split)
+        assert fits == []
+        chain[3]
+        chain[1]
+        assert len(fits) == 4
+        w = np.ones(ds.n)
+        for k in range(4):
+            h, mis, err = chain[k]
+            assert np.array_equal(fits[k], w)
+            ref = real(ds, split.public_cols, w)
+            assert h.cols == split.public_cols and np.allclose(h.coeffs, ref.coeffs, atol=1e-9)
+            assert np.array_equal(mis, h.predict(ds.X) != ds.y) and err == weighted_error(mis, w)
+            w = w * np.exp((0.5 - err) * mis)
+
+    def test_brc_fit_rejects_a_missing_or_mismatched_chain(self):
+        ds, split = planted_dataset(n=60)
+        all_private = FeatureSplit.all_private(ds.d)
+        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
+        other_rows, _ = planted_dataset(n=40)
+        cases = [
+            (split, None, "needs (60, (0, 1, 2)), got None"),
+            (all_private, PublicChain(ds, split), "needs None, got (60, (0, 1, 2))"),
+            (split, PublicChain(other_rows, split), "needs (60, (0, 1, 2)), got (40, (0, 1, 2))"),
+            (split, PublicChain(ds, FeatureSplit((0, 1), (2, 3))), "needs (60, (0, 1, 2)), got (60, (0, 1))"),
+        ]
+        for fsplit, public, message in cases:
+            draws = draw_private_classifiers(ds, fsplit, params.rounds, make_rng(0))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                brc_fit(ds, fsplit, params, draws=draws, public=public, noise_rng=make_rng(1))
 
 
 def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):

@@ -1,9 +1,10 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from dpboost import cli, harness
+from dpboost import Schema, cli, harness
 from dpboost.cli import main
 
 from conftest import write_synthetic_csv
@@ -201,3 +202,19 @@ class TestPlotCommand:
         out = tmp_path / "chart.svg"
         assert main(["plot", "--in", str(src), "--out", str(out)]) == 0
         assert out.read_text().startswith("<?xml")
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_loads(path, tmp_path, monkeypatch, capsys):
+    if path.name.endswith(".schema.json"):
+        Schema.from_json_file(path)
+    elif path.name == "toy.json":
+        # the whole toy sweep, read as ``dpboost toy`` reads it
+        monkeypatch.chdir(tmp_path)
+        assert main(["toy", "--config", str(path)]) == 0
+        assert "toy eps=100" in capsys.readouterr().out
+    else:
+        assert harness.ExperimentConfig.from_json_file(path).algorithm in harness.ALGORITHMS

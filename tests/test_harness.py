@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dpboost import DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg, run_experiment
-from dpboost import harness
+from dpboost import boosting, harness
 from dpboost.harness import (
     ResultRecord,
     SummaryRow,
@@ -356,6 +356,31 @@ class TestRepeatTasks:
         for algorithm in ("brc-all-private", "logreg"):
             run_experiment(config(synth_csv, tmp_path, algorithm=algorithm, epsilons=epsilons, repeats=2))
         assert counts == {"balance_indices": 4, "draw_private_classifiers": 2, "fit_logreg_weighted": 2}
+
+    def test_a_repeat_fits_each_public_link_once(self, synth_csv, tmp_path, monkeypatch):
+        # a repeat's epsilons share one public chain: per repeat, one fit per
+        # link any epsilon reads, 1 + the most public rounds in rounds 1..T-1
+        fitted_on = []
+        real = boosting.fit_logreg_weighted
+
+        def counting(data, cols, weights):
+            fitted_on.append(data)
+            return real(data, cols, weights)
+
+        monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
+        cfg = config(synth_csv, tmp_path, algorithm="brc", epsilons=(0.05, 0.5, 8.0), rounds=10)
+        records = run_experiment(cfg)
+        chains = []  # each repeat's gathered public columns, in repeat order
+        for data in fitted_on:
+            if not any(data is c for c in chains):
+                chains.append(data)
+        fits = [sum(data is c for data in fitted_on) for c in chains]
+        public_rounds = [
+            [sum(r.chosen == "public" for r in rec.rounds[:-1]) for rec in records if rec.repeat == repeat]
+            for repeat in range(cfg.repeats)
+        ]
+        assert fits == [1 + max(counts) for counts in public_rounds]
+        assert any(len(set(counts)) > 1 for counts in public_rounds)  # the epsilons' fits differ
 
     def test_records_share_the_task_wall_time(self, synth_csv, tmp_path):
         records = run_experiment(config(synth_csv, tmp_path, epsilons=(0.1, 0.5, 8.0), repeats=2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpboost import (
+    DataError,
     PrivacyParams,
     Purpose,
     laplace,
@@ -11,7 +12,7 @@ from dpboost import (
     random_linear_classifier,
     rng_for,
 )
-from dpboost.noise import stream_id
+from dpboost.noise import check_epsilons, stream_id
 
 
 class TestLaplaceSampler:
@@ -140,3 +141,30 @@ class TestPrivacyParams:
         for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
             with pytest.raises(ValueError, match="must be a number"):
                 PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
+
+
+class TestCheckEpsilons:
+    def test_returns_floats_in_order(self):
+        assert check_epsilons([1, 0.5, math.inf], 5, 2.0, 2.0) == (1.0, 0.5, math.inf)
+        assert check_epsilons((0.1,), 5, 2.0, 2.0) == (0.1,)
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            (None, "non-empty list"),
+            ([], "non-empty list"),
+            ("0.5", "non-empty list"),
+            (0.5, "non-empty list"),
+            ([0.5, "1"], "must be a number"),
+            ([True], "must be a number"),
+            ([0.5, 0.0], "must be positive"),
+            ([1, 0.5, 1.0], "must not repeat"),
+        ],
+    )
+    def test_bad_lists_rejected(self, epsilons, message):
+        with pytest.raises(DataError, match=message):
+            check_epsilons(epsilons, 5, 2.0, 2.0)
+
+    def test_checks_the_other_parameters_too(self):
+        with pytest.raises(DataError, match="rounds"):
+            check_epsilons([0.5], 0, 2.0, 2.0)
