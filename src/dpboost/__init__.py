@@ -9,6 +9,7 @@ from .baselines import (
     fit_dp_logreg,
     fit_logreg_weighted,
     fit_pate,
+    fit_pate_teachers,
 )
 from .boosting import (
     PublicChain,

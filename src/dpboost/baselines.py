@@ -270,26 +270,18 @@ class PateModel:
         return self.student.predict(self._student_matrix(X))
 
 
-def fit_pate(
+def fit_pate_teachers(
     train: Dataset,
     split: FeatureSplit,
-    epsilon: float,
     rng: np.random.Generator,
     *,
     k_teachers: int,
-    extra_query_budget: int,
-) -> PateModel:
-    """Train disjoint-shard teachers on private columns and a student on
-    public columns plus the noisy winning-label feature.
-
-    ``k_teachers`` (at least 2) disjoint shards each train one teacher.
-    ``extra_query_budget`` reserves budget for vote queries made after
-    training (each predicted row is one query event); the noise scale is
-    fixed from queries = train.n + extra_query_budget, and querying more
-    events than reserved raises instead of overrunning the budget.
+) -> tuple[LinearClassifier, ...]:
+    """Train one teacher on the private columns of each of ``k_teachers``
+    (at least 2) disjoint shards of ``train``, cut from one
+    ``rng.permutation(train.n)``. The teachers read no epsilon, so one set
+    serves every epsilon's ``fit_pate``.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     check_int("k_teachers", k_teachers, 2)
     split.validate_for(train.d)
     if len(split.private_cols) == 0 or len(split.public_cols) == 0:
@@ -299,13 +291,34 @@ def fit_pate(
             f"{k_teachers} teachers over {train.n} rows leaves shards below 10 rows"
         )
 
-    shards = np.array_split(rng.permutation(train.n), k_teachers)
     teachers = []
-    for shard in shards:
+    for shard in np.array_split(rng.permutation(train.n), k_teachers):
         if len(np.unique(train.y[shard])) < 2:
             raise ValueError("shard too small to train: only one label present")
         teachers.append(fit_logreg_weighted(train.take(shard), split.private_cols))
+    return tuple(teachers)
 
+
+def fit_pate(
+    train: Dataset,
+    split: FeatureSplit,
+    teachers,
+    epsilon: float,
+    rng: np.random.Generator,
+    *,
+    extra_query_budget: int,
+) -> PateModel:
+    """Train a student on the public columns of ``train`` plus the noisy
+    winning-label feature voted by ``teachers`` (from ``fit_pate_teachers``
+    on the same ``train`` and ``split``).
+
+    ``extra_query_budget`` reserves budget for vote queries made after
+    training (each predicted row is one query event); the noise scale is
+    fixed from queries = train.n + extra_query_budget, and querying more
+    events than reserved raises instead of overrunning the budget.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     queries = train.n + int(extra_query_budget)
     vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
     model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)

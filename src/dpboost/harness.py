@@ -18,6 +18,7 @@ seed) pair always yields byte-identical CSV output.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import ctypes
 import glob
 import json
@@ -29,7 +30,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate
+from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate, fit_pate_teachers
 from .boosting import PublicChain, RoundRecord, brc_fit, draw_private_classifiers
 from .data import (
     DataError,
@@ -178,20 +179,13 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Datas
 
         return fit
     if cfg.algorithm == "pate":
-
-        def fit(eps):
-            model = fit_pate(
-                train,
-                fsplit,
-                eps,
-                rng_for(cfg.seed, repeat, Purpose.BASELINE),
-                k_teachers=cfg.pate_teachers,
-                # evaluation queries each test row once, a fresh noise event each
-                extra_query_budget=test.n,
-            )
-            return model, None
-
-        return fit
+        rng = rng_for(cfg.seed, repeat, Purpose.BASELINE)
+        teachers = fit_pate_teachers(train, fsplit, rng, k_teachers=cfg.pate_teachers)
+        # each epsilon draws its votes from a copy of the stream as the shard
+        # shuffle left it; evaluation queries each test row once, a noise event each
+        return lambda eps: (
+            fit_pate(train, fsplit, teachers, eps, copy.deepcopy(rng), extra_query_budget=test.n), None
+        )
     raise DataError(f"unknown algorithm {cfg.algorithm!r}")  # pragma: no cover - guarded by config validation
 
 

@@ -15,6 +15,7 @@ from dpboost import (
     fit_dp_logreg,
     fit_logreg_weighted,
     fit_pate,
+    fit_pate_teachers,
     make_rng,
 )
 from dpboost.baselines import (
@@ -384,10 +385,17 @@ def separable_private_dataset(n=400, seed=0):
     return ds, FeatureSplit(public_cols=(0,), private_cols=(1,))
 
 
+def fit_pate_with_own_teachers(ds, split, epsilon, rng, *, k_teachers, extra_query_budget):
+    """Teachers and student from one stream, as a repeat task fits them for
+    its first epsilon."""
+    teachers = fit_pate_teachers(ds, split, rng, k_teachers=k_teachers)
+    return fit_pate(ds, split, teachers, epsilon, rng, extra_query_budget=extra_query_budget)
+
+
 class TestPate:
     def test_oracle_vote_dominates_with_infinite_budget(self):
         ds, split = separable_private_dataset()
-        model = fit_pate(
+        model = fit_pate_with_own_teachers(
             ds, split, math.inf, make_rng(0), k_teachers=2, extra_query_budget=0
         )
         # noiseless votes recover the label, and the student leans on them
@@ -397,7 +405,7 @@ class TestPate:
     def test_tiny_budget_votes_are_useless_but_student_survives(self):
         ds, split = separable_private_dataset(seed=3)
         # reserve the 2n events queried below: one noisy_votes pass, one predict
-        model = fit_pate(
+        model = fit_pate_with_own_teachers(
             ds, split, 0.01, make_rng(1), k_teachers=2, extra_query_budget=2 * ds.n
         )
         votes = model.noisy_votes(ds.X)
@@ -406,7 +414,7 @@ class TestPate:
 
     def test_vote_scale_formula(self):
         ds, split = separable_private_dataset()
-        model = fit_pate(
+        model = fit_pate_with_own_teachers(
             ds, split, 0.16, make_rng(2), k_teachers=2, extra_query_budget=40
         )
         assert model.vote_scale == pytest.approx(2.0 * (ds.n + 40) / 0.16)
@@ -415,13 +423,13 @@ class TestPate:
         ds, split = separable_private_dataset(n=100)
         for k, message in ((20, "shards below 10"), (1, "k_teachers must be >= 2")):
             with pytest.raises(ValueError, match=message):
-                fit_pate(ds, split, 1.0, make_rng(0), k_teachers=k, extra_query_budget=0)
+                fit_pate_teachers(ds, split, make_rng(0), k_teachers=k)
 
     def test_prediction_deterministic_given_rng(self):
         ds, split = separable_private_dataset(seed=5)
         preds = []
         for _ in range(2):
-            model = fit_pate(
+            model = fit_pate_with_own_teachers(
                 ds, split, 0.5, make_rng(9), k_teachers=3, extra_query_budget=ds.n
             )
             preds.append(model.predict(ds.X))
@@ -430,20 +438,42 @@ class TestPate:
     def test_needs_both_sides(self):
         ds, _ = separable_private_dataset(n=100)
         with pytest.raises(ValueError, match="both public and private"):
-            fit_pate(
-                ds, FeatureSplit.all_private(ds.d), 1.0, make_rng(0), k_teachers=2,
-                extra_query_budget=0,
-            )
+            fit_pate_teachers(ds, FeatureSplit.all_private(ds.d), make_rng(0), k_teachers=2)
 
-    def test_fit_draw_count_is_permutation_plus_two_vote_vectors(self):
-        # the fit consumes one n-permutation (shards) and 2n Laplace draws
-        # (both counts for each training row); teachers and student draw
-        # nothing themselves.
+    def test_teachers_draw_one_permutation(self):
+        # the shards are cut from one n-permutation; the teachers draw nothing
         ds, split = separable_private_dataset(n=120, seed=8)
         rng = make_rng(13)
-        fit_pate(ds, split, 0.5, rng, k_teachers=2, extra_query_budget=0)
+        fit_pate_teachers(ds, split, rng, k_teachers=2)
         ref = make_rng(13)
         ref.permutation(ds.n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_fit_draws_two_vote_vectors(self):
+        # the fit consumes 2n Laplace draws (both counts for each training
+        # row); the student draws nothing itself
+        ds, split = separable_private_dataset(n=120, seed=8)
+        teachers = fit_pate_teachers(ds, split, make_rng(13), k_teachers=2)
+        rng = make_rng(14)
+        fit_pate(ds, split, teachers, 0.5, rng, extra_query_budget=0)
+        ref = make_rng(14)
         ref.random(ds.n)
         ref.random(ds.n)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_fit_votes_with_the_given_teachers(self, monkeypatch):
+        # fit_pate fits no teacher: the model votes with the ones it is given
+        ds, split = separable_private_dataset(n=120, seed=8)
+        teachers = fit_pate_teachers(ds, split, make_rng(13), k_teachers=3)
+        fits = []
+        real = baselines.fit_logreg_weighted
+
+        def counting(*args, **kwargs):
+            fits.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit_logreg_weighted", counting)
+        model = fit_pate(ds, split, teachers, 0.5, make_rng(14), extra_query_budget=0)
+        assert len(fits) == 1 and fits[0].columns[-1] == ("vote", "numeric")
+        assert len(model.teachers) == 3
+        assert all(a is b for a, b in zip(model.teachers, teachers))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dpboost import DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg, run_experiment
-from dpboost import boosting, harness
+from dpboost import baselines, boosting, harness
 from dpboost.harness import (
     ResultRecord,
     SummaryRow,
@@ -357,6 +357,21 @@ class TestRepeatTasks:
             run_experiment(config(synth_csv, tmp_path, algorithm=algorithm, epsilons=epsilons, repeats=2))
         assert counts == {"balance_indices": 4, "draw_private_classifiers": 2, "fit_logreg_weighted": 2}
 
+    def test_a_pate_repeat_fits_its_teachers_once(self, synth_csv, tmp_path, monkeypatch):
+        # per repeat: pate_teachers teacher fits, then one student fit per epsilon
+        fits = []
+        real = baselines.fit_logreg_weighted
+
+        def counting(*args, **kwargs):
+            fits.append(args[0].columns[-1] == ("vote", "numeric"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit_logreg_weighted", counting)
+        cfg = config(synth_csv, tmp_path, algorithm="pate", epsilons=(0.1, 0.5, 8.0), pate_teachers=5)
+        records = run_experiment(cfg)
+        assert all(r.error is None for r in records), [r.error for r in records]
+        assert fits == ([False] * 5 + [True] * 3) * cfg.repeats
+
     def test_a_repeat_fits_each_public_link_once(self, synth_csv, tmp_path, monkeypatch):
         # a repeat's epsilons share one public chain: per repeat, one fit per
         # link any epsilon reads, 1 + the most public rounds in rounds 1..T-1
@@ -402,7 +417,7 @@ class TestRepeatTasks:
         [
             ("brc", "brc_fit", lambda args: args[2].epsilon),
             ("dp-logreg", "fit_dp_logreg", lambda args: args[1]),
-            ("pate", "fit_pate", lambda args: args[2]),
+            ("pate", "fit_pate", lambda args: args[3]),
         ],
         ids=["brc", "dp-logreg", "pate"],
     )
