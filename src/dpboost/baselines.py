@@ -222,16 +222,18 @@ def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> L
 class PateModel:
     """Teachers on private columns vote a label feature for a public student.
 
-    Each vote query costs a slice of the budget: the whole epsilon is spread
-    over ``queries`` query events by basic composition, and both label
-    counts are released per query, so each count is perturbed with
-    Lap(2 * queries / epsilon) (one individual's private features move at
-    most one teacher's vote, so each count has sensitivity 1). Re-querying
-    a row draws fresh noise and therefore costs another event; the budget
-    must cover every event, not just distinct points. The model counts its
-    events and raises ``RuntimeError`` before drawing any noise for a query
-    that would take it past ``query_budget``; a noise-free model (infinite
-    epsilon) has no budget to overrun and is not limited.
+    Both label counts of each vote query are released, each perturbed with
+    Lap(``vote_scale``). Replacing one person's private features changes the
+    teacher fitted on their shard, which moves each count of a query on
+    another row by at most 1; the training query on their own row also feeds
+    the new features to all k teachers, so its counts move by at most k. By
+    basic composition over the ``query_budget`` events the person spends
+    2 * (events - 1 + k) / vote_scale, which ``fit_pate`` makes epsilon.
+    Later queries are charged as queries on other rows (the harness queries
+    held-out test rows). Re-querying a row draws fresh noise, another event.
+    The model counts its events and raises ``RuntimeError`` before drawing
+    any noise for a query that would take it past ``query_budget``; a
+    noise-free model (infinite epsilon) has no budget to overrun.
 
     ``teachers`` is a tuple of ``LinearClassifier``, scored by one
     ``score_matrix`` call. Prediction is stateful: it consumes two noise draws
@@ -271,26 +273,18 @@ class PateModel:
 
 
 def fit_pate_teachers(
-    train: Dataset,
-    split: FeatureSplit,
-    rng: np.random.Generator,
-    *,
-    k_teachers: int,
+    train: Dataset, split: FeatureSplit, rng: np.random.Generator, *, k_teachers: int
 ) -> tuple[LinearClassifier, ...]:
-    """Train one teacher on the private columns of each of ``k_teachers``
-    (at least 2) disjoint shards of ``train``, cut from one
-    ``rng.permutation(train.n)``. The teachers read no epsilon, so one set
-    serves every epsilon's ``fit_pate``.
-    """
+    """Fit one teacher on the private columns of each of ``k_teachers`` (at
+    least 2) disjoint shards of ``train``, cut from one
+    ``rng.permutation(train.n)``. They read no epsilon, so one set serves
+    every epsilon's ``fit_pate``."""
     check_int("k_teachers", k_teachers, 2)
     split.validate_for(train.d)
     if len(split.private_cols) == 0 or len(split.public_cols) == 0:
         raise ValueError("PATE needs both public and private columns")
     if k_teachers > train.n // 10:
-        raise ValueError(
-            f"{k_teachers} teachers over {train.n} rows leaves shards below 10 rows"
-        )
-
+        raise ValueError(f"{k_teachers} teachers over {train.n} rows leaves shards below 10 rows")
     teachers = []
     for shard in np.array_split(rng.permutation(train.n), k_teachers):
         if len(np.unique(train.y[shard])) < 2:
@@ -308,26 +302,21 @@ def fit_pate(
     *,
     extra_query_budget: int,
 ) -> PateModel:
-    """Train a student on the public columns of ``train`` plus the noisy
-    winning-label feature voted by ``teachers`` (from ``fit_pate_teachers``
-    on the same ``train`` and ``split``).
+    """Fit a student on the public columns of ``train`` plus the noisy
+    winning label that ``teachers`` (``fit_pate_teachers`` on the same
+    ``train`` and ``split``) vote for each row.
 
     ``extra_query_budget`` reserves budget for vote queries made after
-    training (each predicted row is one query event); the noise scale is
-    fixed from queries = train.n + extra_query_budget, and querying more
-    events than reserved raises instead of overrunning the budget.
+    training, one event per predicted row; the noise scale is fixed from
+    train.n + extra_query_budget events, and querying more raises.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     queries = train.n + int(extra_query_budget)
-    vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * queries / epsilon
+    vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * (queries + len(teachers) - 1) / epsilon
     model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)
 
-    student_X = model._student_matrix(train.X)
-    student_ds = Dataset(
-        X=student_X,
-        y=train.y,
-        columns=tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),),
-    )
-    model.student = fit_logreg_weighted(student_ds, range(student_X.shape[1]))
+    columns = tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),)
+    student = Dataset(X=model._student_matrix(train.X), y=train.y, columns=columns)
+    model.student = fit_logreg_weighted(student, range(len(columns)))
     return model

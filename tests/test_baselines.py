@@ -1,4 +1,5 @@
 import collections
+import copy
 import functools
 import math
 import warnings
@@ -17,6 +18,7 @@ from dpboost import (
     fit_pate,
     fit_pate_teachers,
     make_rng,
+    score_matrix,
 )
 from dpboost.baselines import (
     _sigmoid,
@@ -24,6 +26,7 @@ from dpboost.baselines import (
     weighted_logistic_hess,
     weighted_logistic_loss,
 )
+from dpboost.boosting import _ORACLE_VALUES
 
 from conftest import planted_dataset
 
@@ -417,7 +420,8 @@ class TestPate:
         model = fit_pate_with_own_teachers(
             ds, split, 0.16, make_rng(2), k_teachers=2, extra_query_budget=40
         )
-        assert model.vote_scale == pytest.approx(2.0 * (ds.n + 40) / 0.16)
+        # queries = n + 40 events, plus k - 1 for the query on a row's own features
+        assert model.vote_scale == pytest.approx(2.0 * (ds.n + 40 + 2 - 1) / 0.16)
 
     def test_too_many_teachers_rejected(self):
         ds, split = separable_private_dataset(n=100)
@@ -477,3 +481,37 @@ class TestPate:
         assert len(fits) == 1 and fits[0].columns[-1] == ("vote", "numeric")
         assert len(model.teachers) == 3
         assert all(a is b for a, b in zip(model.teachers, teachers))
+
+    def test_vote_counts_move_by_k_on_a_rows_own_query_and_1_elsewhere(self):
+        # Brute force on a tiny instance: replace one row's private features
+        # with every grid value, refit the teachers on the same shards, and
+        # measure how far each query's plus count moves (the minus count is
+        # k - plus). Queries are the n training rows, whose own query sees the
+        # replaced features, and a few held-out rows.
+        ds, split = separable_private_dataset(n=30, seed=4)
+        held_out, _ = separable_private_dataset(n=6, seed=5)
+        k, epsilon = 3, 1.0
+        stream = make_rng(21)
+
+        def plus_counts(train):
+            teachers = fit_pate_teachers(train, split, copy.deepcopy(stream), k_teachers=k)
+            queries = np.vstack([train.X, held_out.X])
+            return np.count_nonzero(score_matrix(teachers, queries) >= 0, axis=1)
+
+        base = plus_counts(ds)
+        own, others = [], []
+        for i in range(ds.n):
+            moved = np.zeros(ds.n + held_out.n, dtype=int)
+            for value in _ORACLE_VALUES:
+                X = ds.X.copy()
+                X[i, list(split.private_cols)] = value
+                moved = np.maximum(moved, np.abs(plus_counts(Dataset(X=X, y=ds.y, columns=ds.columns)) - base))
+            own.append(moved[i])
+            others.append(np.delete(moved, i).max())
+        assert (max(own), max(others)) == (k, 1)
+        # both counts of a query move together, so its L1 change is twice
+        # the plus count's; basic composition charges every event at its worst
+        teachers = fit_pate_teachers(ds, split, copy.deepcopy(stream), k_teachers=k)
+        model = fit_pate(ds, split, teachers, epsilon, make_rng(0), extra_query_budget=held_out.n)
+        queries = ds.n + held_out.n
+        assert 2 * (max(own) + (queries - 1) * max(others)) / model.vote_scale <= epsilon * (1 + 1e-12)

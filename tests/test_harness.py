@@ -282,7 +282,8 @@ class TestRunExperiment:
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # evaluation queries each test row once, so the noise scale is set
-        # from train.n + test.n query events
+        # from train.n + test.n query events, plus pate_teachers - 1 for the
+        # query on a training row's own features
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
             pate_teachers=5,
@@ -291,7 +292,7 @@ class TestRunExperiment:
         train, _, _ = harness._prepare(full, cfg, 0)
         model, _, test = fit_cell(full, cfg, 0.5, 0)
         expected_queries = train.n + test.n
-        assert model.vote_scale == pytest.approx(2.0 * expected_queries / 0.5)
+        assert model.vote_scale == pytest.approx(2.0 * (expected_queries + 5 - 1) / 0.5)
 
     def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
         from dpboost import accuracy
