@@ -227,8 +227,8 @@ class PateModel:
     teacher fitted on their shard, which moves each count of a query on
     another row by at most 1; the training query on their own row also feeds
     the new features to all k teachers, so its counts move by at most k. By
-    basic composition over the ``query_budget`` events the person spends
-    2 * (events - 1 + k) / vote_scale, which ``fit_pate`` makes epsilon.
+    basic composition over the E = ``query_budget`` events the person spends
+    2 * (E - 1 + k) / vote_scale, which ``fit_pate`` makes epsilon.
     Later queries are charged as queries on other rows (the harness queries
     held-out test rows). Re-querying a row draws fresh noise, another event.
     The model counts its events and raises ``RuntimeError`` before drawing

@@ -7,9 +7,9 @@ balances and splits the data once with the repeat's shuffle stream, does the
 work its epsilons share once (a boosting fit's private draws and public
 chain, whose links are fitted when the first epsilon reaches them, PATE's
 teachers, or the whole fit of an algorithm that ignores epsilon), then fits
-and scores each epsilon's cell. Each record is the one its cell would give if run alone.
-A boosting cell scores every partial ensemble H_1..H_T, so each
-of its round records carries that round's test accuracy (the convergence
+and scores each epsilon's cell. Each record is the one its cell would give
+if run alone. A boosting cell scores every partial ensemble H_1..H_T, so
+each of its round records carries that round's test accuracy (the convergence
 trace) and the last one is the cell's. Records are merged in deterministic
 (epsilon, repeat) order regardless of execution order, so a fixed (config,
 seed) pair always yields byte-identical CSV output.
