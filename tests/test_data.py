@@ -1,9 +1,13 @@
+import csv
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dpboost import data
 from dpboost import (
     ColumnSpec,
     DataError,
@@ -36,6 +40,11 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def row(raw, i):
+    """Row i of a RawTable as its stripped strings."""
+    return tuple(levels[c] for levels, c in zip(raw.levels, raw.codes[i]))
+
+
 class TestLoadCsv:
     def test_three_rows(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,+\n3,4,-\n5,6,+\n")
@@ -46,7 +55,10 @@ class TestLoadCsv:
         raw = load_csv(path, schema)
         assert raw.n == 3
         assert raw.header == ("a", "b", "label")
-        assert raw.rows[0] == ("1", "2", "+")
+        assert raw.levels == (("1", "3", "5"), ("2", "4", "6"), ("+", "-"))
+        assert raw.codes.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 0]]
+        assert raw.codes.dtype == np.int32 and not raw.codes.flags.writeable
+        assert row(raw, 0) == ("1", "2", "+")
 
     def test_ragged_row_reports_index(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,+\n3,4\n")
@@ -74,9 +86,12 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv", simple_schema())
 
     def test_whitespace_stripped(self, tmp_path):
-        path = write(tmp_path, "a, sex, label\n1, M , +\n")
+        path = write(tmp_path, "a, sex, label\n1, M , +\n1,M,+\n")
         raw = load_csv(path, simple_schema())
-        assert raw.rows[0] == ("1", "M", "+")
+        assert row(raw, 0) == ("1", "M", "+")
+        # cells equal after stripping share one level and one code
+        assert raw.levels == (("1",), ("M",), ("+",))
+        assert raw.codes.tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 class TestEncode:
@@ -206,6 +221,277 @@ class TestNormalize:
         ds = Dataset(X=np.array([[v]]), y=np.array([1]), columns=(("a", "numeric"),))
         out = normalize(ds, simple_schema())
         assert -1.0 <= out.X[0, 0] <= 1.0
+
+
+def reference_load_csv(path, schema):
+    """The row-wise reader that load_csv replaced: (header, rows of stripped cells)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: missing header") from None
+        rows = []
+        for i, r in enumerate(reader):
+            if not r:
+                continue
+            if len(r) != len(header):
+                raise DataError(f"{path}: ragged row at index {i}")
+            rows.append(tuple(cell.strip() for cell in r))
+    if schema.label.name not in header:
+        raise DataError(f"{path}: missing label column {schema.label.name!r}")
+    for name in schema.feature_names:
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    for name in (schema.label.name, *schema.feature_names):
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} is named {header.count(name)} times in the header")
+    return tuple(header), tuple(rows)
+
+
+def reference_encode(header, rows, schema):
+    """The row-wise encode that per-column codes replaced: per-column blocks, then hstack."""
+    col_idx = {name: header.index(name) for name in schema.feature_names}
+    label_idx = header.index(schema.label.name)
+    used = list(col_idx.values()) + [label_idx]
+    kept = [r for r in rows if not any(r[i] in data.MISSING_TOKENS for i in used)]
+    dropped = len(rows) - len(kept)
+    if dropped:
+        warnings.warn(f"encode: dropped {dropped} rows with missing values", stacklevel=2)
+    if not kept:
+        raise DataError("no rows remain after dropping missing values")
+    label_map = {schema.label.positive: 1, schema.label.negative: -1}
+    y = np.empty(len(kept), dtype=np.int64)
+    for i, r in enumerate(kept):
+        v = r[label_idx]
+        if v not in label_map:
+            raise DataError(f"unseen label value {v!r} at row {i}")
+        y[i] = label_map[v]
+    blocks, manifest = [], []
+    for spec in schema.columns:
+        values = [r[col_idx[spec.name]] for r in kept]
+        if spec.kind == "numeric":
+            try:
+                col = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"non-numeric token in column {spec.name!r}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(f"non-finite value {values[i]!r} in column {spec.name!r} at row {i}")
+            blocks.append(col[:, None])
+            manifest.append((spec.name, "numeric"))
+        else:
+            levels = sorted(set(values))
+            lookup = {v: j for j, v in enumerate(levels)}
+            onehot = np.zeros((len(values), len(levels)), dtype=np.float64)
+            onehot[np.arange(len(values)), [lookup[v] for v in values]] = 1.0
+            blocks.append(onehot)
+            manifest.extend((spec.name, f"={v}") for v in levels)
+    X = np.hstack(blocks) if blocks else np.empty((len(kept), 0))
+    return Dataset(X=X, y=y, columns=tuple(manifest))
+
+
+def reference_normalize(ds, schema):
+    """The column-by-column normalize that two broadcast expressions replaced."""
+    X = ds.X.copy()
+    for j, (src, tag) in enumerate(ds.columns):
+        if tag == "numeric":
+            spec = schema.column(src)
+            lo, hi = spec.min, spec.max
+            X[:, j] = np.clip(2.0 * (X[:, j] - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+        else:
+            X[:, j] = 2.0 * X[:, j] - 1.0
+    return Dataset(X=X, y=ds.y, columns=ds.columns)
+
+
+def oracle_schema():
+    # 'note' is in every file's header but the schema never reads it
+    return Schema(
+        columns=(
+            ColumnSpec("a", "numeric", min=0.0, max=100.0),
+            ColumnSpec("sex", "categorical"),
+            ColumnSpec("b", "numeric", min=-5, max=5),
+        ),
+        label=LabelSpec("label", positive="+", negative="-"),
+    )
+
+
+def many_rows(n, late_level_at):
+    """n rows, with the sex level 'X' first seen within three rows of
+    ``late_level_at``; a and b also take values outside their ranges."""
+    lines = ["a,sex,note,b,label"]
+    for i in range(n):
+        sex = "X" if i >= late_level_at and i % 3 == 0 else "MF"[i % 2]
+        a = "?" if i % 17 == 5 else str(i % 130)
+        lines.append(f"{a},{sex},n{i % 7},{(i % 11) - 5}.5,{'+-'[i % 3 == 1]}")
+    return "\n".join(lines) + "\n"
+
+
+# per case, the CSV and what preparing it gives: the shape of X, or the end of
+# the DataError message
+ORACLE_CASES = {
+    "padded whitespace": ("a , sex,note, b ,label\n 1 , M ,x, 2 , +\n2,F , y ,-1,-\n  3,M,z,0.5,+ \n", (3, 4)),
+    "missing in every column": (
+        "a,sex,note,b,label\n1,M,?,1,+\n?,F,x,1,-\n,F,x,1,-\n2,?,x,1,+\n3,,x,1,+\n"
+        "4,M,x,?,-\n5,M,x,,+\n6,M,x,1,?\n7,F,x,1,\n8,F,,2,-\n",
+        (2, 4),
+    ),
+    "level only in a dropped row": ("a,sex,note,b,label\n1,M,x,1,+\n?,Q,x,1,-\n2,F,x,1,-\n", (2, 4)),
+    "bad token only in a dropped row": ("a,sex,note,b,label\n1,M,x,1,+\nxyz,?,x,1,-\n2,F,x,1,-\n", (2, 4)),
+    "first kept row's bad token named": (
+        "a,sex,note,b,label\ndef,?,x,1,+\n1,M,x,1,+\nabc,F,x,1,-\ndef,M,x,1,-\n",
+        "non-numeric token in column 'a': could not convert string to float: 'abc'",
+    ),
+    "non-finite token at its kept-row index": (
+        "a,sex,note,b,label\ninf,?,x,1,+\n1,M,x,1,+\n2,?,x,1,-\n3,F,x,nan,-\n4,M,x,inf,+\n",
+        "non-finite value 'nan' in column 'b' at row 1",
+    ),
+    "label only in a dropped row": ("a,sex,note,b,label\n1,M,x,1,+\n2,?,x,1,wat\n3,F,x,1,-\n", (2, 4)),
+    "unseen label in a kept row": (
+        "a,sex,note,b,label\n1,M,x,1,+\n2,?,x,1,wat\n3,F,x,1,yes\n", "unseen label value 'yes' at row 1",
+    ),
+    "blank lines before a ragged row": ("a,sex,note,b,label\n1,M,x,1,+\n\n\n2,F,x,1\n", "ragged row at index 3"),
+    "header only": ("a,sex,note,b,label\n", "no rows remain after dropping missing values"),
+    "every row dropped": ("a,sex,note,b,label\n?,M,x,1,+\n", "no rows remain after dropping missing values"),
+    # 71 of the 1,200 rows have a '?'; sex takes the levels F, M and X
+    "more rows than one block": (many_rows(1_200, late_level_at=700), (1_129, 5)),
+}
+
+
+# cell pools of the random tables: padding, missing tokens, and now and then
+# a token that raises
+NUMERIC_TOKENS = ["1", " 2", "2 ", "-3.5", "1e9", "99", "?", "", " ?", "nan", "x"]
+LEVEL_TOKENS = ["M", "F ", " M", "F", "?", "", "1"]
+LABEL_TOKENS = ["+", "-", " +", "- ", "?", "wat"]
+
+
+def prepared(prepare):
+    """What a preparation returns or raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            encoded, ds = prepare()
+            outcome = (encoded.X.tobytes(), ds.X.tobytes(), ds.X.shape, ds.X.flags.c_contiguous,
+                       ds.y.tobytes(), ds.columns)
+        except DataError as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+def assert_matches_reference(path, schema):
+    def current():
+        encoded = encode(load_csv(path, schema), schema)
+        return encoded, normalize(encoded, schema)
+
+    def reference():
+        encoded = reference_encode(*reference_load_csv(path, schema), schema)
+        return encoded, reference_normalize(encoded, schema)
+
+    got, want = prepared(current), prepared(reference)
+    assert got == want
+    return got
+
+
+class TestIngestionOracle:
+    """load_csv, encode and normalize against the row-wise code they replace:
+    the same X, y and columns byte for byte, the same errors and warnings."""
+
+    @pytest.mark.parametrize("block", [2, data._LOAD_BLOCK])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_row_wise_reference(self, tmp_path, monkeypatch, case, block):
+        monkeypatch.setattr(data, "_LOAD_BLOCK", block)
+        text, expected = ORACLE_CASES[case]
+        got, _ = assert_matches_reference(write(tmp_path, text), oracle_schema())
+        if isinstance(expected, str):  # the case reaches the branch it names
+            assert isinstance(got, str) and got.endswith(expected)
+        else:
+            assert got[2] == expected
+
+    def test_level_of_a_dropped_row_gets_no_column(self, tmp_path):
+        text, _ = ORACLE_CASES["level only in a dropped row"]
+        got, warned = assert_matches_reference(write(tmp_path, text), oracle_schema())
+        assert ("sex", "=Q") not in got[-1]
+        assert warned == ["encode: dropped 1 rows with missing values"]
+
+    def test_a_level_first_seen_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_LOAD_BLOCK", 512)
+        path = write(tmp_path, ORACLE_CASES["more rows than one block"][0])
+        raw = load_csv(path, oracle_schema())
+        assert raw.n == 1_200 and raw.levels[1] == ("M", "F", "X")
+        got, _ = assert_matches_reference(path, oracle_schema())
+        assert ("sex", "=X") in got[-1]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_normalize_matches_reference_in_either_layout(self, order):
+        rng = make_rng(3)
+        X = np.column_stack([rng.uniform(-50, 150, 40), rng.random(40) < 0.5, rng.uniform(-9, 9, 40)])
+        ds = Dataset(X=np.asarray(X, order=order), y=np.ones(40, dtype=np.int64),
+                     columns=(("a", "numeric"), ("sex", "=M"), ("b", "numeric")))
+        got, want = normalize(ds, oracle_schema()), reference_normalize(ds, oracle_schema())
+        assert got.X.tobytes() == want.X.tobytes() and got.X.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(NUMERIC_TOKENS), st.sampled_from(LEVEL_TOKENS), st.sampled_from(["n", "?", ""]),
+        st.sampled_from(NUMERIC_TOKENS), st.sampled_from(LABEL_TOKENS),
+    ), max_size=12))
+    def test_random_tables_match_reference(self, tmp_path_factory, rows):
+        text = "a,sex,note,b,label\n" + "".join(",".join(r) + "\n" for r in rows)
+        assert_matches_reference(write(tmp_path_factory.mktemp("csv"), text), oracle_schema())
+
+
+NUMERIC_RANGES = {"age": (17, 91), "fnlwgt": (10_000, 1_500_000), "edu_num": (1, 17),
+                  "gain": (0, 100), "loss": (0, 50), "hours": (1, 100)}
+CATEGORICAL_LEVELS = {"workclass": 7, "education": 16, "marital": 7, "occupation": 14,
+                      "relationship": 6, "race": 5, "sex": 2, "country": 41}
+
+
+def write_census_like_csv(tmp_path, n, seed=0):
+    """A census-shaped file: 15 columns, one near-unique numeric column, the
+    Adult level counts (104 encoded columns) and padded categorical cells."""
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.integers(lo, hi, size=n).astype(str) for name, (lo, hi) in NUMERIC_RANGES.items()}
+    for name, k in CATEGORICAL_LEVELS.items():
+        cols[name] = np.char.add(f" {name}-", rng.integers(0, k, size=n).astype(str))
+    cols["income"] = np.where(rng.random(n) < 0.25, " >50K", " <=50K")
+    lines = [",".join(cols)] + [",".join(r) for r in zip(*cols.values())]
+    schema = Schema(
+        columns=tuple(ColumnSpec(k, "numeric", min=lo, max=hi) for k, (lo, hi) in NUMERIC_RANGES.items())
+        + tuple(ColumnSpec(k, "categorical") for k in CATEGORICAL_LEVELS),
+        label=LabelSpec("income", positive=">50K", negative="<=50K"),
+    )
+    return write(tmp_path, "\n".join(lines) + "\n"), schema
+
+
+class TestIngestionMemory:
+    N = 20_000
+
+    def traced_peak(self, f, *args):
+        tracemalloc.start()
+        try:
+            result = f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_load_holds_codes_not_row_strings(self, tmp_path):
+        # a table of this file's row strings takes 19 MB; its codes take
+        # 1.2 MB, and reading in blocks bounds the row strings held at once
+        path, schema = write_census_like_csv(tmp_path, self.N)
+        raw, peak = self.traced_peak(load_csv, path, schema)
+        assert raw.codes.shape == (self.N, 15)
+        assert peak < 8e6
+
+    def test_encode_allocates_one_matrix(self, tmp_path):
+        # X is written in place: beside it only the kept codes and a few
+        # row-length vectors, where a copy of X would add 17 MB
+        path, schema = write_census_like_csv(tmp_path, self.N)
+        raw = load_csv(path, schema)
+        ds, peak = self.traced_peak(encode, raw, schema)
+        assert ds.X.shape == (self.N, 104)
+        assert peak < ds.X.nbytes + 5e6
 
 
 class TestBalance:

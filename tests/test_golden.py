@@ -9,7 +9,9 @@ accuracy, each became the sha256 of the earlier text with the
 gained its partial ensemble's test accuracy, each became the sha256 of that
 text with every round's value added as ``"test_accuracy"``; those values,
 pinned below, were taken from a separate refit of every cell that scored the
-prefixes H_1..H_T. A refactor must reproduce the pins byte for byte.
+prefixes H_1..H_T. The prepared-matrix pins were recorded from the row-wise
+CSV ingestion, before it was replaced by per-column codes. A refactor must
+reproduce the pins byte for byte.
 """
 
 import dataclasses
@@ -19,7 +21,18 @@ import os
 
 import pytest
 
-from dpboost import ExperimentConfig, ToyConfig, aggregate, emit_csv, run_experiment, run_toy_sweep
+from dpboost import (
+    ExperimentConfig,
+    Schema,
+    ToyConfig,
+    aggregate,
+    emit_csv,
+    encode,
+    load_csv,
+    normalize,
+    run_experiment,
+    run_toy_sweep,
+)
 from dpboost.cli import main
 from dpboost.harness import emit_records_jsonl
 
@@ -40,6 +53,22 @@ def golden_config(tmp_path, algorithm):
         test_frac=0.2,
         output_dir=str(tmp_path),
     )
+
+
+# sha256 of the prepared matrix of the golden CSV: X.tobytes(), y.tobytes(), repr(columns)
+GOLDEN_PREPARED_SHA256 = {
+    "X": "9ea5b8aeab4923aca03a8f46b65b6e7038c9292bf8da898b56b573f712e038bb",
+    "y": "5e2acf4679584420919bd3658dde006b1582f1cbd164091023e2eaa1096aed6c",
+    "columns": "50584b45ed61b35acd8eefe6c3cacdd66a61d6985c8f070e324656ec406108e1",
+}
+
+
+def test_prepared_matrix_is_pinned(tmp_path):
+    csv_path, schema_path = write_synthetic_csv(str(tmp_path), n=600)
+    schema = Schema.from_json_file(schema_path)
+    ds = normalize(encode(load_csv(csv_path, schema), schema), schema)
+    got = {"X": ds.X.tobytes(), "y": ds.y.tobytes(), "columns": repr(ds.columns).encode()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_PREPARED_SHA256
 
 
 GOLDEN_SUMMARY = {
