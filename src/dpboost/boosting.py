@@ -21,7 +21,8 @@ differ only in epsilon can share one set of draws.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
-force check lives in ``sensitivity_oracle``.
+force check lives in ``sensitivity_oracle``, and ``sensitivity_sweep`` runs it
+on random small instances.
 """
 
 from __future__ import annotations
@@ -292,3 +293,28 @@ def sensitivity_oracle(clf, ds: Dataset, weights_grid, c1: float, c2: float) -> 
                     w_nbr[r] = w_r
                     worst = max(worst, abs(g_base - g(X_nbr, ds.y, w_nbr)))
     return worst
+
+
+def sensitivity_sweep(max_n: int, rng) -> list[tuple[int, int, float, float]]:
+    """Brute-force one random instance per n = 2..max_n, k = 1, 2 private
+    columns and c1 = c2 = c in {1, sqrt 2, 2}, drawn from ``rng`` in that
+    order; returns (n, k, c, oracle value) rows, each bounded by c*c/n. The
+    ``ValueError`` for a max_n outside [2, _ORACLE_MAX_N] names the CLI's flag.
+    """
+    if not 2 <= max_n <= _ORACLE_MAX_N:
+        raise ValueError(f"--max-n must lie in [2, {_ORACLE_MAX_N}], got {max_n}")
+    rows = []
+    for n in range(2, max_n + 1):
+        for k in (1, 2):
+            for c in (1.0, np.sqrt(2.0), 2.0):
+                X = rng.choice(_ORACLE_VALUES, size=(n, k))
+                y = np.where(rng.random(n) < 0.5, 1, -1)
+                if np.all(y == y[0]):
+                    y[0] = -y[0]
+                ds = Dataset(X=X, y=y, columns=tuple(("f", f"={j}") for j in range(k)))
+                clf = LinearClassifier(
+                    coeffs=rng.uniform(-1, 1, size=k), intercept=rng.uniform(-1, 1), cols=tuple(range(k))
+                )
+                weights_grid = [np.ones(n), np.full(n, 1.0 / c), np.full(n, c), rng.uniform(1.0 / c, c, size=n)]
+                rows.append((n, k, c, sensitivity_oracle(clf, ds, weights_grid, c, c)))
+    return rows

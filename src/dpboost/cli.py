@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import harness
-from .boosting import _ORACLE_MAX_N, _ORACLE_VALUES, sensitivity_oracle
-from .data import DataError, Dataset, config_from_dict
-from .model import LinearClassifier
+from .boosting import sensitivity_sweep
+from .data import DataError, check_str, config_from_dict
 from .noise import make_rng
 from .toy import ToyConfig, run_toy_sweep
 
@@ -57,8 +55,7 @@ def _cmd_toy(args) -> int:
         raise DataError(f"toy config must be a JSON object, got {type(raw).__name__}")
     eps_list = raw.pop("epsilons", None)
     out_dir = raw.pop("output_dir", "results")
-    if not isinstance(out_dir, str):
-        raise DataError(f"output_dir must be a string, got {out_dir!r}")
+    check_str("output_dir", out_dir)
     report = run_toy_sweep(config_from_dict(ToyConfig, raw), eps_list)  # checks eps_list first
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "toy_accuracy.csv"))
@@ -74,35 +71,14 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_sensitivity_check(args) -> int:
-    if not 2 <= args.max_n <= _ORACLE_MAX_N:
-        raise DataError(f"--max-n must lie in [2, {_ORACLE_MAX_N}], got {args.max_n}")
-    rng = make_rng(args.seed)
     worst_ratio = 0.0
     ok = True
-    for n in range(2, args.max_n + 1):
-        for k in (1, 2):
-            for c in (1.0, math.sqrt(2.0), 2.0):
-                X = rng.choice(_ORACLE_VALUES, size=(n, k))
-                y = np.where(rng.random(n) < 0.5, 1, -1)
-                if np.all(y == y[0]):
-                    y[0] = -y[0]
-                ds = Dataset(X=X, y=y, columns=tuple(("f", f"={j}") for j in range(k)))
-                clf = LinearClassifier(
-                    coeffs=rng.uniform(-1, 1, size=k), intercept=rng.uniform(-1, 1), cols=tuple(range(k))
-                )
-                weights_grid = [
-                    np.ones(n),
-                    np.full(n, 1.0 / c),
-                    np.full(n, c),
-                    rng.uniform(1.0 / c, c, size=n),
-                ]
-                value = sensitivity_oracle(clf, ds, weights_grid, c, c)
-                bound = c * c / n
-                worst_ratio = max(worst_ratio, value / bound)
-                status = "ok" if value <= bound + 1e-12 else "VIOLATION"
-                if status != "ok":
-                    ok = False
-                print(f"n={n} k={k} c1=c2={c:.4f}: oracle={value:.6f} bound={bound:.6f} {status}")
+    for n, k, c, value in sensitivity_sweep(args.max_n, make_rng(args.seed)):
+        bound = c * c / n
+        worst_ratio = max(worst_ratio, value / bound)
+        status = "ok" if value <= bound + 1e-12 else "VIOLATION"
+        ok = ok and status == "ok"
+        print(f"n={n} k={k} c1=c2={c:.4f}: oracle={value:.6f} bound={bound:.6f} {status}")
     print(f"worst oracle/bound ratio: {worst_ratio:.4f}")
     return 0 if ok else 1
 

@@ -1,7 +1,7 @@
 """Tabular data pipeline: CSV ingestion, one-hot encoding, [-1,1] normalization,
 and the row indices of label balancing and train/test splitting, plus the
-loading and the integer and real-number checks shared by the experiment and
-toy configs.
+loader (``config_from_dict``) and the integer, real-number and string checks
+shared by the schema and the experiment and toy configs.
 
 All types are immutable after construction and all operations are pure
 functions of (input, seed), so repeated runs with the same seed produce
@@ -48,6 +48,12 @@ def check_real(name: str, value) -> None:
     """Raise ``DataError`` unless ``value`` is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DataError(f"{name} must be a number, got {value!r}")
+
+
+def check_str(name: str, value) -> None:
+    """Raise ``DataError`` unless ``value`` is a string."""
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, got {value!r}")
 
 
 def config_from_dict(cls, d: dict):
@@ -100,6 +106,8 @@ class LabelSpec:
     negative: str
 
     def __post_init__(self):
+        for name in ("name", "positive", "negative"):
+            check_str(f"label {name}", getattr(self, name))
         if self.positive == self.negative:
             raise DataError("label mapping must be a bijection onto {-1,+1}")
 
@@ -130,26 +138,15 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        try:
-            cols = tuple(
-                ColumnSpec(
-                    name=c["name"],
-                    kind=c["kind"],
-                    min=c.get("min"),
-                    max=c.get("max"),
-                )
-                for c in d["columns"]
-            )
-            label = LabelSpec(
-                name=d["label"]["name"],
-                positive=str(d["label"]["positive"]),
-                negative=str(d["label"]["negative"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"schema is missing required key: {exc}") from exc
-        except TypeError as exc:
-            raise DataError(f"malformed schema: {exc}") from exc
-        return cls(columns=cols, label=label)
+        """Build from exactly the keys ``columns`` (a list) and ``label``; each
+        column and the label go through ``config_from_dict``."""
+        if not isinstance(d, dict) or set(d) != {"columns", "label"}:
+            got = sorted(d) if isinstance(d, dict) else type(d).__name__
+            raise DataError(f"a schema needs exactly the keys ['columns', 'label'], got {got}")
+        if not isinstance(d["columns"], list):
+            raise DataError(f"schema columns must be a list, got {type(d['columns']).__name__}")
+        columns = tuple(config_from_dict(ColumnSpec, c) for c in d["columns"])
+        return cls(columns=columns, label=config_from_dict(LabelSpec, d["label"]))
 
     @classmethod
     def from_json_file(cls, path) -> "Schema":
@@ -157,7 +154,7 @@ class Schema:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawTable:
     """Parsed CSV contents, coded column by column.
 
@@ -181,7 +178,7 @@ class RawTable:
         return self.codes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Encoded observation matrix with +/-1 labels and a column manifest.
 

@@ -39,6 +39,7 @@ from .data import (
     Schema,
     balance_indices,
     check_int,
+    check_str,
     config_from_dict,
     encode,
     load_csv,
@@ -76,21 +77,16 @@ class ExperimentConfig:
         if isinstance(self.public_columns, str):
             raise DataError(f"public_columns must be a list, got the string {self.public_columns!r}")
         for name in ("dataset", "schema", "output_dir"):
-            if not isinstance(getattr(self, name), str):
-                raise DataError(f"{name} must be a string, got {getattr(self, name)!r}")
+            check_str(name, getattr(self, name))
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
         object.__setattr__(self, "epsilons", check_epsilons(self.epsilons, self.rounds, self.c1, self.c2))
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return config_from_dict(cls, d)
-
-    @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return config_from_dict(cls, json.load(fh))
 
 
 @dataclass(frozen=True)

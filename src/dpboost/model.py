@@ -26,7 +26,7 @@ def _columns(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     return X[:, list(cols)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Affine predictor reading only the columns in ``cols``.
 

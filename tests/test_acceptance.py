@@ -8,7 +8,6 @@ pointer instead of failing.
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -18,10 +17,8 @@ from scipy import stats
 
 import dpboost.boosting as boosting
 from dpboost import (
-    Dataset,
     ExperimentConfig,
     FeatureSplit,
-    LinearClassifier,
     PrivacyParams,
     ToyConfig,
     aggregate,
@@ -31,7 +28,6 @@ from dpboost import (
     make_rng,
     run_experiment,
     run_toy_sweep,
-    sensitivity_oracle,
 )
 from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
 from dpboost.cli import main as cli_main
@@ -90,46 +86,21 @@ def adult_summary(algorithm, epsilons, repeats=10, seed=0):
 
 
 def test_criterion_01_sensitivity_bound():
-    """Exhaustive small-instance grid: the brute-forced error sensitivity
-    never exceeds c1*c2/n + 1e-12. Runtime < 30 s."""
+    """Random small instances (``boosting.sensitivity_sweep`` at n <= 6, two
+    seeds): the brute-forced error sensitivity never exceeds c1*c2/n + 1e-12.
+    Runtime < 30 s."""
     start = time.perf_counter()
-    grid = np.linspace(-1.0, 1.0, 5)
-    worst_margin = -np.inf
-    checked = 0
-    for n in (2, 3, 4, 5, 6):
-        for k in (1, 2):
-            for c in (1.0, SQRT2, 2.0):
-                for seed in (0, 1):
-                    rng = make_rng(1000 * n + 100 * k + seed)
-                    X = rng.choice(grid, size=(n, k))
-                    y = np.where(rng.random(n) < 0.5, 1, -1)
-                    if np.all(y == y[0]):
-                        y[0] = -y[0]
-                    ds = Dataset(
-                        X=X, y=y, columns=tuple((f"c{i}", "numeric") for i in range(k))
-                    )
-                    clf = LinearClassifier(
-                        coeffs=rng.uniform(-1, 1, size=k),
-                        intercept=float(rng.uniform(-1, 1)),
-                        cols=tuple(range(k)),
-                    )
-                    weights_grid = [
-                        np.ones(n),
-                        np.full(n, 1.0 / c),
-                        np.full(n, c),
-                        rng.uniform(1.0 / c, c, size=n),
-                    ]
-                    value = sensitivity_oracle(clf, ds, weights_grid, c, c)
-                    bound = c * c / n
-                    worst_margin = max(worst_margin, value - bound)
-                    checked += 1
-                    assert value <= bound + 1e-12, (n, k, c, seed, value, bound)
+    rows = [row for seed in (0, 1) for row in boosting.sensitivity_sweep(6, make_rng(seed))]
+    for n, k, c, value in rows:
+        assert value <= c * c / n + 1e-12, (n, k, c, value)
+    worst_margin = max(value - c * c / n for n, k, c, value in rows)
     elapsed = time.perf_counter() - start
     report(
         "01 sensitivity bound",
         True,
-        f"{checked} instances, worst value-bound margin {worst_margin:.3e}, {elapsed:.1f}s",
+        f"{len(rows)} instances, worst value-bound margin {worst_margin:.3e}, {elapsed:.1f}s",
     )
+    assert len(rows) == 60
     assert elapsed < 30.0
 
 

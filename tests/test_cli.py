@@ -62,6 +62,21 @@ class TestRunCommand:
             path.write_text(json.dumps(config))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err.startswith("dpboost: error: config must be a JSON object")
+        # a schema with an unknown key at the top level, in a column or in the label
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        with open(schema_path, encoding="utf-8") as fh:
+            schema = json.load(fh)
+        bad_schemas = {
+            "stray": {**schema, "stray": 1},
+            "levels": {**schema, "columns": [{**c, "levels": ["x"]} for c in schema["columns"]]},
+            "flip": {**schema, "label": {**schema["label"], "flip": True}},
+        }
+        cfg_path, _ = write_run_config(tmp_path, csv_path, schema_path)
+        for key, bad in bad_schemas.items():
+            Path(schema_path).write_text(json.dumps(bad))
+            assert main(["run", "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("dpboost: error:") and f"'{key}'" in err
 
     def test_partial_failure_exit_code(self, tmp_path):
         # tiny dataset + dp-logreg at hopeless epsilon: some cells fail

@@ -554,20 +554,36 @@ class TestSplit:
         assert sorted(train.tolist() + test.tolist()) == list(range(60))
 
 
+SCHEMA_COLUMN = {"name": "a", "kind": "numeric", "min": -5, "max": 5}
+SCHEMA_LABEL = {"name": "label", "positive": "+", "negative": "-"}
+
+
 class TestSchema:
     @pytest.mark.parametrize(
-        "columns",
+        "schema, match",
         [
-            [{"name": "a", "kind": "numeric", "min": "-5", "max": "5"}],
-            [{"name": "a", "kind": "numeric", "min": False, "max": True}],
-            "abc",
+            ({"columns": [{**SCHEMA_COLUMN, "min": "-5", "max": "5"}], "label": SCHEMA_LABEL}, "number"),
+            ({"columns": [{**SCHEMA_COLUMN, "min": False, "max": True}], "label": SCHEMA_LABEL}, "number"),
+            ({"columns": "abc", "label": SCHEMA_LABEL}, "list"),
+            ({"columns": [SCHEMA_COLUMN], "label": SCHEMA_LABEL, "extra": 1}, "extra"),
+            ({"columns": [{"name": "c", "kind": "categorical", "levels": ["x"]}], "label": SCHEMA_LABEL}, "levels"),
+            ({"columns": [{**SCHEMA_COLUMN, "mx": 5}], "label": SCHEMA_LABEL}, "mx"),
+            ({"columns": [SCHEMA_COLUMN], "label": {**SCHEMA_LABEL, "extra": 1}}, "extra"),
+            ({"columns": [SCHEMA_COLUMN], "label": {**SCHEMA_LABEL, "positive": 1}}, "label positive"),
+            ({"columns": [SCHEMA_COLUMN], "label": {"name": "label", "positive": "+"}}, "negative"),
+            ({"label": SCHEMA_LABEL}, "columns"),
+            ({"columns": [SCHEMA_COLUMN]}, "label"),
+            ([SCHEMA_COLUMN], "list"),
         ],
-        ids=["string-range", "bool-range", "columns-string"],
+        ids=[
+            "string-range", "bool-range", "columns-string", "top-level-key", "column-levels",
+            "column-typo", "label-key", "int-positive", "label-missing-key", "no-columns", "no-label",
+            "not-an-object",
+        ],
     )
-    def test_malformed_schema_rejected(self, columns):
-        d = {"columns": columns, "label": {"name": "label", "positive": "+", "negative": "-"}}
-        with pytest.raises(DataError):
-            Schema.from_dict(d)
+    def test_malformed_schema_rejected(self, schema, match):
+        with pytest.raises(DataError, match=match):
+            Schema.from_dict(schema)
 
 
 class TestFeatureSplit:

@@ -13,7 +13,6 @@ import pytest
 
 from dpboost import ExperimentConfig, aggregate, run_experiment
 from dpboost.harness import _prepare, load_prepared_dataset
-from dpboost.noise import make_rng
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -11,6 +11,7 @@ import pytest
 
 from dpboost import DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg, run_experiment
 from dpboost import baselines, boosting, harness
+from dpboost.data import config_from_dict
 from dpboost.harness import (
     ResultRecord,
     SummaryRow,
@@ -115,27 +116,29 @@ class TestExperimentConfig:
     def test_T_alias_rejected(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv
         with pytest.raises(DataError, match=r"unknown config keys: \['T'\]"):
-            ExperimentConfig.from_dict(
+            config_from_dict(
+                ExperimentConfig,
                 {
                     "dataset": csv_path,
                     "schema": schema_path,
                     "algorithm": "brc",
                     "epsilons": [0.1],
                     "T": 13,
-                }
+                },
             )
 
     def test_unknown_keys_rejected(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv
         with pytest.raises(DataError, match="unknown config keys"):
-            ExperimentConfig.from_dict(
+            config_from_dict(
+                ExperimentConfig,
                 {
                     "dataset": csv_path,
                     "schema": schema_path,
                     "algorithm": "brc",
                     "epsilons": [0.1],
                     "bogus": 1,
-                }
+                },
             )
 
     def test_public_columns_checked_against_schema(self, synth_csv, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dpboost.model as model
-from dpboost import Dataset, Ensemble, EnsembleMember, LinearClassifier, accuracy, score_matrix, sign_labels
+from dpboost import Dataset, Ensemble, EnsembleMember, LinearClassifier, RawTable, accuracy, score_matrix, sign_labels
 from dpboost.noise import make_rng
 
 
@@ -276,3 +276,21 @@ class TestAccuracy:
         c = clf(rng.uniform(0.5, 1, size=1), 0.1, (0,))
         acc = accuracy(c, ds)
         assert accuracy(lambda X: -c.predict(X), ds) == pytest.approx(1.0 - acc)
+
+
+def test_array_holders_compare_by_identity():
+    # a generated __eq__ would compare the array fields and raise on any
+    # array of more than one element
+    def make():
+        return (
+            Dataset(X=np.zeros((2, 2)), y=np.array([1, -1]), columns=(("a", "numeric"), ("b", "numeric"))),
+            RawTable(header=("a", "b"), levels=(("x",), ("y",)), codes=np.zeros((2, 2), dtype=np.int32)),
+            LinearClassifier(coeffs=np.ones(2), intercept=0.0, cols=(0, 1)),
+        )
+
+    for a, twin in zip(make(), make()):
+        assert a == a
+        assert (a == twin) is False
+    clf, twin = make()[2], make()[2]
+    assert EnsembleMember(alpha=0.5, clf=clf) == EnsembleMember(alpha=0.5, clf=clf)
+    assert EnsembleMember(alpha=0.5, clf=clf) != EnsembleMember(alpha=0.5, clf=twin)
