@@ -12,6 +12,7 @@ from .baselines import (
     fit_pate_teachers,
 )
 from .boosting import (
+    Draws,
     PublicChain,
     RoundRecord,
     brc_fit,

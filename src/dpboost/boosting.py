@@ -7,17 +7,18 @@ linear classifier and only its error estimate is perturbed for privacy.
   ``PublicChain`` (the public classifier fitted after the fit's public rounds
   so far) against a random private classifier, perturbs only the private
   error with Laplace noise, and keeps whichever classifier's error is
-  farther from 0.5. The chain reads public data only, so fits that differ
-  only in epsilon walk prefixes of one chain.
+  farther from 0.5.
 * no public columns (``FeatureSplit.all_private``): every feature is private
   and each round only takes a random classifier and uses its noisy error.
 
-All rounds' random private classifiers are drawn by
-``draw_private_classifiers`` before any weight exists, in round order, and
-scored one block of rounds per matrix product. This reads nothing new: a
-draw ignores the weights and ``classifier_rng`` feeds only the draws, so
-every round gets the classifier it would have drawn itself, and fits that
-differ only in epsilon can share one set of draws.
+``draw_private_classifiers`` builds a fit's free inputs as one ``Draws``:
+all rounds' random private classifiers, drawn before any weight exists, in
+round order, and scored one block of rounds per matrix product, and the
+split's public chain (None without public columns). None of it reads a
+weight, noise or epsilon: a draw ignores the weights, ``classifier_rng``
+feeds only the draws and the chain reads public columns only. So every
+round gets the classifier it would have drawn itself, and fits that differ
+only in epsilon share one ``Draws``.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -95,53 +96,6 @@ def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: 
     return np.where(ok, candidate, w)
 
 
-def _check_split(train: Dataset, split: FeatureSplit) -> None:
-    split.validate_for(train.d)
-    if len(split.private_cols) == 0:
-        raise ValueError("brc_fit requires a non-empty private column set")
-
-
-# Draws scored per matrix product in draw_private_classifiers: bounds its
-# float temporaries at n * _DRAW_BLOCK, whatever the number of rounds.
-_DRAW_BLOCK = 128
-
-
-def draw_private_classifiers(
-    train: Dataset,
-    split: FeatureSplit,
-    rounds: int,
-    classifier_rng: np.random.Generator,
-    sampler=None,
-) -> tuple[list[LinearClassifier], np.ndarray]:
-    """The ``rounds`` random private classifiers of a fit and the training rows
-    each misclassifies: ``(draws, mis)``, where row t-1 of the (rounds, n)
-    matrix ``mis`` flags the rows that round t's draw gets wrong.
-
-    ``classifier_rng`` feeds only the draws. ``sampler(ds, rng) ->
-    LinearClassifier`` replaces the default uniform random linear classifier
-    on the private columns and is called ``rounds`` times, in round order; it
-    must ignore the observation weights (none exist yet), since the only
-    privacy cost accounted for is the noisy error estimate. The draws are
-    scored ``_DRAW_BLOCK`` at a time, so the float temporaries stay at
-    O(n * _DRAW_BLOCK) however many rounds there are.
-    """
-    _check_split(train, split)
-    if sampler is None:
-
-        def sampler(ds, rng):
-            return random_linear_classifier(split.private_cols, rng)
-
-    draws = [sampler(train, classifier_rng) for _ in range(rounds)]
-    mis = np.empty((rounds, train.n), dtype=bool)
-    y_positive = train.y == 1
-    for start in range(0, rounds, _DRAW_BLOCK):
-        block = draws[start : start + _DRAW_BLOCK]
-        positive = score_matrix(block, train.X) >= 0  # 0 predicts +1
-        np.not_equal(positive.T, y_positive, out=mis[start : start + len(block)])
-    mis.setflags(write=False)  # shared by every fit that takes these draws
-    return draws, mis
-
-
 class PublicChain:
     """The public weak learners of split fits on ``train``, fitted lazily:
     ``chain[k]`` is ``(h_k, mis_k, err_k)``, the ``fit_logreg_weighted`` fit
@@ -156,7 +110,7 @@ class PublicChain:
     """
 
     def __init__(self, train: Dataset, split: FeatureSplit):
-        self.n, self.cols = train.n, split.public_cols
+        self.cols = split.public_cols
         X = train.X[:, list(self.cols)]
         self._public = Dataset(X=X, y=train.y, columns=tuple(train.columns[c] for c in self.cols))
         self._links: list[tuple[LinearClassifier, np.ndarray, float]] = []
@@ -172,58 +126,97 @@ class PublicChain:
         return self._links[k]
 
 
-def brc_fit(
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """The inputs of a fit that cost no budget, as ``draw_private_classifiers``
+    builds them for one training set and split: round t's private classifier
+    ``classifiers[t-1]``, the training rows it gets wrong ``mis[t-1]`` (a
+    read-only (rounds, n) matrix), and the split's ``public`` chain, None when
+    the split has no public columns."""
+
+    classifiers: tuple[LinearClassifier, ...]
+    mis: np.ndarray
+    public: PublicChain | None
+
+
+# Draws scored per matrix product in draw_private_classifiers: bounds its
+# float temporaries at n * _DRAW_BLOCK, whatever the number of rounds.
+_DRAW_BLOCK = 128
+
+
+def draw_private_classifiers(
     train: Dataset,
     split: FeatureSplit,
-    params: PrivacyParams,
-    *,
-    draws: tuple[list[LinearClassifier], np.ndarray],
-    public: PublicChain | None,
-    noise_rng: np.random.Generator,
-) -> tuple[Ensemble, list[RoundRecord]]:
-    """Boost for ``params.rounds`` rounds over a public/private feature split.
+    rounds: int,
+    classifier_rng: np.random.Generator,
+    sampler=None,
+) -> Draws:
+    """The ``Draws`` of fits of ``rounds`` rounds on ``train`` and ``split``:
+    the random private classifiers, the training rows each misclassifies, and
+    a ``PublicChain`` when the split has public columns.
 
-    Round t merges two precomputed streams: link k of ``public``, the
-    ``PublicChain`` of ``train`` and ``split``, where k counts the public
-    rounds before t, and round t's private classifier and misclassified rows
-    from ``draws``, the ``draw_private_classifiers`` result on the same
-    ``train`` and ``split``. It then (a) adds Laplace noise to the private
-    error only, (b) keeps the classifier whose error is farther from 0.5
-    (ties go private), (c) sets alpha = 0.5 - err of the chosen classifier,
-    and (d) after a private round updates the private weights, clipped to
-    [1/c1, c2]; a public round moves on to the next link. Exactly ``rounds``
-    Laplace draws are consumed (one per round, from ``noise_rng``), for a
-    total privacy cost of epsilon.
-
-    Neither stream reads this fit's weights, noise or epsilon, so fits that
-    differ only in ``params`` may share them. ``noise_rng`` is the fit's own
-    and feeds only the Laplace noise; keeping it apart from the draws'
-    stream means adding consumers to one never perturbs the other. Without
-    public columns ``public`` is None and every round is private, tagged
-    "all". Raises ``ValueError`` when ``draws`` does not hold
-    ``params.rounds`` classifiers and a (rounds, train.n) matrix, or when
-    ``public`` is None on a split with public columns, a chain on a split
-    without, or a chain of other rows or public columns.
+    ``classifier_rng`` feeds only the draws. ``sampler(ds, rng) ->
+    LinearClassifier`` replaces the default uniform random linear classifier
+    on the private columns and is called ``rounds`` times, in round order; it
+    must ignore the observation weights (none exist yet), since the only
+    privacy cost accounted for is the noisy error estimate. The draws are
+    scored ``_DRAW_BLOCK`` at a time, so the float temporaries stay at
+    O(n * _DRAW_BLOCK) however many rounds there are. Raises ``ValueError``
+    when ``split`` does not cover ``train``'s columns or has no private column.
     """
-    _check_split(train, split)
-    classifiers, mis_pri_all = draws
-    expected = (params.rounds, train.n)
-    if len(classifiers) != params.rounds or np.shape(mis_pri_all) != expected:
-        raise ValueError(
-            f"draws hold {len(classifiers)} classifiers and a {np.shape(mis_pri_all)} matrix; "
-            f"this fit needs {params.rounds} and {expected}"
-        )
-    want = (train.n, split.public_cols) if split.public_cols else None
-    got = None if public is None else (public.n, public.cols)
-    if got != want:
-        raise ValueError(f"public chain (rows, public columns): this fit needs {want}, got {got}")
+    split.validate_for(train.d)
+    if len(split.private_cols) == 0:
+        raise ValueError("boosting requires a non-empty private column set")
+    if sampler is None:
 
+        def sampler(ds, rng):
+            return random_linear_classifier(split.private_cols, rng)
+
+    classifiers = tuple(sampler(train, classifier_rng) for _ in range(rounds))
+    mis = np.empty((rounds, train.n), dtype=bool)
+    y_positive = train.y == 1
+    for start in range(0, rounds, _DRAW_BLOCK):
+        block = classifiers[start : start + _DRAW_BLOCK]
+        positive = score_matrix(block, train.X) >= 0  # 0 predicts +1
+        np.not_equal(positive.T, y_positive, out=mis[start : start + len(block)])
+    mis.setflags(write=False)  # shared by every fit that takes these draws
+    public = PublicChain(train, split) if split.public_cols else None
+    return Draws(classifiers, mis, public)
+
+
+def brc_fit(
+    draws: Draws, params: PrivacyParams, *, noise_rng: np.random.Generator
+) -> tuple[Ensemble, list[RoundRecord]]:
+    """Boost for ``params.rounds`` rounds on the inputs ``draws`` holds.
+
+    Round t merges two precomputed streams: link k of ``draws.public``,
+    where k counts the public rounds before t, and round t's private
+    classifier and misclassified rows. It then (a) adds Laplace noise to the
+    private error only, (b) keeps the classifier whose error is farther from
+    0.5 (ties go private), (c) sets alpha = 0.5 - err of the chosen
+    classifier, and (d) after a private round updates the private weights,
+    clipped to [1/c1, c2]; a public round moves on to the next link. Exactly
+    ``rounds`` Laplace draws are consumed (one per round, from
+    ``noise_rng``), for a total privacy cost of epsilon; n, which sets
+    their scale, is the number of training rows in ``draws.mis``.
+
+    ``draws`` reads no weight, noise or epsilon, so fits that differ only in
+    ``params`` may share it. ``noise_rng`` is the fit's own and feeds only
+    the Laplace noise; keeping it apart from the draws' stream means adding
+    consumers to one never perturbs the other. Without public columns every
+    round is private, tagged "all". Raises ``ValueError`` when ``draws``
+    does not hold ``params.rounds`` classifiers.
+    """
+    if len(draws.classifiers) != params.rounds:
+        raise ValueError(f"draws hold {len(draws.classifiers)} classifiers; this fit needs {params.rounds}")
+
+    public = draws.public
     private_tag = "all" if public is None else "private"
-    w_pri = np.ones(train.n)
+    w_pri = np.ones(draws.mis.shape[1])
     members: list[EnsembleMember] = []
     records: list[RoundRecord] = []
     k = 0  # public rounds so far
-    for t, (h_pri, mis_pri) in enumerate(zip(classifiers, mis_pri_all), start=1):
+    for t, (h_pri, mis_pri) in enumerate(zip(draws.classifiers, draws.mis), start=1):
         h_pub, _, err_pub = (None, None, None) if public is None else public[k]
         err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
 

@@ -31,7 +31,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .baselines import fit_dp_logreg, fit_logreg_weighted, fit_pate, fit_pate_teachers
-from .boosting import PublicChain, RoundRecord, brc_fit, draw_private_classifiers
+from .boosting import RoundRecord, brc_fit, draw_private_classifiers
 from .data import (
     DataError,
     Dataset,
@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
         object.__setattr__(self, "epsilons", check_epsilons(self.epsilons, self.rounds, self.c1, self.c2))
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
+        if not self.public_columns and self.algorithm in ("brc", "public-only", "pate"):
+            raise DataError(f"{self.algorithm} needs at least one public column; public_columns is empty")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -151,21 +153,14 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Datas
     if cfg.algorithm in ("brc", "brc-all-private"):
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
         draws = draw_private_classifiers(train, fsplit, cfg.rounds, classifier_rng)
-        public = PublicChain(train, fsplit) if fsplit.public_cols else None
 
         def fit(eps):
             params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
-            noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
-            return brc_fit(train, fsplit, params, draws=draws, public=public, noise_rng=noise_rng)
+            return brc_fit(draws, params, noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE))
 
         return fit
     if cfg.algorithm in ("logreg", "public-only"):
-        if cfg.algorithm == "logreg":
-            cols = range(train.d)
-        elif not fsplit.public_cols:
-            raise DataError("public-only baseline needs at least one public column")
-        else:
-            cols = fsplit.public_cols
+        cols = range(train.d) if cfg.algorithm == "logreg" else fsplit.public_cols
         model = fit_logreg_weighted(train, cols)  # no noise: one fit serves every epsilon
         return lambda eps: (model, None)
     if cfg.algorithm == "dp-logreg":

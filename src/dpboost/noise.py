@@ -58,10 +58,10 @@ class PrivacyParams:
         for name in ("epsilon", "c1", "c2"):
             check_real(name, getattr(self, name))
         if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise DataError(f"epsilon must be positive, got {self.epsilon}")
         check_int("rounds", self.rounds, 1)
         if not (1 <= self.c1 < np.inf and 1 <= self.c2 < np.inf):
-            raise ValueError("clipping parameters c1 and c2 must be finite and >= 1")
+            raise DataError("clipping parameters c1 and c2 must be finite and >= 1")
 
     def laplace_scale(self, n: int) -> float:
         return self.c1 * self.c2 * self.rounds / (self.epsilon * n)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .boosting import brc_fit, draw_private_classifiers
-from .data import Dataset, FeatureSplit, check_int, check_real
+from .data import DataError, Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier, accuracy
 from .noise import PrivacyParams, Purpose, check_epsilons, rng_for
 
@@ -36,10 +36,10 @@ class ToyConfig:
         for name, minimum in (("n", 2), ("repeats", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum)
         if self.n % 2 != 0:
-            raise ValueError("n must be even and at least 2")
+            raise DataError("n must be even and at least 2")
         check_real("flip_prob", self.flip_prob)
         if not 0.0 <= self.flip_prob < 0.5:
-            raise ValueError("flip probability must lie in [0, 0.5)")
+            raise DataError("flip probability must lie in [0, 0.5)")
         PrivacyParams(1.0, self.rounds, self.c1, self.c2)  # checks rounds, c1 and c2
 
 
@@ -180,7 +180,7 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         runs = []
         for params in all_params:
             noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
-            ensemble, _ = brc_fit(ds, split, params, draws=draws, public=None, noise_rng=noise_rng)
+            ensemble, _ = brc_fit(draws, params, noise_rng=noise_rng)
             runs.append(
                 ToyRun(
                     epsilon=params.epsilon,

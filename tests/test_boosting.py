@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -331,26 +330,14 @@ class TestBrcFit:
         params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2)
         with pytest.raises(ValueError, match="private column set"):
             draw_private_classifiers(ds, split, params.rounds, make_rng(0))
-        draws = draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), params.rounds, make_rng(0))
-        with pytest.raises(ValueError, match="private column set"):
-            brc_fit(ds, split, params, draws=draws, public=PublicChain(ds, split), noise_rng=make_rng(1))
 
     def test_rejects_draws_of_the_wrong_length_or_shape(self):
         ds, split = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
-        classifiers, mis = draw_private_classifiers(ds, split, 4, make_rng(0))
-        other_rows, _ = planted_dataset(n=40)
-        _, mis_other_rows = draw_private_classifiers(other_rows, split, 4, make_rng(0))
-        bad = {
-            "too few": draw_private_classifiers(ds, split, 3, make_rng(0)),
-            "too many": draw_private_classifiers(ds, split, 5, make_rng(0)),
-            "other rows": (classifiers, mis_other_rows),
-            "transposed": (classifiers, mis.T),
-            "short matrix": (classifiers, mis[:3]),
-        }
-        for name, draws in bad.items():
-            with pytest.raises(ValueError, match="this fit needs 4 and \\(4, 60\\)"):
-                brc_fit(ds, split, params, draws=draws, public=PublicChain(ds, split), noise_rng=make_rng(1))
+        for rounds in (3, 5):  # too few, too many
+            draws = draw_private_classifiers(ds, split, rounds, make_rng(0))
+            with pytest.raises(ValueError, match=f"draws hold {rounds} classifiers; this fit needs 4"):
+                brc_fit(draws, params, noise_rng=make_rng(1))
 
     @pytest.mark.parametrize("all_private", [False, True], ids=["split", "all-private"])
     def test_shared_draws_give_each_fit_its_own_result(self, all_private):
@@ -360,14 +347,13 @@ class TestBrcFit:
         if all_private:
             split = FeatureSplit.all_private(ds.d)
         draws = draw_private_classifiers(ds, split, 10, make_rng(60))
-        public = None if all_private else PublicChain(ds, split)
         for epsilon in (0.1, 2.0, math.inf, 0.1):
             params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
-            ens, recs = brc_fit(ds, split, params, draws=draws, public=public, noise_rng=make_rng(61))
+            ens, recs = brc_fit(draws, params, noise_rng=make_rng(61))
             ref_ens, ref_recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(60), noise_rng=make_rng(61))
             assert recs == ref_recs
             assert_same_ensemble(ens, ref_ens)
-        assert not draws[1].flags.writeable
+        assert not draws.mis.flags.writeable
 
     def test_deterministic_serialization(self):
         ds, split = planted_dataset(n=120, seed=3)
@@ -532,22 +518,6 @@ class TestPublicChain:
             assert np.array_equal(mis, h.predict(ds.X) != ds.y) and err == weighted_error(mis, w)
             w = w * np.exp((0.5 - err) * mis)
 
-    def test_brc_fit_rejects_a_missing_or_mismatched_chain(self):
-        ds, split = planted_dataset(n=60)
-        all_private = FeatureSplit.all_private(ds.d)
-        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
-        other_rows, _ = planted_dataset(n=40)
-        cases = [
-            (split, None, "needs (60, (0, 1, 2)), got None"),
-            (all_private, PublicChain(ds, split), "needs None, got (60, (0, 1, 2))"),
-            (split, PublicChain(other_rows, split), "needs (60, (0, 1, 2)), got (40, (0, 1, 2))"),
-            (split, PublicChain(ds, FeatureSplit((0, 1), (2, 3))), "needs (60, (0, 1, 2)), got (60, (0, 1))"),
-        ]
-        for fsplit, public, message in cases:
-            draws = draw_private_classifiers(ds, fsplit, params.rounds, make_rng(0))
-            with pytest.raises(ValueError, match=re.escape(message)):
-                brc_fit(ds, fsplit, params, draws=draws, public=public, noise_rng=make_rng(1))
-
 
 def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
     return fit_with_draws(
@@ -600,7 +570,7 @@ class TestDrawPrivateClassifiers:
         )
         tracemalloc.start()
         try:
-            _, mis = draw_private_classifiers(ds, FeatureSplit.all_private(d), 1_000, make_rng(1))
+            mis = draw_private_classifiers(ds, FeatureSplit.all_private(d), 1_000, make_rng(1)).mis
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,10 +580,21 @@ class TestDrawPrivateClassifiers:
     def test_blocks_of_rounds_match_scoring_each_draw_alone(self, monkeypatch):
         monkeypatch.setattr(boosting, "_DRAW_BLOCK", 4)
         ds, split = planted_dataset(n=150, seed=14)
-        draws, mis = draw_private_classifiers(ds, split, 11, make_rng(70))
-        assert len(draws) == 11 and mis.flags.c_contiguous
-        for clf, row in zip(draws, mis):
+        draws = draw_private_classifiers(ds, split, 11, make_rng(70))
+        assert len(draws.classifiers) == 11 and draws.mis.flags.c_contiguous
+        for clf, row in zip(draws.classifiers, draws.mis):
             assert np.array_equal(row, clf.predict(ds.X) != ds.y)
+
+    def test_draws_carry_the_splits_public_chain(self):
+        # a split with public columns gets a chain on exactly those columns,
+        # an all-private split none; the flags are shared and read-only
+        ds, split = planted_dataset(n=60)
+        draws = draw_private_classifiers(ds, split, 3, make_rng(0))
+        assert isinstance(draws.public, PublicChain) and draws.public.cols == split.public_cols
+        assert draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), 3, make_rng(0)).public is None
+        assert draws.mis.shape == (3, ds.n) and not draws.mis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            draws.mis[0, 0] = not draws.mis[0, 0]
 
 
 class TestBrcFitAllPrivate:

@@ -88,19 +88,30 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
 
     def test_every_cell_failed_reports_why(self, tmp_path, capsys):
-        # public-only without public columns fails every cell: the cells'
-        # errors reach stderr, records are kept, and no summary is written
-        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        # dp-logreg at hopeless epsilons on a tiny dataset fails every cell:
+        # the cells' errors reach stderr, records are kept, and no summary is written
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path), n=30)
         cfg_path, out_dir = write_run_config(
-            tmp_path, csv_path, schema_path, algorithm="public-only", public_columns=[]
+            tmp_path, csv_path, schema_path, algorithm="dp-logreg", epsilons=[0.0001, 0.0002]
         )
         assert main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.count("public-only baseline needs at least one public column") == 4
+        assert err.count("is unfixable") == 4
         assert "every cell failed" in err
         assert os.path.exists(os.path.join(out_dir, "records.jsonl"))
         assert not os.path.exists(os.path.join(out_dir, "summary.csv"))
         assert not os.path.exists(os.path.join(out_dir, "summary.svg"))
+
+    def test_brc_without_public_columns_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a repeat ran")
+
+        monkeypatch.setattr(harness, "_run_repeat", no_cell)
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, _ = write_run_config(tmp_path, csv_path, schema_path, public_columns=[])
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and "brc needs at least one public column" in err
 
     @pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
     def test_non_string_output_dir_rejected_before_any_cell(

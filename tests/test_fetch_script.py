@@ -144,6 +144,7 @@ class TestAdultShapedPipeline:
             schema="configs/adult.schema.json",
             algorithm="brc",
             epsilons=(0.16,),
+            public_columns=("workclass", "fnlwgt", "race", "sex", "native-country"),
             seed=0,
             test_frac=0.1,
         )

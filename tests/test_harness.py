@@ -113,6 +113,14 @@ class TestExperimentConfig:
         with pytest.raises(DataError):
             config(synth_csv, tmp_path, **overrides)
 
+    @pytest.mark.parametrize("algorithm", ["brc", "public-only", "pate"])
+    def test_algorithms_that_read_public_columns_need_one(self, synth_csv, tmp_path, algorithm):
+        # no cell of these could run without public columns; brc-all-private
+        # is the boosting fit without them
+        with pytest.raises(DataError, match=f"{algorithm} needs at least one public column"):
+            config(synth_csv, tmp_path, algorithm=algorithm, public_columns=())
+        assert config(synth_csv, tmp_path, algorithm="brc-all-private", public_columns=()).public_columns == ()
+
     def test_T_alias_rejected(self, synth_csv, tmp_path):
         csv_path, schema_path = synth_csv
         with pytest.raises(DataError, match=r"unknown config keys: \['T'\]"):
@@ -419,7 +427,7 @@ class TestRepeatTasks:
     @pytest.mark.parametrize(
         "algorithm, fitter, epsilon_of",
         [
-            ("brc", "brc_fit", lambda args: args[2].epsilon),
+            ("brc", "brc_fit", lambda args: args[1].epsilon),
             ("dp-logreg", "fit_dp_logreg", lambda args: args[1]),
             ("pate", "fit_pate", lambda args: args[3]),
         ],

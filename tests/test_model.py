@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dpboost.model as model
-from dpboost import Dataset, Ensemble, EnsembleMember, LinearClassifier, RawTable, accuracy, score_matrix, sign_labels
+from dpboost import (
+    Dataset, Draws, Ensemble, EnsembleMember, LinearClassifier, RawTable, accuracy, score_matrix, sign_labels,
+)
 from dpboost.noise import make_rng
 
 
@@ -286,6 +288,7 @@ def test_array_holders_compare_by_identity():
             Dataset(X=np.zeros((2, 2)), y=np.array([1, -1]), columns=(("a", "numeric"), ("b", "numeric"))),
             RawTable(header=("a", "b"), levels=(("x",), ("y",)), codes=np.zeros((2, 2), dtype=np.int32)),
             LinearClassifier(coeffs=np.ones(2), intercept=0.0, cols=(0, 1)),
+            Draws((), np.zeros((2, 2), dtype=bool), None),
         )
 
     for a, twin in zip(make(), make()):

@@ -125,21 +125,21 @@ class TestPrivacyParams:
         assert p.laplace_scale(100) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             PrivacyParams(epsilon=0.0, rounds=1, c1=1, c2=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             PrivacyParams(epsilon=1.0, rounds=0, c1=1, c2=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             PrivacyParams(epsilon=1.0, rounds=2.5, c1=1, c2=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=0.5, c2=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan)
         for bad in ({"c1": math.inf}, {"c2": math.inf}):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(DataError, match="finite"):
                 PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
         for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
-            with pytest.raises(ValueError, match="must be a number"):
+            with pytest.raises(DataError, match="must be a number"):
                 PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpboost import (
+    DataError,
     ToyConfig,
     accuracy,
     flip_and_fit_threshold,
@@ -138,14 +139,9 @@ class TestToySweep:
         assert len(payload["runs"][0]["thresholds"]) == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ToyConfig(n=11)
-        with pytest.raises(ValueError):
-            ToyConfig(flip_prob=0.5)
-        with pytest.raises(ValueError):
-            ToyConfig(flip_prob=False)
-        with pytest.raises(ValueError):
-            ToyConfig(repeats=0)
+        for bad in ({"n": 11}, {"flip_prob": 0.5}, {"flip_prob": False}, {"repeats": 0}, {"c1": 0.5}):
+            with pytest.raises(DataError):
+                ToyConfig(**bad)
 
     def test_rule_of_thumb_half_marks_stable_regime(self):
         # noise scale c1*c2*rounds/(eps*n) = 4*50/(0.2*2000) = 0.5: still the
