@@ -118,11 +118,14 @@ class ResultRecord:
 
 
 def load_prepared_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Schema]:
-    """Load, encode, and normalize the configured CSV once per experiment."""
+    """Load, encode, and normalize the configured CSV once per experiment,
+    after rejecting public columns that would fail every cell."""
     schema = Schema.from_json_file(cfg.schema)
     unknown = set(cfg.public_columns) - set(schema.feature_names)
     if unknown:
         raise DataError(f"public columns not in schema: {sorted(unknown)}")
+    if cfg.algorithm in ("brc", "pate") and set(cfg.public_columns) == set(schema.feature_names):
+        raise DataError(f"{cfg.algorithm} needs at least one private column; public_columns names every feature")
     raw = load_csv(cfg.dataset, schema)
     ds = normalize(encode(raw, schema), schema)
     return ds, schema

@@ -15,7 +15,12 @@ from .data import Dataset
 
 def sign_labels(scores: np.ndarray) -> np.ndarray:
     """Map real scores to labels: +1 for score >= 0, else -1."""
-    return np.where(np.asarray(scores) >= 0.0, 1, -1).astype(np.int64, copy=False)
+    return _labels(np.asarray(scores) >= 0.0)
+
+
+def _labels(nonneg: np.ndarray) -> np.ndarray:
+    """int64 labels from score flags: +1 where ``nonneg`` is True, else -1."""
+    return nonneg.astype(np.int64) * 2 - 1  # several times faster than np.where(nonneg, 1, -1)
 
 
 def _columns(X: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
@@ -102,9 +107,11 @@ class Ensemble:
 
     Each member contributes its +/-1 label scaled by alpha; scaling every
     alpha by the same positive factor leaves all predictions unchanged. The
-    weighted votes are summed in member order, one running sum for every
-    prefix, so ``predict`` is the last row of ``prefix_predictions`` bit for
-    bit.
+    members' labels are read from one boolean matrix of score flags (score
+    >= 0, so a score of exactly 0 votes +1), and each member adds +alpha or
+    -alpha to one running n-vector, in member order. ``predict`` and
+    ``prefix_predictions`` share that sum, so ``predict`` is the last row of
+    ``prefix_predictions`` bit for bit.
     """
 
     members: tuple[EnsembleMember, ...]
@@ -116,20 +123,34 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.members)
 
+    def _flags(self, X: np.ndarray) -> np.ndarray:
+        """(n, T) booleans, column t True where member t votes +1."""
+        return score_matrix([m.clf for m in self.members], X) >= 0.0
+
+    def _running_votes(self, flags: np.ndarray):
+        """Yield the weighted vote of H_1, ..., H_T in turn: one n-vector,
+        updated in place by each member's +/-alpha in member order."""
+        running = np.zeros(flags.shape[0])
+        for flag, member in zip(flags.T, self.members):
+            running += np.where(flag, member.alpha, -member.alpha)
+            yield running
+
     def vote_matrix(self, X: np.ndarray) -> np.ndarray:
         """(n, T) matrix of member labels, in member order."""
-        return sign_labels(score_matrix([m.clf for m in self.members], X))
+        return _labels(self._flags(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.prefix_predictions(X)[-1]
+        *_, running = self._running_votes(self._flags(X))
+        return sign_labels(running)
 
     def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(T, n) labels of each partial ensemble H_1..H_T, for the per-round test accuracies."""
-        alphas = np.array([m.alpha for m in self.members])
-        running = np.multiply(self.vote_matrix(X).T, alphas[:, None], order="C")
-        for t in range(1, len(running)):
-            running[t] += running[t - 1]  # one n-wide add per member, cheaper than a cumsum along T
-        return sign_labels(running)
+        """(T, n) labels of each partial ensemble H_1..H_T, for the per-round
+        test accuracies: row t is the sign of the running vote after member t."""
+        flags = self._flags(X)
+        nonneg = np.empty(flags.T.shape, dtype=bool)
+        for row, running in zip(nonneg, self._running_votes(flags)):
+            np.greater_equal(running, 0.0, out=row)
+        return _labels(nonneg)
 
 
 def accuracy(predictor, ds: Dataset) -> float:

@@ -34,6 +34,18 @@ def fit_with_draws(train, split, params, *, classifier_rng, noise_rng, sampler=N
     return brc_fit(draws, params, noise_rng=noise_rng)
 
 
+class FixedFlips:
+    """Stands in for the generator of ``flip_and_fit_threshold`` so that
+    exactly the given labels flip, at any flip probability p > 0."""
+
+    def __init__(self, flips):
+        self.flips = flips
+
+    def random(self, size):
+        assert size == len(self.flips)
+        return np.where(self.flips, 0.0, 1.0)
+
+
 def write_synthetic_csv(directory, n=600, seed=0, positive_frac=0.55):
     """Raw CSV + schema pair for pipeline tests: two numeric columns, one
     categorical column, a yes/no label. Returns (csv_path, schema_path).

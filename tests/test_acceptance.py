@@ -33,7 +33,7 @@ from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
 from dpboost.cli import main as cli_main
 from dpboost.harness import load_prepared_dataset
 
-from conftest import fit_with_draws, planted_dataset, write_synthetic_csv
+from conftest import FixedFlips, fit_with_draws, planted_dataset, write_synthetic_csv
 
 REPO = Path(__file__).resolve().parents[1]
 ADULT_CSV = REPO / "data" / "adult.csv"
@@ -194,17 +194,6 @@ def _threshold_argmax_law(n, p):
     return first * last
 
 
-class _FixedFlips:
-    """Stands in for the generator so that exactly the given labels flip."""
-
-    def __init__(self, flips):
-        self.flips = flips
-
-    def random(self, size):
-        assert size == len(self.flips)
-        return np.where(self.flips, 0.0, 1.0)
-
-
 def _threshold_argmax_law_by_enumeration(n, p):
     """The same law by scoring every one of the 2^n flip patterns with
     ``flip_and_fit_threshold`` itself."""
@@ -212,7 +201,7 @@ def _threshold_argmax_law_by_enumeration(n, p):
     law = np.zeros(n + 1)
     for pattern in range(2**n):
         flips = (pattern >> np.arange(n)) & 1 == 1
-        index = flip_and_fit_threshold(ds, p, _FixedFlips(flips))
+        index = flip_and_fit_threshold(ds, p, FixedFlips(flips))
         law[index] += p ** flips.sum() * (1.0 - p) ** (n - flips.sum())
     return law
 

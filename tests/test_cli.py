@@ -113,6 +113,30 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("dpboost: error:") and "brc needs at least one public column" in err
 
+    @pytest.mark.parametrize("algorithm", ["brc", "pate"])
+    def test_every_feature_public_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, algorithm):
+        def no_cell(*args):
+            raise AssertionError("a repeat ran")
+
+        monkeypatch.setattr(harness, "_run_repeat", no_cell)
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, _ = write_run_config(
+            tmp_path, csv_path, schema_path, algorithm=algorithm, public_columns=["pricat", "pubnum", "prinum"]
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and f"{algorithm} needs at least one private column" in err
+
+    @pytest.mark.parametrize("algorithm", ["public-only", "logreg", "dp-logreg", "brc-all-private"])
+    def test_every_feature_public_accepted_where_no_private_column_is_needed(self, tmp_path, capsys, algorithm):
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, out_dir = write_run_config(
+            tmp_path, csv_path, schema_path, algorithm=algorithm, public_columns=["pubnum", "prinum", "pricat"]
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert f"{algorithm} eps=0.5" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out_dir, "summary.csv"))
+
     @pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
     def test_non_string_output_dir_rejected_before_any_cell(
         self, tmp_path, capsys, monkeypatch, output_dir

@@ -118,6 +118,33 @@ class TestEnsemble:
         expected = np.stack([m.clf.predict(X) for m in members], axis=1)
         assert np.array_equal(Ensemble(members).vote_matrix(X), expected)
 
+    def test_votes_match_the_int64_reference(self):
+        # The reference votes are the int64 labels of the raw scores, summed
+        # with their alphas in member order by a cumsum. Entries, coefficients
+        # and intercepts on a grid of quarters make every score exact, so some
+        # members score exactly 0 on some rows, and vote +1 there.
+        rng = make_rng(21)
+        X = rng.integers(-4, 5, size=(400, 4)) / 4
+        layout = [(0, 1), (2, 3), (0, 1, 2, 3), (3, 2, 1, 0), (2, 3), (0, 1, 2, 3), (0, 1), (1,)]
+        members = tuple(
+            EnsembleMember(
+                alpha=float(rng.uniform(-0.5, 0.5)),
+                clf=clf(rng.integers(-4, 5, size=len(cols)) / 4, float(rng.integers(-4, 5)) / 4, cols),
+            )
+            for cols in layout
+        )
+        e = Ensemble(members)
+        scores = score_matrix([m.clf for m in members], X)
+        assert np.any(scores == 0.0) and min(m.alpha for m in members) < 0
+        votes = sign_labels(scores)
+        assert np.all(votes[scores == 0.0] == 1)
+        alphas = np.array([m.alpha for m in members])
+        expected = sign_labels(np.cumsum(votes * alphas, axis=1).T)
+        assert e.vote_matrix(X).dtype == e.prefix_predictions(X).dtype == e.predict(X).dtype == np.int64
+        assert np.array_equal(e.vote_matrix(X), votes)
+        assert np.array_equal(e.prefix_predictions(X), expected)
+        assert np.array_equal(e.predict(X), expected[-1])
+
     def test_prefix_predictions_last_matches_full(self):
         rng = make_rng(3)
         members = self.interleaved_members(rng)

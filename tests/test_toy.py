@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,22 @@ from dpboost import (
     run_toy_sweep,
     threshold_classifier,
 )
+
+from conftest import FixedFlips
+
+
+def prefix_count_fitter(ds, p, rng):
+    """Oracle for the walk: correct(i) over all n + 1 cuts from prefix
+    counts, first argmax, from the same draws."""
+    n = ds.n
+    flips = rng.random(n) < p
+    y_flipped = np.where(flips, -ds.y, ds.y)
+    # correct(i) = #{j < i : y~_j = -1} + #{j >= i : y~_j = +1}
+    prefix_minus = np.concatenate([[0], np.cumsum(y_flipped == -1)])
+    total_plus = int(np.sum(y_flipped == 1))
+    idx = np.arange(n + 1)
+    correct = prefix_minus + total_plus - (idx - prefix_minus)
+    return int(np.argmax(correct))
 
 
 class TestGenerateToy:
@@ -73,6 +91,40 @@ class TestFlipAndFitThreshold:
             flips = clone.random(n) < 0.35
             y_flipped = np.where(flips, -ds.y, ds.y)
             assert index == oracle(y_flipped)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 200, 2000])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.49])
+    def test_walk_matches_prefix_count_fitter(self, n, p):
+        # same index, as a Python int, and the same draws taken from the stream
+        ds = generate_toy(n)
+        for seed in range(200):
+            rng, oracle_rng = make_rng(seed), make_rng(seed)
+            index = flip_and_fit_threshold(ds, p, rng)
+            assert type(index) is int
+            assert index == prefix_count_fitter(ds, p, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("pattern", ["none", "all", "left", "right", "alternating"])
+    @pytest.mark.parametrize("n", [4, 8, 200])
+    def test_walk_matches_prefix_count_fitter_on_fixed_flips(self, pattern, n):
+        ds = generate_toy(n)
+        flips, expected = {
+            "none": (np.zeros(n, dtype=bool), n // 2),  # the clean labels: the midpoint
+            "all": (np.ones(n, dtype=bool), 0),  # every label reversed: cuts 0 and n tie, 0 wins
+            "left": (np.arange(n) < n // 2, 0),  # every flipped label +1: cut 0 alone is best
+            "right": (np.arange(n) >= n // 2, n),  # every flipped label -1: cut n alone is best
+            "alternating": (np.arange(n) % 2 == 0, n // 2 + 1),  # many cuts tie, the first wins
+        }[pattern]
+        index = flip_and_fit_threshold(ds, 0.3, FixedFlips(flips))
+        assert index == prefix_count_fitter(ds, 0.3, FixedFlips(flips)) == expected
+
+    def test_walk_length_bounded(self):
+        # the int32 walk is refused before any draw once n reaches 2**30
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"n < 2\*\*30"):
+            flip_and_fit_threshold(SimpleNamespace(n=2**30, y=None), 0.3, rng)
+        assert rng.bit_generator.state == state
 
     def test_flip_probability_bounds(self):
         ds = generate_toy(10)
