@@ -13,10 +13,11 @@ linear classifier and only its error estimate is perturbed for privacy.
 
 ``draw_private_classifiers`` builds a fit's free inputs as one ``Draws``:
 all rounds' random private classifiers, drawn before any weight exists, in
-round order, and scored one block of rounds per matrix product, and the
-split's public chain (None without public columns). None of it reads a
-weight, noise or epsilon: a draw ignores the weights, ``classifier_rng``
-feeds only the draws and the chain reads public columns only. So every
+round order, one block of rounds per sampler call and per matrix product,
+and the split's public chain (None without public columns). None of it
+reads a weight, noise or epsilon: a draw sees only the labels,
+``classifier_rng`` feeds only the draws and the chain reads public columns
+only. So every
 round gets the classifier it would have drawn itself, and fits that differ
 only in epsilon share one ``Draws``.
 
@@ -66,7 +67,7 @@ def weighted_error(mis, weights) -> float:
         raise ValueError(f"weights shape {w.shape} does not match {np.shape(mis)}")
     if not w.min() > 0:
         raise ValueError("weights must be strictly positive")
-    return float(np.dot(w, mis) / np.sum(w))
+    return float(np.dot(w, mis) / w.sum())
 
 
 def noisy_private_error(mis, w_pri, params: PrivacyParams, rng: np.random.Generator) -> float:
@@ -139,7 +140,7 @@ class Draws:
     public: PublicChain | None
 
 
-# Draws scored per matrix product in draw_private_classifiers: bounds its
+# Rounds drawn and scored per block in draw_private_classifiers: bounds its
 # float temporaries at n * _DRAW_BLOCK, whatever the number of rounds.
 _DRAW_BLOCK = 128
 
@@ -155,33 +156,39 @@ def draw_private_classifiers(
     the random private classifiers, the training rows each misclassifies, and
     a ``PublicChain`` when the split has public columns.
 
-    ``classifier_rng`` feeds only the draws. ``sampler(ds, rng) ->
-    LinearClassifier`` replaces the default uniform random linear classifier
-    on the private columns and is called ``rounds`` times, in round order; it
-    must ignore the observation weights (none exist yet), since the only
-    privacy cost accounted for is the noisy error estimate. The draws are
-    scored ``_DRAW_BLOCK`` at a time, so the float temporaries stay at
-    O(n * _DRAW_BLOCK) however many rounds there are. Raises ``ValueError``
-    when ``split`` does not cover ``train``'s columns or has no private column.
+    ``classifier_rng`` feeds only the draws. ``sampler(y, count, rng)``
+    replaces the default uniform random linear classifier on the private
+    columns: it is called once per block of at most ``_DRAW_BLOCK`` rounds,
+    in round order, with the labels ``train.y``, and returns ``count``
+    classifiers. It sees no feature column and no observation weight (none
+    exists yet), since the only privacy cost accounted for is the noisy
+    error estimate. Each block is scored by one matrix product, so the float
+    temporaries stay at O(n * _DRAW_BLOCK) however many rounds there are.
+    Raises ``ValueError`` when ``split`` does not cover ``train``'s columns
+    or has no private column, or when a sampler returns another count.
     """
     split.validate_for(train.d)
     if len(split.private_cols) == 0:
         raise ValueError("boosting requires a non-empty private column set")
     if sampler is None:
 
-        def sampler(ds, rng):
-            return random_linear_classifier(split.private_cols, rng)
+        def sampler(y, count, rng):
+            return [random_linear_classifier(split.private_cols, rng) for _ in range(count)]
 
-    classifiers = tuple(sampler(train, classifier_rng) for _ in range(rounds))
+    classifiers: list[LinearClassifier] = []
     mis = np.empty((rounds, train.n), dtype=bool)
     y_positive = train.y == 1
     for start in range(0, rounds, _DRAW_BLOCK):
-        block = classifiers[start : start + _DRAW_BLOCK]
+        count = min(_DRAW_BLOCK, rounds - start)
+        block = list(sampler(train.y, count, classifier_rng))
+        if len(block) != count:
+            raise ValueError(f"the sampler returned {len(block)} classifiers for a block of {count} rounds")
         positive = score_matrix(block, train.X) >= 0  # 0 predicts +1
-        np.not_equal(positive.T, y_positive, out=mis[start : start + len(block)])
+        np.not_equal(positive.T, y_positive, out=mis[start : start + count])
+        classifiers.extend(block)
     mis.setflags(write=False)  # shared by every fit that takes these draws
     public = PublicChain(train, split) if split.public_cols else None
-    return Draws(classifiers, mis, public)
+    return Draws(tuple(classifiers), mis, public)
 
 
 def brc_fit(

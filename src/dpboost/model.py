@@ -6,6 +6,7 @@ global convention makes label flips exact inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,12 @@ class LinearClassifier:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        cols = tuple(int(c) for c in self.cols)
-        if coeffs.ndim != 1 or coeffs.shape[0] != len(cols):
+        cols = tuple(map(int, self.cols))
+        if coeffs.shape != (len(cols),):
             raise ValueError("coeffs must be a 1-d vector matching cols")
-        if len(cols) < 1:
+        if not cols:
             raise ValueError("a linear classifier needs at least one column")
-        if not np.all(np.isfinite(coeffs)) or not np.isfinite(self.intercept):
+        if not (math.isfinite(self.intercept) and np.isfinite(coeffs).all()):
             raise ValueError("coefficients and intercept must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
@@ -109,8 +110,9 @@ class Ensemble:
     alpha by the same positive factor leaves all predictions unchanged. The
     members' labels are read from one boolean matrix of score flags (score
     >= 0, so a score of exactly 0 votes +1), and each member adds +alpha or
-    -alpha to one running n-vector, in member order. ``predict`` and
-    ``prefix_predictions`` share that sum, so ``predict`` is the last row of
+    -alpha to one running n-vector, in member order. ``vote`` takes that
+    matrix from the caller; ``predict`` and ``prefix_predictions`` compute
+    it from X and share the same sum, so ``predict`` is the last row of
     ``prefix_predictions`` bit for bit.
     """
 
@@ -135,13 +137,15 @@ class Ensemble:
             running += np.where(flag, member.alpha, -member.alpha)
             yield running
 
-    def vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(n, T) matrix of member labels, in member order."""
-        return _labels(self._flags(X))
+    def vote(self, flags: np.ndarray) -> np.ndarray:
+        """Labels of H from the (n, T) score flags of its members on n rows,
+        as ``_flags`` computes them from X: a caller that already holds them
+        (a fit's ``Draws``, on its training rows) scores no member again."""
+        *_, running = self._running_votes(flags)
+        return sign_labels(running)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        *_, running = self._running_votes(self._flags(X))
-        return sign_labels(running)
+        return self.vote(self._flags(X))
 
     def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
         """(T, n) labels of each partial ensemble H_1..H_T, for the per-round

@@ -88,16 +88,21 @@ def laplace(scale: float, rng: np.random.Generator, size=None):
     Inverse-CDF sampling, one uniform per draw:
         y = -b * sgn(u) * ln(1 - 2|u|),   u ~ Uniform(-1/2, 1/2).
     Consequently laplace(b) and b * laplace(1) are bit-identical on the
-    same underlying uniforms. Returns a float for size=None, else an array.
+    same underlying uniforms. Returns a float for size=None, else an array;
+    the float is computed in Python, with numpy's ``log1p`` (``math.log1p``
+    rounds some inputs differently), so both give the same bits.
     """
     if not scale > 0:
         raise ValueError(f"laplace scale must be positive, got {scale}")
-    u = np.asarray(rng.random(size))
     # rng.random() lives in [0, 1 - 2**-53]; an exact 0 becomes 2**-53, which
     # survives the subtraction, so the draw stays finite and mirrors 1 - 2**-53.
+    if size is None:
+        u = (rng.random() or 2.0**-53) - 0.5
+        sign = (u > 0.0) - (u < 0.0)  # np.sign: 0 at u == 0
+        return -scale * sign * float(np.log1p(-2.0 * abs(u)))
+    u = rng.random(size)
     u = np.where(u == 0.0, 2.0**-53, u) - 0.5
-    out = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    return float(out) if size is None else out
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def random_linear_classifier(cols, rng: np.random.Generator) -> LinearClassifier:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .boosting import brc_fit, draw_private_classifiers
 from .data import DataError, Dataset, FeatureSplit, check_int, check_real
-from .model import LinearClassifier, accuracy
+from .model import LinearClassifier
 from .noise import PrivacyParams, Purpose, check_epsilons, rng_for
 
 
@@ -67,30 +67,33 @@ def generate_toy(n: int) -> Dataset:
     return Dataset(X=x[:, None], y=y, columns=(("position", "numeric"),))
 
 
-def flip_and_fit_threshold(ds: Dataset, p: float, rng: np.random.Generator) -> int:
-    """Flip each label independently with probability p, then return the
-    index of the threshold (see ``threshold_classifier``) maximizing
-    unit-weight accuracy on the flipped labels.
+def flip_and_fit_threshold(y: np.ndarray, p: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The indices of ``count`` independent fits on the labels ``y``: each
+    flips every label independently with probability p and takes the
+    threshold (see ``threshold_classifier``) maximizing unit-weight accuracy
+    on the flipped labels.
 
     The accuracy of cut i less that of cut 0 is the walk S_i = sum_{j < i}
-    (+1 if y~_j = -1 else -1), built from one ``rng.random(n)`` draw in one
-    int32 array (n >= 2**30 is rejected, so it cannot overflow). The fit is
-    the first index of its maximum, or 0 when no S_i > 0 = S_0: ties break
-    to the smallest index, which favors index 0 over index n (at n=2000,
-    p=0.49 index 0 has about twice the probability of index n). Ignores any
-    observation weights by construction.
+    (+1 if y~_j = -1 else -1). The fits' one ``rng.random((count, n))`` draw
+    takes the uniforms of ``count`` draws of ``rng.random(n)`` and leaves the
+    generator as they would, so blocks of fits give the fits one at a time.
+    The walks are one (count, n) int32 array (n >= 2**30 is rejected, so
+    none overflows). A fit is the first index of its walk's maximum, or 0
+    when no S_i > 0 = S_0: ties break to the smallest index, which favors
+    index 0 over index n (at n=2000, p=0.49 index 0 has about twice the
+    probability of index n). Ignores any observation weights by construction.
     """
     if not 0.0 <= p < 0.5:
         raise ValueError("flip probability must lie in [0, 0.5)")
-    n = ds.n
+    n = len(y)
     if n >= 2**30:
         raise ValueError(f"the threshold walk needs n < 2**30, got {n}")
-    minus = (rng.random(n) < p) == (ds.y == 1)  # the flipped label is -1
+    minus = (rng.random((count, n)) < p) == (y == 1)  # the flipped label is -1
     walk = np.multiply(minus, 2, dtype=np.int32)
     walk -= 1
-    np.add.accumulate(walk, out=walk)  # walk[k] = S_{k+1}
-    k = int(walk.argmax())  # argmax returns the first (smallest) maximizer
-    return k + 1 if walk[k] > 0 else 0
+    np.add.accumulate(walk, axis=1, out=walk)  # walk[:, k] = S_{k+1}
+    k = walk.argmax(axis=1)  # argmax returns the first (smallest) maximizer
+    return np.where(walk[np.arange(count), k] > 0, k + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,10 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     repeat's thresholds are drawn once and shared by its epsilons' fits,
     each with its own Laplace stream; the runs come out in (epsilon,
     repeat) order. ``eps_list`` is checked by ``check_epsilons``.
+
+    Each ensemble votes its training accuracy from its draws' flags: up to
+    ``boosting._DRAW_BLOCK`` rounds bit for bit the flags ``score_matrix``
+    gives the whole ensemble, above that the flags its fit used.
     """
     check_epsilons(eps_list, cfg.rounds, cfg.c1, cfg.c2)
     all_params = [PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2) for eps in eps_list]
@@ -169,16 +176,17 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     split = FeatureSplit.all_private(ds.d)
     by_repeat = []
     for repeat in range(cfg.repeats):
-        thresholds: list[int] = []
+        fitted: list[np.ndarray] = []  # the fitter's indices, one array per block of rounds
 
-        def sampler(data, rng):
-            index = flip_and_fit_threshold(data, cfg.flip_prob, rng)
-            thresholds.append(index)
-            return threshold_classifier(index, data.n)
+        def sampler(y, count, rng):
+            fitted.append(flip_and_fit_threshold(y, cfg.flip_prob, count, rng))
+            return [threshold_classifier(index, cfg.n) for index in fitted[-1].tolist()]
 
         draws = draw_private_classifiers(
             ds, split, cfg.rounds, rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER), sampler
         )
+        thresholds = tuple(np.concatenate(fitted).tolist())
+        flags = (draws.mis != (ds.y == 1)).T  # (n, rounds): True where round t's classifier votes +1
         runs = []
         for params in all_params:
             noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
@@ -187,8 +195,8 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
                 ToyRun(
                     epsilon=params.epsilon,
                     repeat=repeat,
-                    accuracy=accuracy(ensemble, ds),
-                    thresholds=tuple(thresholds),
+                    accuracy=float(np.mean(ensemble.vote(flags) == ds.y)),
+                    thresholds=thresholds,
                     alphas=tuple(m.alpha for m in ensemble.members),
                 )
             )

@@ -36,13 +36,15 @@ def fit_with_draws(train, split, params, *, classifier_rng, noise_rng, sampler=N
 
 class FixedFlips:
     """Stands in for the generator of ``flip_and_fit_threshold`` so that
-    exactly the given labels flip, at any flip probability p > 0."""
+    exactly the given labels flip, at any flip probability p > 0: ``flips``
+    is one (count, n) boolean row per fit for the batched fitter, or the
+    n-vector that one ``rng.random(n)`` draw of a single-fit oracle takes."""
 
     def __init__(self, flips):
-        self.flips = flips
+        self.flips = np.asarray(flips)
 
     def random(self, size):
-        assert size == len(self.flips)
+        assert tuple(np.atleast_1d(size)) == self.flips.shape
         return np.where(self.flips, 0.0, 1.0)
 
 

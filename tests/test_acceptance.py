@@ -196,14 +196,12 @@ def _threshold_argmax_law(n, p):
 
 def _threshold_argmax_law_by_enumeration(n, p):
     """The same law by scoring every one of the 2^n flip patterns with
-    ``flip_and_fit_threshold`` itself."""
+    ``flip_and_fit_threshold`` itself, one pattern per row of one batch."""
     ds = generate_toy(n)
-    law = np.zeros(n + 1)
-    for pattern in range(2**n):
-        flips = (pattern >> np.arange(n)) & 1 == 1
-        index = flip_and_fit_threshold(ds, p, FixedFlips(flips))
-        law[index] += p ** flips.sum() * (1.0 - p) ** (n - flips.sum())
-    return law
+    flips = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    indices = flip_and_fit_threshold(ds.y, p, 2**n, FixedFlips(flips))
+    flipped = flips.sum(axis=1)
+    return np.bincount(indices, weights=p**flipped * (1.0 - p) ** (n - flipped), minlength=n + 1)
 
 
 def test_criterion_04a_threshold_distribution_uniformity():
@@ -234,7 +232,8 @@ def test_criterion_04a_threshold_distribution_uniformity():
 
     ds = generate_toy(2000)
     rng = make_rng(404)
-    draws = np.array([flip_and_fit_threshold(ds, 0.49, rng) for _ in range(10_000)])
+    # blocks of fits take the same draws as one fit after another
+    draws = np.concatenate([flip_and_fit_threshold(ds.y, 0.49, 500, rng) for _ in range(20)])
     buckets = np.minimum(draws * 20 // 2001, 19).astype(int)
     counts = np.bincount(buckets, minlength=20)
     chi2, p_value = stats.chisquare(counts, f_exp=expected)

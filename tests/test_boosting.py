@@ -536,7 +536,7 @@ def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
     w = np.ones(train.n)
     members, records = [], []
     for t in range(1, params.rounds + 1):
-        h = sampler(train, classifier_rng)
+        (h,) = sampler(train.y, 1, classifier_rng)
         mis = h.predict(train.X) != train.y
         err = noisy_private_error(mis, w, params, noise_rng)
         alpha = 0.5 - err
@@ -546,15 +546,32 @@ def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
     return Ensemble(members=tuple(members)), records
 
 
-def uniform_sampler(ds, rng):
-    return random_linear_classifier(range(ds.d), rng)
+def uniform_sampler(d):
+    """The default sampler of an all-private split over d columns."""
+
+    def sampler(y, count, rng):
+        return [random_linear_classifier(range(d), rng) for _ in range(count)]
+
+    return sampler
 
 
-def column_subset_sampler(ds, rng):
-    """A random classifier on a random set of one to three columns, so that
-    one fit's draws read several different column sets."""
-    cols = tuple(rng.choice(ds.d, size=int(rng.integers(1, 4)), replace=False))
-    return random_linear_classifier(cols, rng)
+def column_subset_sampler(d):
+    """A sampler of random classifiers, each on a random set of one to three
+    of d columns, so that one fit's draws read several different column sets."""
+
+    def sampler(y, count, rng):
+        return [
+            random_linear_classifier(tuple(rng.choice(d, size=int(rng.integers(1, 4)), replace=False)), rng)
+            for _ in range(count)
+        ]
+
+    return sampler
+
+
+def same_classifiers(a, b):
+    return len(a) == len(b) and all(
+        (x.cols, x.intercept) == (y.cols, y.intercept) and np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b)
+    )
 
 
 class TestDrawPrivateClassifiers:
@@ -585,6 +602,32 @@ class TestDrawPrivateClassifiers:
         for clf, row in zip(draws.classifiers, draws.mis):
             assert np.array_equal(row, clf.predict(ds.X) != ds.y)
 
+    @pytest.mark.parametrize("rounds", [1, 50, 128, 129, 300])
+    def test_blocks_draw_what_single_draws_would(self, rounds):
+        # the default sampler, called once per block, draws the classifiers
+        # that random_linear_classifier called once per round draws, and
+        # leaves the stream in the same state
+        ds, split = planted_dataset(n=60, seed=15)
+        rng, ref = make_rng(71), make_rng(71)
+        draws = draw_private_classifiers(ds, split, rounds, rng)
+        single = [random_linear_classifier(split.private_cols, ref) for _ in range(rounds)]
+        assert same_classifiers(draws.classifiers, single)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for clf, row in zip(draws.classifiers, draws.mis):
+            assert np.array_equal(row, clf.predict(ds.X) != ds.y)
+
+    @pytest.mark.parametrize("public", [False, True], ids=["all-private", "split"])
+    def test_short_draws_are_a_prefix_of_long_ones(self, public):
+        # the 25-round Draws is the first 25 rounds of a 300-round one,
+        # classifiers and flags, across the block boundary at 128
+        ds, split = planted_dataset(n=200, seed=16)
+        if not public:
+            split = FeatureSplit.all_private(ds.d)
+        short = draw_private_classifiers(ds, split, 25, make_rng(72))
+        long = draw_private_classifiers(ds, split, 300, make_rng(72))
+        assert same_classifiers(short.classifiers, long.classifiers[:25])
+        assert np.array_equal(short.mis, long.mis[:25])
+
     def test_draws_carry_the_splits_public_chain(self):
         # a split with public columns gets a chain on exactly those columns,
         # an all-private split none; the flags are shared and read-only
@@ -601,38 +644,47 @@ class TestBrcFitAllPrivate:
     @pytest.mark.parametrize("sampler", [None, column_subset_sampler], ids=["default", "column-subsets"])
     @pytest.mark.parametrize("epsilon", [0.5, math.inf])
     def test_up_front_draws_match_drawing_in_each_round(self, sampler, epsilon):
+        # the fit's one sampler call for all 16 rounds draws what 16 calls of
+        # one round each would
         ds, _ = planted_dataset(n=240, seed=10)
         params = PrivacyParams(epsilon=epsilon, rounds=16, c1=SQRT2, c2=SQRT2)
+        sampler = sampler and sampler(ds.d)
         ref_ens, ref_recs = draw_in_each_round(
-            ds, params, make_rng(40), make_rng(41), sampler or uniform_sampler
+            ds, params, make_rng(40), make_rng(41), sampler or uniform_sampler(ds.d)
         )
         ens, recs = fit_all_private(ds, params, 40, 41, sampler=sampler)
         assert recs == ref_recs
         assert_same_ensemble(ens, ref_ens)
-        if sampler is column_subset_sampler:
+        if sampler is not None:
             assert len({m.clf.cols for m in ens.members}) > 1
 
     @pytest.mark.parametrize("public", [False, True], ids=["all-private", "split"])
-    def test_sampler_called_once_per_round_in_order(self, public):
+    def test_sampler_called_once_per_block_in_order(self, public, monkeypatch):
+        monkeypatch.setattr(boosting, "_DRAW_BLOCK", 4)
         ds, split = planted_dataset(n=120, seed=11)
         if not public:
             split = FeatureSplit.all_private(ds.d)
         params = PrivacyParams(epsilon=0.5, rounds=9, c1=SQRT2, c2=SQRT2)
-        drawn, states = [], []
+        calls, states, drawn = [], [], []
 
-        def sampler(data, rng):
+        def sampler(y, count, rng):
+            calls.append((y, count))
             states.append(rng.bit_generator.state)
-            drawn.append(random_linear_classifier(split.private_cols, rng))
-            return drawn[-1]
+            block = [random_linear_classifier(split.private_cols, rng) for _ in range(count)]
+            drawn.extend(block)
+            return block
 
         ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(50), noise_rng=make_rng(51),
-                            sampler=sampler)
-        assert len(drawn) == params.rounds
+                                   sampler=sampler)
+        # one call per block of at most _DRAW_BLOCK rounds, each given the labels
+        assert [count for _, count in calls] == [4, 4, 1]
+        assert all(y is ds.y for y, _ in calls)
         # call i continues the stream where call i-1 left it
         ref = make_rng(50)
-        for state in states:
+        for state, (_, count) in zip(states, calls):
             assert state == ref.bit_generator.state
-            random_linear_classifier(split.private_cols, ref)
+            for _ in range(count):
+                random_linear_classifier(split.private_cols, ref)
         # round t keeps the t-th draw whenever it keeps the private classifier
         for member, rec in zip(ens.members, recs):
             if rec.chosen != "public":
@@ -692,17 +744,33 @@ class TestBrcFitAllPrivate:
         assert "rounds" not in without_rounds
 
     def test_custom_sampler_injected(self):
+        # the sampler is handed the training labels and the round count, and
+        # no Dataset, so it cannot read a private column
         ds, _ = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
         seen = []
 
-        def sampler(data, rng):
-            seen.append(data.n)
-            return LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
+        def sampler(*args):
+            seen.append(args)
+            y, count, _ = args
+            return [LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))] * count
 
         ens, _ = fit_all_private(ds, params, 0, 1, sampler=sampler)
-        assert seen == [60] * 4
+        assert len(seen) == 1
+        y, count, rng = seen[0]
+        assert y is ds.y and count == 4 and isinstance(rng, np.random.Generator)
+        assert not any(isinstance(arg, Dataset) for arg in seen[0])
         assert all(m.clf.cols == (0,) for m in ens.members)
+
+    @pytest.mark.parametrize("returned", [3, 5])
+    def test_sampler_returning_another_count_rejected(self, returned):
+        ds, _ = planted_dataset(n=60)
+
+        def sampler(y, count, rng):
+            return [LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))] * returned
+
+        with pytest.raises(ValueError, match=f"returned {returned} classifiers for a block of 4 rounds"):
+            draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), 4, make_rng(0), sampler)
 
 
 class TestSensitivityOracle:

@@ -111,12 +111,16 @@ class TestEnsemble:
             for cols in layout
         )
 
-    def test_vote_matrix_matches_member_predictions(self):
+    def test_vote_of_member_predictions_is_predict(self):
+        # flags built from each member's own predictions vote as predict does,
+        # over interleaved column sets
         rng = make_rng(9)
         members = self.interleaved_members(rng)
         X = rng.uniform(-1, 1, size=(300, 4))
-        expected = np.stack([m.clf.predict(X) for m in members], axis=1)
-        assert np.array_equal(Ensemble(members).vote_matrix(X), expected)
+        flags = np.stack([m.clf.predict(X) == 1 for m in members], axis=1)
+        e = Ensemble(members)
+        assert np.array_equal(e.vote(flags), e.predict(X))
+        assert np.array_equal(e.vote(flags), e.prefix_predictions(X)[-1])
 
     def test_votes_match_the_int64_reference(self):
         # The reference votes are the int64 labels of the raw scores, summed
@@ -140,10 +144,10 @@ class TestEnsemble:
         assert np.all(votes[scores == 0.0] == 1)
         alphas = np.array([m.alpha for m in members])
         expected = sign_labels(np.cumsum(votes * alphas, axis=1).T)
-        assert e.vote_matrix(X).dtype == e.prefix_predictions(X).dtype == e.predict(X).dtype == np.int64
-        assert np.array_equal(e.vote_matrix(X), votes)
+        assert e.vote(scores >= 0).dtype == e.prefix_predictions(X).dtype == e.predict(X).dtype == np.int64
         assert np.array_equal(e.prefix_predictions(X), expected)
         assert np.array_equal(e.predict(X), expected[-1])
+        assert np.array_equal(e.vote(votes == 1), expected[-1])
 
     def test_prefix_predictions_last_matches_full(self):
         rng = make_rng(3)
@@ -172,11 +176,13 @@ class TestEnsemble:
                 for a in alphas
             )
             e = Ensemble(members)
+            votes = np.stack([m.clf.predict(X) for m in members], axis=1)
             prefix = e.prefix_predictions(X)
             # every prefix is the running sum of the weighted votes in member order
-            assert np.array_equal(prefix, sign_labels(np.cumsum(e.vote_matrix(X) * alphas, axis=1).T))
+            assert np.array_equal(prefix, sign_labels(np.cumsum(votes * alphas, axis=1).T))
             assert np.array_equal(e.predict(X), prefix[-1])
-            order_matters += not np.array_equal(sign_labels(e.vote_matrix(X) @ alphas), prefix[-1])
+            assert np.array_equal(e.vote(votes == 1), prefix[-1])
+            order_matters += not np.array_equal(sign_labels(votes @ alphas), prefix[-1])
         assert order_matters > 0
 
 
@@ -253,7 +259,7 @@ class TestScoreMatrix:
             EnsembleMember(1.0, clf(w, -raw[i, j], cols))
             for j, (w, cols, i) in enumerate(zip(coeffs, layout, rows))
         )
-        votes = Ensemble(members).vote_matrix(X)
+        votes = sign_labels(score_matrix([m.clf for m in members], X))  # the labels the ensemble votes with
         assert np.all(votes[rows, np.arange(len(layout))] == 1)
         for j, m in enumerate(members):
             assert np.array_equal(m.clf.predict(X), votes[:, j])
@@ -268,7 +274,8 @@ class TestScoreMatrix:
         X = np.array([[0.5, 0.5], [-0.5, -0.5]])
         assert score_matrix([half, full], X).tolist() == [[0.0, 0.0], [-0.5, -0.5]]
         members = tuple(EnsembleMember(1.0, c) for c in (half, full))
-        assert Ensemble(members).vote_matrix(X).tolist() == [[1, 1], [-1, -1]]
+        assert [Ensemble((m,)).predict(X).tolist() for m in members] == [[1, -1], [1, -1]]
+        assert Ensemble(members).predict(X).tolist() == [1, -1]
 
 
 class TestAccuracy:

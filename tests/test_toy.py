@@ -5,11 +5,15 @@ import pytest
 
 from dpboost import (
     DataError,
+    Ensemble,
+    EnsembleMember,
+    Purpose,
     ToyConfig,
     accuracy,
     flip_and_fit_threshold,
     generate_toy,
     make_rng,
+    rng_for,
     run_toy_sweep,
     threshold_classifier,
 )
@@ -68,11 +72,11 @@ class TestFlipAndFitThreshold:
     def test_no_flips_recovers_separator(self):
         ds = generate_toy(200)
         for seed in range(5):
-            assert flip_and_fit_threshold(ds, 0.0, make_rng(seed)) == 100
+            assert flip_and_fit_threshold(ds.y, 0.0, 3, make_rng(seed)).tolist() == [100] * 3
 
     def test_matches_quadratic_rescan(self):
         # the O(n) scan must agree with an O(n^2) brute force, including the
-        # smallest-index tie-break
+        # smallest-index tie-break, on every row of a batch
         def oracle(y_flipped):
             n = len(y_flipped)
             best_i, best_c = 0, -1
@@ -87,21 +91,21 @@ class TestFlipAndFitThreshold:
             ds = generate_toy(n)
             fit_rng = make_rng(trial)
             clone = make_rng(trial)
-            index = flip_and_fit_threshold(ds, 0.35, fit_rng)
-            flips = clone.random(n) < 0.35
-            y_flipped = np.where(flips, -ds.y, ds.y)
-            assert index == oracle(y_flipped)
+            indices = flip_and_fit_threshold(ds.y, 0.35, 3, fit_rng)
+            flips = clone.random((3, n)) < 0.35
+            assert indices.tolist() == [oracle(np.where(row, -ds.y, ds.y)) for row in flips]
 
     @pytest.mark.parametrize("n", [2, 4, 10, 200, 2000])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.49])
     def test_walk_matches_prefix_count_fitter(self, n, p):
-        # same index, as a Python int, and the same draws taken from the stream
+        # a batch of 40 fits gives the oracle's 40 single fits, and takes the
+        # same draws from the stream
         ds = generate_toy(n)
-        for seed in range(200):
+        for seed in range(5):
             rng, oracle_rng = make_rng(seed), make_rng(seed)
-            index = flip_and_fit_threshold(ds, p, rng)
-            assert type(index) is int
-            assert index == prefix_count_fitter(ds, p, oracle_rng)
+            indices = flip_and_fit_threshold(ds.y, p, 40, rng)
+            assert indices.shape == (40,) and indices.dtype.kind == "i"
+            assert indices.tolist() == [prefix_count_fitter(ds, p, oracle_rng) for _ in range(40)]
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("pattern", ["none", "all", "left", "right", "alternating"])
@@ -115,21 +119,35 @@ class TestFlipAndFitThreshold:
             "right": (np.arange(n) >= n // 2, n),  # every flipped label -1: cut n alone is best
             "alternating": (np.arange(n) % 2 == 0, n // 2 + 1),  # many cuts tie, the first wins
         }[pattern]
-        index = flip_and_fit_threshold(ds, 0.3, FixedFlips(flips))
-        assert index == prefix_count_fitter(ds, 0.3, FixedFlips(flips)) == expected
+        indices = flip_and_fit_threshold(ds.y, 0.3, 1, FixedFlips(flips[None]))
+        assert indices.tolist() == [prefix_count_fitter(ds, 0.3, FixedFlips(flips))] == [expected]
 
     def test_walk_length_bounded(self):
         # the int32 walk is refused before any draw once n reaches 2**30
         rng = make_rng(0)
         state = rng.bit_generator.state
+        y = np.broadcast_to(np.int64(1), (2**30,))  # no memory behind it
         with pytest.raises(ValueError, match=r"n < 2\*\*30"):
-            flip_and_fit_threshold(SimpleNamespace(n=2**30, y=None), 0.3, rng)
+            flip_and_fit_threshold(y, 0.3, 1, rng)
         assert rng.bit_generator.state == state
 
     def test_flip_probability_bounds(self):
         ds = generate_toy(10)
         with pytest.raises(ValueError):
-            flip_and_fit_threshold(ds, 0.5, make_rng(0))
+            flip_and_fit_threshold(ds.y, 0.5, 1, make_rng(0))
+
+    @pytest.mark.parametrize("rounds", [1, 50, 128, 129, 300])
+    def test_one_batch_matches_single_fits(self, rounds):
+        # one call of `rounds` fits, the single-row walk called once per
+        # round, and the prefix-count oracle give the same indices from the
+        # same stream, and leave it in the same state
+        ds = generate_toy(200)
+        rngs = [make_rng(77) for _ in range(3)]
+        batch = flip_and_fit_threshold(ds.y, 0.49, rounds, rngs[0]).tolist()
+        single = [int(flip_and_fit_threshold(ds.y, 0.49, 1, rngs[1])[0]) for _ in range(rounds)]
+        oracle = [prefix_count_fitter(ds, 0.49, rngs[2]) for _ in range(rounds)]
+        assert batch == single == oracle
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
 
     def test_classifier_semantics_match_index(self):
         ds = generate_toy(20)
@@ -189,6 +207,24 @@ class TestToySweep:
         assert payload["config"]["n"] == 200
         assert len(payload["runs"]) == 3
         assert len(payload["runs"][0]["thresholds"]) == 10
+
+    @pytest.mark.parametrize("rounds", [1, 50, 128, 129, 300])
+    def test_sweep_draws_and_votes_as_single_fits_would(self, rounds):
+        # the sweep's thresholds, drawn in blocks of rounds, are the single
+        # fits of its repeat's classifier stream in round order; and the
+        # accuracy it votes from its draws' flags is the one the rebuilt
+        # ensemble scores on the rows, on either side of a block boundary
+        cfg = ToyConfig(n=200, flip_prob=0.49, rounds=rounds, c1=2, c2=2, repeats=2, seed=3)
+        report = run_toy_sweep(cfg, [0.5, 50.0])
+        ds = generate_toy(cfg.n)
+        for run in report.runs:
+            rng = rng_for(cfg.seed, run.repeat, Purpose.PRIVATE_CLASSIFIER)
+            single = [int(flip_and_fit_threshold(ds.y, cfg.flip_prob, 1, rng)[0]) for _ in range(rounds)]
+            assert list(run.thresholds) == single
+            ensemble = Ensemble(tuple(
+                EnsembleMember(alpha, threshold_classifier(t, cfg.n)) for t, alpha in zip(run.thresholds, run.alphas)
+            ))
+            assert run.accuracy == accuracy(ensemble, ds)
 
     def test_validation(self):
         for bad in ({"n": 11}, {"flip_prob": 0.5}, {"flip_prob": False}, {"repeats": 0}, {"c1": 0.5}):
