@@ -47,6 +47,7 @@ from .harness import (
 )
 from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, score_matrix, sign_labels
 from .noise import (
+    Budget,
     PrivacyParams,
     Purpose,
     laplace,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSplit, check_int
 from .model import LinearClassifier, _columns, score_matrix, sign_labels
-from .noise import laplace
+from .noise import Budget
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def fit_logreg_weighted(
 _MAX_LAM = 10.0  # largest ridge coefficient fit_dp_logreg may raise lam to
 
 
-def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> LinearClassifier:
-    """Epsilon-DP logistic regression by objective perturbation.
+def fit_dp_logreg(ds: Dataset, budget: Budget) -> LinearClassifier:
+    """``budget.epsilon``-DP logistic regression by objective perturbation.
 
     Appends a constant column and divides every row by sqrt(ds.d + 1). That
     bounds each row norm by one, because the features lie in [-1, 1] and the
@@ -156,49 +156,40 @@ def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> L
         (1/n) sum_i log(1 + exp(-y_i theta.x_i)) + (lam/2)||theta||^2
             + (b . theta)/n,
 
-    where the direction of b is uniform and ||b|| ~ Gamma(d, 2/eps') with
-    eps' = eps - 2*ln(1 + 1/(4*n*lam)). If eps' would be non-positive, lam
-    is raised to 1/(4n(e^{eps/4}-1)), which makes eps' = eps/2; if that
-    exceeds 10 the instance is too small and the fit fails.
+    where b is ``budget.gamma_ball`` at eps' = eps - 2*ln(1 + 1/(4*n*lam)),
+    so the curvature term and b are two ledger entries that sum to eps. If
+    eps' would be non-positive, lam is raised to 1/(4n(e^{eps/4}-1)), which
+    makes eps' = eps/2; if that exceeds 10 the instance is too small and
+    the fit fails.
 
     The guarantee covers only the exact minimizer, so the objective is
     solved by damped Newton to the gradient-norm tolerance ``tol`` of the
     default ``LogRegHyper`` (``lam`` is the starting ridge), or raises.
-
-    Consumes exactly d+1 draws from ``rng`` (one gamma, d normals), where d
-    counts the constant column.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if ds.X.min(initial=0.0) < -1.0 or ds.X.max(initial=0.0) > 1.0:
         raise ValueError("fit_dp_logreg needs features in [-1, 1]; normalize first")
 
     hyper = LogRegHyper()
     n = ds.n
     lam = hyper.lam
-    eps_prime = epsilon - 2.0 * math.log(1.0 + 1.0 / (4.0 * n * lam))
-    if eps_prime <= 0:
+    epsilon = budget.epsilon
+    curvature = 2.0 * math.log(1.0 + 1.0 / (4.0 * n * lam))
+    if curvature >= epsilon:  # eps' <= 0
         lam = 1.0 / (4.0 * n * (math.exp(epsilon / 4.0) - 1.0))
         if lam > _MAX_LAM:
             raise ValueError(
-                f"epsilon'={eps_prime:.3g} is unfixable: required lam {lam:.3g} "
+                f"epsilon'={epsilon - curvature:.3g} is unfixable: required lam {lam:.3g} "
                 f"exceeds the admissible cap {_MAX_LAM} (n={n} too small for eps={epsilon})"
             )
-        eps_prime = epsilon / 2.0
+        curvature = epsilon / 2.0
 
     d = ds.d + 1
     scale = math.sqrt(d)
     Xs = np.hstack([ds.X, np.ones((n, 1))]) / scale
     y = ds.y.astype(np.float64)
 
-    # Gamma(d, 2/eps') norm with a uniform direction gives ||b|| the density
-    # proportional to exp(-eps' ||b|| / 2). Draws happen even at eps'=inf
-    # (they are then zero) so the draw count never depends on the data.
-    gamma_scale = 0.0 if math.isinf(eps_prime) else 2.0 / eps_prime
-    norm_b = rng.gamma(shape=d, scale=gamma_scale)
-    direction = rng.normal(size=d)
-    direction /= np.linalg.norm(direction)
-    b_vec = norm_b * direction
+    budget.charge("dp-logreg curvature", None, None, curvature)
+    b_vec = budget.gamma_ball("dp-logreg b", d, epsilon - curvature)
 
     # The constant column carries the intercept, so the intercept slot stays
     # pinned at 0 and lam regularizes every coordinate of theta.
@@ -222,46 +213,34 @@ def fit_dp_logreg(ds: Dataset, epsilon: float, *, rng: np.random.Generator) -> L
 class PateModel:
     """Teachers on private columns vote a label feature for a public student.
 
-    Both label counts of each vote query are released, each perturbed with
-    Lap(``vote_scale``). Replacing one person's private features changes the
-    teacher fitted on their shard, which moves each count of a query on
-    another row by at most 1; the training query on their own row also feeds
-    the new features to all k teachers, so its counts move by at most k. By
-    basic composition over the E = ``query_budget`` events the person spends
-    2 * (E - 1 + k) / vote_scale, which ``fit_pate`` makes epsilon.
-    Later queries are charged as queries on other rows (the harness queries
-    held-out test rows). Re-querying a row draws fresh noise, another event.
-    The model counts its events and raises ``RuntimeError`` before drawing
-    any noise for a query that would take it past ``query_budget``; a
-    noise-free model (infinite epsilon) has no budget to overrun.
+    Both label counts of each vote query are released through ``budget``
+    with Lap(``vote_scale``) noise. Replacing one person's private features
+    changes the teacher fitted on their shard, which moves each count of a
+    query on another row by at most 1; the training query on their own row
+    also feeds the new features to all k teachers, so its counts move by at
+    most k. So a call on m rows is one release at L1 sensitivity 2m, and
+    ``fit_pate`` charges the own-row surplus 2(k-1) once. Later queries are
+    charged as queries on other rows (the harness queries held-out test
+    rows); re-querying a row draws fresh noise, another query. Past the
+    declared queries the budget raises ``RuntimeError`` before drawing.
 
     ``teachers`` is a tuple of ``LinearClassifier``, scored by one
-    ``score_matrix`` call. Prediction is stateful: it consumes two noise draws
-    from the model's rng and one query event per predicted row.
+    ``score_matrix`` call. Prediction is stateful: it spends budget and
+    draws two noise values per predicted row.
     """
 
-    def __init__(self, teachers, student, public_cols, vote_scale, rng, query_budget):
+    def __init__(self, teachers, student, public_cols, vote_scale, budget):
         self.teachers = tuple(teachers)
         self.student = student
         self.public_cols = tuple(public_cols)
         self.vote_scale = vote_scale
-        self._rng = rng
-        self.query_budget = query_budget
-        self.queries_spent = 0
+        self.budget = budget
 
     def noisy_votes(self, X: np.ndarray) -> np.ndarray:
         """+/-1 winning label per row from noise-perturbed teacher vote counts."""
-        if self.vote_scale > 0 and self.queries_spent + X.shape[0] > self.query_budget:
-            raise RuntimeError(
-                f"PATE query budget exhausted: {X.shape[0]} more vote queries after "
-                f"{self.queries_spent} of {self.query_budget} reserved"
-            )
-        self.queries_spent += X.shape[0]
         plus = np.count_nonzero(score_matrix(self.teachers, X) >= 0, axis=1)
-        minus = len(self.teachers) - plus
-        if self.vote_scale > 0:
-            plus = plus + laplace(self.vote_scale, self._rng, size=X.shape[0])
-            minus = minus + laplace(self.vote_scale, self._rng, size=X.shape[0])
+        counts = np.stack([plus, len(self.teachers) - plus])
+        plus, minus = self.budget.release("pate votes", counts, 2 * X.shape[0], self.vote_scale)
         return sign_labels(plus - minus)
 
     def _student_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -297,8 +276,7 @@ def fit_pate(
     train: Dataset,
     split: FeatureSplit,
     teachers,
-    epsilon: float,
-    rng: np.random.Generator,
+    budget: Budget,
     *,
     extra_query_budget: int,
 ) -> PateModel:
@@ -307,14 +285,16 @@ def fit_pate(
     ``train`` and ``split``) vote for each row.
 
     ``extra_query_budget`` reserves budget for vote queries made after
-    training, one event per predicted row; the noise scale is fixed from
-    train.n + extra_query_budget events, and querying more raises.
+    training, one per predicted row: the noise scale is fixed so that the
+    own-row surplus and train.n + extra_query_budget queries spend
+    ``budget`` exactly, and querying more raises.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    k = len(teachers)
     queries = train.n + int(extra_query_budget)
-    vote_scale = 0.0 if math.isinf(epsilon) else 2.0 * (queries + len(teachers) - 1) / epsilon
-    model = PateModel(teachers, None, split.public_cols, vote_scale, rng, queries)
+    vote_scale = 2.0 * (queries + k - 1) / budget.epsilon
+    # the share 2(k-1)/vote_scale, written so that it is inf, not 0/0, at epsilon = inf
+    budget.charge("pate own-row surplus", 2 * (k - 1), vote_scale, budget.epsilon * (k - 1) / (queries + k - 1))
+    model = PateModel(teachers, None, split.public_cols, vote_scale, budget)
 
     columns = tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),)
     student = Dataset(X=model._student_matrix(train.X), y=train.y, columns=columns)

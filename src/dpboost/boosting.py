@@ -37,7 +37,7 @@ import numpy as np
 from .baselines import fit_logreg_weighted
 from .data import Dataset, FeatureSplit
 from .model import Ensemble, EnsembleMember, LinearClassifier, score_matrix
-from .noise import PrivacyParams, laplace, random_linear_classifier
+from .noise import Budget, PrivacyParams, random_linear_classifier
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,17 @@ def weighted_error(mis, weights) -> float:
     return float(np.dot(w, mis) / w.sum())
 
 
-def noisy_private_error(mis, w_pri, params: PrivacyParams, rng: np.random.Generator) -> float:
-    """Weighted error plus one Lap(c1*c2*rounds/(epsilon*n)) draw, n = len(w_pri).
+def noisy_private_error(mis, w_pri, params: PrivacyParams, budget: Budget) -> float:
+    """Weighted error released through ``budget`` at sensitivity c1*c2/n and
+    scale c1*c2*rounds/(epsilon*n), n = len(w_pri): epsilon/rounds of it.
 
-    The result may legitimately fall outside [0, 1]. A zero noise scale
-    (epsilon = inf) adds nothing and consumes no draw.
+    The result may legitimately fall outside [0, 1].
     """
     w = np.asarray(w_pri, dtype=np.float64)
     if w.min() < 1.0 / params.c1 - 1e-12 or w.max() > params.c2 + 1e-12:
         raise ValueError("private weights outside the clipping bounds [1/c1, c2]")
-    err = weighted_error(mis, w)
-    scale = params.laplace_scale(len(w))
-    if scale > 0:
-        err += laplace(scale, rng)
-    return err
+    n = len(w)
+    return budget.release("brc error", weighted_error(mis, w), params.c1 * params.c2 / n, params.laplace_scale(n))
 
 
 def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: float) -> np.ndarray:
@@ -191,9 +188,7 @@ def draw_private_classifiers(
     return Draws(tuple(classifiers), mis, public)
 
 
-def brc_fit(
-    draws: Draws, params: PrivacyParams, *, noise_rng: np.random.Generator
-) -> tuple[Ensemble, list[RoundRecord]]:
+def brc_fit(draws: Draws, params: PrivacyParams, *, budget: Budget) -> tuple[Ensemble, list[RoundRecord]]:
     """Boost for ``params.rounds`` rounds on the inputs ``draws`` holds.
 
     Round t merges two precomputed streams: link k of ``draws.public``,
@@ -203,19 +198,22 @@ def brc_fit(
     0.5 (ties go private), (c) sets alpha = 0.5 - err of the chosen
     classifier, and (d) after a private round updates the private weights,
     clipped to [1/c1, c2]; a public round moves on to the next link. Exactly
-    ``rounds`` Laplace draws are consumed (one per round, from
-    ``noise_rng``), for a total privacy cost of epsilon; n, which sets
+    ``rounds`` Laplace releases go through ``budget`` (one per round, each
+    epsilon/rounds), for a total privacy cost of epsilon; n, which sets
     their scale, is the number of training rows in ``draws.mis``.
 
     ``draws`` reads no weight, noise or epsilon, so fits that differ only in
-    ``params`` may share it. ``noise_rng`` is the fit's own and feeds only
-    the Laplace noise; keeping it apart from the draws' stream means adding
-    consumers to one never perturbs the other. Without public columns every
-    round is private, tagged "all". Raises ``ValueError`` when ``draws``
-    does not hold ``params.rounds`` classifiers.
+    ``params`` may share it. ``budget`` is the fit's own and its stream feeds
+    only the Laplace noise; keeping it apart from the draws' stream means
+    adding consumers to one never perturbs the other. Without public columns
+    every round is private, tagged "all". Raises ``ValueError`` when
+    ``draws`` does not hold ``params.rounds`` classifiers or ``budget`` holds
+    another epsilon than ``params``.
     """
     if len(draws.classifiers) != params.rounds:
         raise ValueError(f"draws hold {len(draws.classifiers)} classifiers; this fit needs {params.rounds}")
+    if budget.epsilon != params.epsilon:
+        raise ValueError(f"the budget holds epsilon={budget.epsilon}; this fit spends {params.epsilon}")
 
     public = draws.public
     private_tag = "all" if public is None else "private"
@@ -225,7 +223,7 @@ def brc_fit(
     k = 0  # public rounds so far
     for t, (h_pri, mis_pri) in enumerate(zip(draws.classifiers, draws.mis), start=1):
         h_pub, _, err_pub = (None, None, None) if public is None else public[k]
-        err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
+        err_pri = noisy_private_error(mis_pri, w_pri, params, budget)
 
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):
             alpha = 0.5 - err_pub

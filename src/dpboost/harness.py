@@ -47,7 +47,7 @@ from .data import (
     split_indices,
 )
 from .model import accuracy
-from .noise import PrivacyParams, Purpose, check_epsilons, rng_for, stream_id
+from .noise import Budget, PrivacyParams, Purpose, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
 
@@ -159,7 +159,7 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Datas
 
         def fit(eps):
             params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
-            return brc_fit(draws, params, noise_rng=rng_for(cfg.seed, repeat, Purpose.LAPLACE))
+            return brc_fit(draws, params, budget=Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)))
 
         return fit
     if cfg.algorithm in ("logreg", "public-only"):
@@ -169,16 +169,16 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Datas
     if cfg.algorithm == "dp-logreg":
 
         def fit(eps):
-            return fit_dp_logreg(train, eps, rng=rng_for(cfg.seed, repeat, Purpose.BASELINE)), None
+            return fit_dp_logreg(train, Budget(eps, rng_for(cfg.seed, repeat, Purpose.BASELINE))), None
 
         return fit
     if cfg.algorithm == "pate":
         rng = rng_for(cfg.seed, repeat, Purpose.BASELINE)
         teachers = fit_pate_teachers(train, fsplit, rng, k_teachers=cfg.pate_teachers)
-        # each epsilon draws its votes from a copy of the stream as the shard
-        # shuffle left it; evaluation queries each test row once, a noise event each
+        # each epsilon's budget draws its votes from a copy of the stream as the
+        # shard shuffle left it; evaluation queries each test row once
         return lambda eps: (
-            fit_pate(train, fsplit, teachers, eps, copy.deepcopy(rng), extra_query_budget=test.n), None
+            fit_pate(train, fsplit, teachers, Budget(eps, copy.deepcopy(rng)), extra_query_budget=test.n), None
         )
     raise DataError(f"unknown algorithm {cfg.algorithm!r}")  # pragma: no cover - guarded by config validation
 

@@ -1,5 +1,5 @@
 """Seeded randomness: Laplace sampling, uniform random linear classifiers,
-and privacy-budget bookkeeping.
+and privacy-budget bookkeeping (``Budget``, the one place that spends epsilon).
 
 RNG streams are addressed by (seed, stream id) and are fully reproducible.
 Stream ids are derived from (repeat index, purpose) so that adding a new
@@ -9,6 +9,7 @@ randomness consumer never perturbs existing streams.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,54 @@ def laplace(scale: float, rng: np.random.Generator, size=None):
     u = rng.random(size)
     u = np.where(u == 0.0, 2.0**-53, u) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+class Budget:
+    """A fit's epsilon and noise stream: every noisy release on private data
+    draws here, once ``charge`` books it in ``ledger`` as (mechanism,
+    sensitivity, scale, epsilon share), and raises ``RuntimeError`` instead
+    when the shares would sum past ``epsilon`` (relative tolerance 1e-9). A
+    release at scale 0 draws nothing, for an infinite share (epsilon = inf)."""
+
+    def __init__(self, epsilon: float, rng: np.random.Generator):
+        check_real("epsilon", epsilon)
+        if not epsilon > 0:
+            raise DataError(f"epsilon must be positive, got {epsilon}")
+        self.epsilon = epsilon
+        self.rng = rng
+        self.spent = 0.0
+        self.ledger: list[tuple[str, float | None, float | None, float]] = []
+
+    def charge(self, mechanism: str, sensitivity: float | None, scale: float | None, share: float) -> None:
+        """Book ``share`` of epsilon; called alone for a cost that makes no draw."""
+        if not share >= 0:
+            raise ValueError(f"{mechanism}: an epsilon share must be non-negative, got {share}")
+        if self.spent + share > self.epsilon * (1.0 + 1e-9):
+            raise RuntimeError(
+                f"privacy budget exhausted: {mechanism} needs {share:.6g} more after "
+                f"{self.spent:.6g} of epsilon={self.epsilon:g}"
+            )
+        self.spent += share
+        self.ledger.append((mechanism, sensitivity, scale, share))
+
+    def release(self, mechanism: str, value, sensitivity: float, scale: float):
+        """``value`` (a float or an array, whose whole L1 change is at most
+        ``sensitivity``) plus Laplace noise of its shape, for sensitivity/scale."""
+        self.charge(mechanism, sensitivity, scale, sensitivity / scale if scale > 0 else math.inf)
+        if scale == 0:
+            return value
+        return value + laplace(scale, self.rng, value.shape if isinstance(value, np.ndarray) else None)
+
+    def gamma_ball(self, mechanism: str, d: int, share: float) -> np.ndarray:
+        """A d-vector with density proportional to exp(-share * ||b|| / 2), for
+        ``share``: a Gamma(d, 2/share) norm (0 at share = inf) times a uniform
+        direction, always d+1 draws, so their count never depends on the data."""
+        scale = 2.0 / share
+        self.charge(mechanism, None, scale, share)
+        norm = self.rng.gamma(shape=d, scale=scale)
+        direction = self.rng.normal(size=d)
+        direction /= np.linalg.norm(direction)
+        return norm * direction
 
 
 def random_linear_classifier(cols, rng: np.random.Generator) -> LinearClassifier:

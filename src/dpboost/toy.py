@@ -19,7 +19,7 @@ import numpy as np
 from .boosting import brc_fit, draw_private_classifiers
 from .data import DataError, Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier
-from .noise import PrivacyParams, Purpose, check_epsilons, rng_for
+from .noise import Budget, PrivacyParams, Purpose, check_epsilons, rng_for
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         flags = (draws.mis != (ds.y == 1)).T  # (n, rounds): True where round t's classifier votes +1
         runs = []
         for params in all_params:
-            noise_rng = rng_for(cfg.seed, repeat, Purpose.LAPLACE)
-            ensemble, _ = brc_fit(draws, params, noise_rng=noise_rng)
+            budget = Budget(params.epsilon, rng_for(cfg.seed, repeat, Purpose.LAPLACE))
+            ensemble, _ = brc_fit(draws, params, budget=budget)
             runs.append(
                 ToyRun(
                     epsilon=params.epsilon,

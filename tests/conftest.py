@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dpboost import Dataset, FeatureSplit, brc_fit, draw_private_classifiers
+from dpboost import Budget, Dataset, FeatureSplit, brc_fit, draw_private_classifiers
 
 
 def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, seed=0):
@@ -29,9 +29,10 @@ def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, s
 
 
 def fit_with_draws(train, split, params, *, classifier_rng, noise_rng, sampler=None):
-    """``brc_fit`` on draws, and a public chain, made for this fit alone."""
+    """``brc_fit`` on draws, and a public chain, made for this fit alone, with
+    a ``Budget`` of ``params.epsilon`` on ``noise_rng``."""
     draws = draw_private_classifiers(train, split, params.rounds, classifier_rng, sampler)
-    return brc_fit(draws, params, noise_rng=noise_rng)
+    return brc_fit(draws, params, budget=Budget(params.epsilon, noise_rng))
 
 
 class FixedFlips:

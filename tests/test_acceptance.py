@@ -17,11 +17,14 @@ from scipy import stats
 
 import dpboost.boosting as boosting
 from dpboost import (
+    Budget,
     ExperimentConfig,
     FeatureSplit,
     PrivacyParams,
     ToyConfig,
     aggregate,
+    brc_fit,
+    draw_private_classifiers,
     flip_and_fit_threshold,
     generate_toy,
     laplace,
@@ -455,37 +458,33 @@ def test_criterion_09_cli_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_criterion_10_privacy_accounting_audit(monkeypatch):
-    """The split fit consumes exactly T Laplace draws, each at scale
-    c1*c2*T/(eps*n), and nothing else data-dependent on the noise stream."""
+def test_criterion_10_privacy_accounting_audit():
+    """The split fit books exactly T releases in its budget's ledger, each at
+    scale c1*c2*T/(eps*n), and its noise stream advances exactly T Laplace
+    draws, so nothing else data-dependent is drawn from it."""
     ds, split = planted_dataset(n=150, seed=10)
     params = PrivacyParams(epsilon=0.16, rounds=25, c1=SQRT2, c2=SQRT2)
-    calls = []
-    real = boosting.laplace
-
-    def counting(scale, rng, size=None):
-        calls.append(scale)
-        return real(scale, rng, size)
-
-    monkeypatch.setattr(boosting, "laplace", counting)
     noise_rng = make_rng(31)
-    fit_with_draws(ds, split, params, classifier_rng=make_rng(30), noise_rng=noise_rng)
+    budget = Budget(params.epsilon, noise_rng)
+    brc_fit(draw_private_classifiers(ds, split, params.rounds, make_rng(30)), params, budget=budget)
     ref = make_rng(31)
     for _ in range(params.rounds):
-        real(params.laplace_scale(ds.n), ref)
+        laplace(params.laplace_scale(ds.n), ref)
+    scales = [scale for _, _, scale, _ in budget.ledger]
     ok = (
-        len(calls) == params.rounds
-        and all(s == params.laplace_scale(ds.n) for s in calls)
+        len(scales) == params.rounds
+        and all(s == params.laplace_scale(ds.n) for s in scales)
         and noise_rng.bit_generator.state == ref.bit_generator.state
     )
     report(
         "10 privacy accounting audit",
         ok,
-        f"{len(calls)} draws at scale {params.laplace_scale(ds.n):.6g}, "
-        f"noise stream advanced exactly {params.rounds} draws",
+        f"{len(scales)} releases at scale {params.laplace_scale(ds.n):.6g}, spent {budget.spent:.6g} "
+        f"of {params.epsilon:g}, noise stream advanced exactly {params.rounds} draws",
     )
-    assert len(calls) == params.rounds
-    assert all(s == params.laplace_scale(ds.n) for s in calls)
+    assert len(scales) == params.rounds
+    assert all(s == params.laplace_scale(ds.n) for s in scales)
+    assert budget.spent == pytest.approx(params.epsilon, rel=1e-12)
     assert noise_rng.bit_generator.state == ref.bit_generator.state
 
 

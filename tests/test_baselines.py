@@ -9,6 +9,7 @@ import pytest
 
 from dpboost import baselines
 from dpboost import (
+    Budget,
     Dataset,
     FeatureSplit,
     LogRegHyper,
@@ -280,7 +281,7 @@ class TestSolverWork:
 
     def test_dp_fit_calls(self, calls):
         ds, _ = planted_dataset(n=500, seed=4)
-        fit_dp_logreg(ds, 1.0, rng=make_rng(12))
+        fit_dp_logreg(ds, Budget(1.0, make_rng(12)))
         assert dict(calls) == {"loss": 7, "grad": 7, "hess": 6}
 
 
@@ -290,21 +291,21 @@ class TestDpLogReg:
         ds, _ = planted_dataset(n=500, seed=4)
         monkeypatch.setattr(baselines, "LogRegHyper", functools.partial(LogRegHyper, max_iters=1))
         with pytest.raises(RuntimeError, match="gradient tolerance"):
-            fit_dp_logreg(ds, 1.0, rng=make_rng(12))
+            fit_dp_logreg(ds, Budget(1.0, make_rng(12)))
 
     def test_infinite_budget_matches_plain_fit(self):
         ds, _ = planted_dataset(n=400, seed=1)
         plain = fit_logreg_weighted(ds, range(ds.d))
-        dp = fit_dp_logreg(ds, math.inf, rng=make_rng(0))
+        dp = fit_dp_logreg(ds, Budget(math.inf, make_rng(0)))
         assert abs(accuracy(dp, ds) - accuracy(plain, ds)) <= 0.01
 
     def test_accuracy_improves_with_budget(self):
         ds, _ = planted_dataset(n=400, seed=2)
         lo = np.mean(
-            [accuracy(fit_dp_logreg(ds, 0.05, rng=make_rng(s)), ds) for s in range(10)]
+            [accuracy(fit_dp_logreg(ds, Budget(0.05, make_rng(s))), ds) for s in range(10)]
         )
         hi = np.mean(
-            [accuracy(fit_dp_logreg(ds, 8.0, rng=make_rng(s)), ds) for s in range(10)]
+            [accuracy(fit_dp_logreg(ds, Budget(8.0, make_rng(s))), ds) for s in range(10)]
         )
         assert hi > lo
 
@@ -315,7 +316,7 @@ class TestDpLogReg:
         eps, lam, d = 2.0, LogRegHyper().lam, ds.d + 1
         eps_prime = eps - 2.0 * math.log(1.0 + 1.0 / (4.0 * ds.n * lam))
         assert eps_prime > 0
-        clf = fit_dp_logreg(ds, eps, rng=make_rng(4))
+        clf = fit_dp_logreg(ds, Budget(eps, make_rng(4)))
         ref = make_rng(4)
         norm_b = ref.gamma(shape=d, scale=2.0 / eps_prime)
         direction = ref.normal(size=d)
@@ -335,7 +336,7 @@ class TestDpLogReg:
         zero = np.zeros(ds.d + 1)
         for X in (X_max, X_small):
             neighbour = Dataset(X=X, y=ds.y, columns=ds.columns)
-            clf = fit_dp_logreg(neighbour, math.inf, rng=make_rng(0))
+            clf = fit_dp_logreg(neighbour, Budget(math.inf, make_rng(0)))
             grad = dp_objective_grad(clf, neighbour, zero, LogRegHyper().lam)
             assert np.linalg.norm(grad) <= LogRegHyper().tol
 
@@ -344,12 +345,12 @@ class TestDpLogReg:
         X = ds.X.copy()
         X[0, 0] = 1.5
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            fit_dp_logreg(Dataset(X=X, y=ds.y, columns=ds.columns), 1.0, rng=make_rng(0))
+            fit_dp_logreg(Dataset(X=X, y=ds.y, columns=ds.columns), Budget(1.0, make_rng(0)))
 
     def test_draw_count_is_dimension_plus_one(self):
         ds, _ = planted_dataset(n=100, seed=4)
         rng = make_rng(3)
-        fit_dp_logreg(ds, 0.5, rng=rng)
+        fit_dp_logreg(ds, Budget(0.5, rng))
         ref = make_rng(3)
         d = ds.d + 1  # constant column included
         ref.gamma(shape=d, scale=1.0)
@@ -360,18 +361,21 @@ class TestDpLogReg:
         # eps' <= 0 at the default lam: the fit must still succeed by raising
         # lam, as long as the needed lam stays admissible.
         ds, _ = planted_dataset(n=400, seed=6)
-        clf = fit_dp_logreg(ds, 0.02, rng=make_rng(1))
+        clf = fit_dp_logreg(ds, Budget(0.02, make_rng(1)))
         assert np.all(np.isfinite(clf.coeffs))
 
     def test_unfixable_instance_rejected(self):
         ds, _ = planted_dataset(n=8, d_pub=1, d_pri=1, seed=7)
         with pytest.raises(ValueError, match="unfixable"):
-            fit_dp_logreg(ds, 0.01, rng=make_rng(0))
+            fit_dp_logreg(ds, Budget(0.01, make_rng(0)))
 
     def test_rng_required(self):
+        # the noise comes only from the caller's budget, which has no default rng
         ds, _ = planted_dataset(n=40)
+        with pytest.raises(TypeError, match="budget"):
+            fit_dp_logreg(ds)
         with pytest.raises(TypeError, match="rng"):
-            fit_dp_logreg(ds, 1.0)
+            Budget(1.0)
 
 
 def separable_private_dataset(n=400, seed=0):
@@ -392,7 +396,7 @@ def fit_pate_with_own_teachers(ds, split, epsilon, rng, *, k_teachers, extra_que
     """Teachers and student from one stream, as a repeat task fits them for
     its first epsilon."""
     teachers = fit_pate_teachers(ds, split, rng, k_teachers=k_teachers)
-    return fit_pate(ds, split, teachers, epsilon, rng, extra_query_budget=extra_query_budget)
+    return fit_pate(ds, split, teachers, Budget(epsilon, rng), extra_query_budget=extra_query_budget)
 
 
 class TestPate:
@@ -455,11 +459,12 @@ class TestPate:
 
     def test_fit_draws_two_vote_vectors(self):
         # the fit consumes 2n Laplace draws (both counts for each training
-        # row); the student draws nothing itself
+        # row) in one (2, n) release, as two n-vectors would; the student
+        # draws nothing itself
         ds, split = separable_private_dataset(n=120, seed=8)
         teachers = fit_pate_teachers(ds, split, make_rng(13), k_teachers=2)
         rng = make_rng(14)
-        fit_pate(ds, split, teachers, 0.5, rng, extra_query_budget=0)
+        fit_pate(ds, split, teachers, Budget(0.5, rng), extra_query_budget=0)
         ref = make_rng(14)
         ref.random(ds.n)
         ref.random(ds.n)
@@ -477,7 +482,7 @@ class TestPate:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(baselines, "fit_logreg_weighted", counting)
-        model = fit_pate(ds, split, teachers, 0.5, make_rng(14), extra_query_budget=0)
+        model = fit_pate(ds, split, teachers, Budget(0.5, make_rng(14)), extra_query_budget=0)
         assert len(fits) == 1 and fits[0].columns[-1] == ("vote", "numeric")
         assert len(model.teachers) == 3
         assert all(a is b for a, b in zip(model.teachers, teachers))
@@ -512,6 +517,10 @@ class TestPate:
         # both counts of a query move together, so its L1 change is twice
         # the plus count's; basic composition charges every event at its worst
         teachers = fit_pate_teachers(ds, split, copy.deepcopy(stream), k_teachers=k)
-        model = fit_pate(ds, split, teachers, epsilon, make_rng(0), extra_query_budget=held_out.n)
+        model = fit_pate(ds, split, teachers, Budget(epsilon, make_rng(0)), extra_query_budget=held_out.n)
         queries = ds.n + held_out.n
         assert 2 * (max(own) + (queries - 1) * max(others)) / model.vote_scale <= epsilon * (1 + 1e-12)
+        # the ledger books that worst case: the own-row surplus 2(k-1) and
+        # each query's 2, all at vote_scale
+        model.noisy_votes(held_out.X)
+        assert model.budget.spent == pytest.approx(2 * (k - 1 + queries) / model.vote_scale, rel=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import dpboost.boosting as boosting
 from dpboost import (
+    Budget,
     Dataset,
     FeatureSplit,
     LinearClassifier,
@@ -25,7 +26,7 @@ from dpboost import (
 )
 from dpboost.baselines import fit_logreg_weighted
 from dpboost.model import Ensemble, EnsembleMember
-from dpboost.noise import Purpose, rng_for
+from dpboost.noise import Purpose, laplace, rng_for
 
 from conftest import fit_with_draws, planted_dataset
 
@@ -93,7 +94,7 @@ class TestNoisyPrivateError:
         # scale ~ 1e-15: the perturbed value collapses onto the exact error
         p = self.params(epsilon=2 * 1 / (4 * 1e-15))  # scale = c1 c2 T/(eps n) = 1e-15
         exact = weighted_error(self.mis, np.ones(4))
-        noisy = noisy_private_error(self.mis, np.ones(4), p, make_rng(0))
+        noisy = noisy_private_error(self.mis, np.ones(4), p, Budget(p.epsilon, make_rng(0)))
         assert abs(noisy - exact) < 1e-12
 
     def test_monte_carlo_mean(self):
@@ -101,7 +102,7 @@ class TestNoisyPrivateError:
         scale = p.laplace_scale(4)
         exact = weighted_error(self.mis, np.ones(4))
         rng = make_rng(3)
-        draws = [noisy_private_error(self.mis, np.ones(4), p, rng) for _ in range(10_000)]
+        draws = [noisy_private_error(self.mis, np.ones(4), p, Budget(p.epsilon, rng)) for _ in range(10_000)]
         assert np.mean(draws) == pytest.approx(exact, abs=3 * scale / 100)
 
     def test_outside_unit_interval_frequency(self):
@@ -113,29 +114,26 @@ class TestNoisyPrivateError:
         assert p.laplace_scale(2) == pytest.approx(1.0)
         rng = make_rng(11)
         mis = misclassified(self.clf, ds)
-        draws = np.array([noisy_private_error(mis, np.ones(2), p, rng) for _ in range(2000)])
+        draws = np.array([noisy_private_error(mis, np.ones(2), p, Budget(p.epsilon, rng)) for _ in range(2000)])
         frac_outside = np.mean((draws < 0.0) | (draws > 1.0))
         assert frac_outside == pytest.approx(math.exp(-0.5), abs=0.05)
 
-    def test_scale_follows_the_row_count(self, monkeypatch):
-        # one params object, two sizes: each draw is at c1*c2*T/(eps*len(w))
+    def test_scale_follows_the_row_count(self):
+        # one params object, two sizes: each release is at sensitivity
+        # c1*c2/len(w) and scale c1*c2*T/(eps*len(w)), for eps/T
         p = PrivacyParams(epsilon=0.5, rounds=3, c1=SQRT2, c2=2.0)
-        calls = []
-        real = boosting.laplace
-
-        def counting(scale, rng, size=None):
-            calls.append(scale)
-            return real(scale, rng, size)
-
-        monkeypatch.setattr(boosting, "laplace", counting)
+        budget = Budget(p.epsilon, make_rng(0))
         for n in (100, 1000):
-            noisy_private_error(np.zeros(n, dtype=bool), np.ones(n), p, make_rng(0))
-        assert calls == [SQRT2 * 2.0 * 3 / (0.5 * 100), SQRT2 * 2.0 * 3 / (0.5 * 1000)]
+            noisy_private_error(np.zeros(n, dtype=bool), np.ones(n), p, budget)
+        assert [entry[:3] for entry in budget.ledger] == [
+            ("brc error", SQRT2 * 2.0 / n, SQRT2 * 2.0 * 3 / (0.5 * n)) for n in (100, 1000)
+        ]
+        assert [share for *_, share in budget.ledger] == pytest.approx([0.5 / 3] * 2, rel=1e-15)
 
     def test_weights_must_respect_bounds(self):
         p = self.params(epsilon=1.0)
         with pytest.raises(ValueError, match="clipping bounds"):
-            noisy_private_error(self.mis, np.full(4, 10.0), p, make_rng(0))
+            noisy_private_error(self.mis, np.full(4, 10.0), p, Budget(p.epsilon, make_rng(0)))
 
 
 class TestClippedUpdate:
@@ -206,6 +204,7 @@ def refit_every_round(train, split, params, classifier_rng, noise_rng):
     round, as a reference for the fit that reuses an unchanged one."""
     w_pub = np.ones(train.n)
     w_pri = np.ones(train.n)
+    budget = Budget(params.epsilon, noise_rng)
     members, records = [], []
     for t in range(1, params.rounds + 1):
         h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
@@ -213,7 +212,7 @@ def refit_every_round(train, split, params, classifier_rng, noise_rng):
         err_pub = weighted_error(mis_pub, w_pub)
         h_pri = random_linear_classifier(split.private_cols, classifier_rng)
         mis_pri = h_pri.predict(train.X) != train.y
-        err_pri = noisy_private_error(mis_pri, w_pri, params, noise_rng)
+        err_pri = noisy_private_error(mis_pri, w_pri, params, budget)
         if abs(0.5 - err_pub) > abs(0.5 - err_pri):
             chosen, alpha, clf = "public", 0.5 - err_pub, h_pub
             w_pub = w_pub * np.exp(alpha * mis_pub)
@@ -337,7 +336,17 @@ class TestBrcFit:
         for rounds in (3, 5):  # too few, too many
             draws = draw_private_classifiers(ds, split, rounds, make_rng(0))
             with pytest.raises(ValueError, match=f"draws hold {rounds} classifiers; this fit needs 4"):
-                brc_fit(draws, params, noise_rng=make_rng(1))
+                brc_fit(draws, params, budget=Budget(params.epsilon, make_rng(1)))
+
+    def test_rejects_a_budget_of_another_epsilon(self):
+        ds, split = planted_dataset(n=60)
+        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
+        draws = draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+        rng = make_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="budget holds epsilon=2.0; this fit spends 1.0"):
+            brc_fit(draws, params, budget=Budget(2.0, rng))
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("all_private", [False, True], ids=["split", "all-private"])
     def test_shared_draws_give_each_fit_its_own_result(self, all_private):
@@ -349,7 +358,7 @@ class TestBrcFit:
         draws = draw_private_classifiers(ds, split, 10, make_rng(60))
         for epsilon in (0.1, 2.0, math.inf, 0.1):
             params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
-            ens, recs = brc_fit(draws, params, noise_rng=make_rng(61))
+            ens, recs = brc_fit(draws, params, budget=Budget(epsilon, make_rng(61)))
             ref_ens, ref_recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(60), noise_rng=make_rng(61))
             assert recs == ref_recs
             assert_same_ensemble(ens, ref_ens)
@@ -367,20 +376,15 @@ class TestBrcFit:
 
         assert_same_ensemble(run(), run())
 
-    def test_exactly_t_laplace_draws_at_stated_scale(self, monkeypatch):
+    def test_exactly_t_laplace_draws_at_stated_scale(self):
         ds, split = planted_dataset(n=100, seed=1)
         params = PrivacyParams(epsilon=0.4, rounds=7, c1=SQRT2, c2=SQRT2)
-        calls = []
-        real = boosting.laplace
-
-        def counting(scale, rng, size=None):
-            calls.append(scale)
-            return real(scale, rng, size)
-
-        monkeypatch.setattr(boosting, "laplace", counting)
-        fit_with_draws(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
-        assert len(calls) == params.rounds
-        assert all(s == params.laplace_scale(ds.n) for s in calls)
+        draws = draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+        budget = Budget(params.epsilon, make_rng(1))
+        brc_fit(draws, params, budget=budget)
+        assert len(budget.ledger) == params.rounds
+        assert all(scale == params.laplace_scale(ds.n) for _, _, scale, _ in budget.ledger)
+        assert budget.spent == pytest.approx(params.epsilon, rel=1e-12)
 
     def test_loop_calls_the_tested_primitives(self, monkeypatch):
         # every round's errors and private update go through the exported
@@ -466,7 +470,7 @@ class TestBrcFit:
 
         ref_noise = make_rng(21)
         for _ in range(params.rounds):
-            boosting.laplace(params.laplace_scale(ds.n), ref_noise)
+            laplace(params.laplace_scale(ds.n), ref_noise)
         assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
 
         ref_clf = make_rng(20)
@@ -534,11 +538,12 @@ def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
     """The all-private booster loop with each round drawing and scoring its
     own classifier, as a reference for the fit that draws them up front."""
     w = np.ones(train.n)
+    budget = Budget(params.epsilon, noise_rng)
     members, records = [], []
     for t in range(1, params.rounds + 1):
         (h,) = sampler(train.y, 1, classifier_rng)
         mis = h.predict(train.X) != train.y
-        err = noisy_private_error(mis, w, params, noise_rng)
+        err = noisy_private_error(mis, w, params, budget)
         alpha = 0.5 - err
         w = clipped_update(w, alpha, mis, params.c1, params.c2)
         members.append(EnsembleMember(alpha=alpha, clf=h))

@@ -9,7 +9,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dpboost import DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg, run_experiment
+from dpboost import Budget, DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg
+from dpboost import run_experiment
 from dpboost import baselines, boosting, harness
 from dpboost.data import config_from_dict
 from dpboost.harness import (
@@ -318,9 +319,13 @@ class TestRunExperiment:
         train, _, _ = harness._prepare(full, cfg, 0)
         model, _, test = fit_cell(full, cfg, 0.5, 0)
         accuracy(model, test)
-        assert model.queries_spent == model.query_budget == train.n + test.n
-        with pytest.raises(RuntimeError, match="query budget"):
+        assert model.budget.spent == pytest.approx(0.5, rel=1e-12)
+        assert sum(sens for name, sens, _, _ in model.budget.ledger if name == "pate votes") == 2 * (train.n + test.n)
+        # one more query raises before it draws
+        state = model.budget.rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="budget exhausted"):
             model.predict(test.X[:1])
+        assert model.budget.rng.bit_generator.state == state
 
     def test_record_replays_in_isolation(self, synth_csv, tmp_path):
         # a record's (seed, epsilon, repeat) suffice to re-run just that cell
@@ -428,8 +433,8 @@ class TestRepeatTasks:
         "algorithm, fitter, epsilon_of",
         [
             ("brc", "brc_fit", lambda args: args[1].epsilon),
-            ("dp-logreg", "fit_dp_logreg", lambda args: args[1]),
-            ("pate", "fit_pate", lambda args: args[3]),
+            ("dp-logreg", "fit_dp_logreg", lambda args: args[1].epsilon),
+            ("pate", "fit_pate", lambda args: args[3].epsilon),
         ],
         ids=["brc", "dp-logreg", "pate"],
     )
@@ -451,6 +456,50 @@ class TestRepeatTasks:
         assert without_wall_time(records[:2]) == without_wall_time(clean[:2])
         assert [r.error for r in records[2:]] == ["RuntimeError: no fit at eps 8"] * 2
         assert all(r.test_accuracy is None and r.rounds is None for r in records[2:])
+
+
+class TestPrivacyLedger:
+    """The budgets the harness gives each cell, as the repeat task spends them."""
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        made = []
+
+        class Recorded(Budget):
+            def __init__(self, epsilon, rng):
+                super().__init__(epsilon, rng)
+                self.start = rng.bit_generator.state
+                made.append(self)
+
+        monkeypatch.setattr(harness, "Budget", Recorded)
+        return made
+
+    @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private", "dp-logreg", "pate"])
+    def test_shares_sum_to_epsilon(self, synth_csv, tmp_path, budgets, algorithm):
+        # pate's budget includes the evaluation queries of the test rows; at
+        # eps 0.16 dp-logreg raises lam, at eps 1 it does not
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, epsilons=(0.16, 1.0), pate_teachers=5)
+        full, _ = load_prepared_dataset(cfg)
+        assert all(r.error is None for r in harness._run_repeat(full, cfg, 0))
+        assert [b.epsilon for b in budgets] == [0.16, 1.0]
+        for budget in budgets:
+            assert math.fsum(share for *_, share in budget.ledger) == pytest.approx(budget.epsilon, rel=1e-12)
+            assert budget.spent == pytest.approx(budget.epsilon, rel=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private", "dp-logreg", "pate"])
+    def test_an_infinite_budget_draws_only_dp_logregs_ball(self, synth_csv, tmp_path, budgets, algorithm):
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, epsilons=(math.inf,), pate_teachers=5)
+        full, _ = load_prepared_dataset(cfg)
+        assert harness._run_repeat(full, cfg, 0)[0].error is None
+        (budget,) = budgets
+        ref = np.random.default_rng()
+        ref.bit_generator.state = budget.start
+        if algorithm == "dp-logreg":
+            d = full.d + 1  # the constant column included
+            ref.gamma(shape=d, scale=1.0)
+            ref.normal(size=d)
+        assert budget.rng.bit_generator.state == ref.bit_generator.state
+        assert budget.spent == math.inf
 
 
 class TestAggregate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpboost import (
+    Budget,
     DataError,
     PrivacyParams,
     Purpose,
@@ -66,6 +67,81 @@ class TestLaplaceSampler:
         reference = make_rng(9)
         reference.random(250)
         assert consumed.bit_generator.state == reference.bit_generator.state
+
+
+class TestBudget:
+    def test_release_of_a_float_is_one_laplace_draw(self):
+        budget = Budget(0.5, make_rng(3))
+        got = budget.release("m", 0.25, 0.1, 0.2)
+        assert got == 0.25 + laplace(0.2, make_rng(3))
+        assert isinstance(got, float)
+        assert budget.ledger == [("m", 0.1, 0.2, 0.1 / 0.2)] and budget.spent == 0.1 / 0.2
+
+    def test_release_of_a_2_by_m_array_is_two_m_draws(self):
+        # the bits and the rng state of two size-m draws, one per row
+        counts = np.array([[3, 0, 2], [0, 3, 1]])
+        rng, ref = make_rng(4), make_rng(4)
+        got = Budget(1.0, rng).release("votes", counts, 6, 6.0)
+        first, second = laplace(6.0, ref, size=3), laplace(6.0, ref, size=3)
+        assert np.array_equal(got, np.stack([counts[0] + first, counts[1] + second]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_scale_draws_nothing(self):
+        rng = make_rng(5)
+        state = rng.bit_generator.state
+        budget = Budget(math.inf, rng)
+        counts = np.array([[1, 2], [2, 1]])
+        assert budget.release("m", counts, 4, 0.0) is counts
+        assert budget.release("m", 0.5, 1.0, 0.0) == 0.5
+        assert rng.bit_generator.state == state
+        # a noise-free release is affordable under an infinite budget only
+        assert budget.spent == math.inf
+        with pytest.raises(RuntimeError, match="budget exhausted"):
+            Budget(1e6, rng).release("m", 0.5, 1.0, 0.0)
+
+    def test_overrun_raises_before_drawing(self):
+        rng = make_rng(6)
+        budget = Budget(1.0, rng)
+        budget.charge("surplus", None, None, 0.25)
+        for _ in range(3):
+            budget.release("m", 0.0, 1.0, 4.0)
+        assert budget.spent == 1.0
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="budget exhausted"):
+            budget.release("m", 0.0, 1.0, 4.0)
+        with pytest.raises(RuntimeError, match="budget exhausted"):
+            budget.gamma_ball("b", 3, 0.5)
+        assert rng.bit_generator.state == state
+        assert len(budget.ledger) == 4 and budget.spent == 1.0
+
+    def test_shares_within_rounding_of_epsilon_are_affordable(self):
+        # ten shares of 0.16/10 add up to one ulp above 0.16
+        budget = Budget(0.16, make_rng(0))
+        for _ in range(10):
+            budget.charge("round", None, None, 0.16 / 10)
+        assert budget.spent == 0.16 + math.ulp(0.16)
+
+    def test_gamma_ball_makes_d_plus_one_draws(self):
+        rng, ref = make_rng(7), make_rng(7)
+        b = Budget(1.0, rng).gamma_ball("b", 4, 0.5)
+        norm = ref.gamma(shape=4, scale=2.0 / 0.5)
+        direction = ref.normal(size=4)
+        assert np.array_equal(b, norm * (direction / np.linalg.norm(direction)))
+        # at an infinite share the ball is 0, from the same d + 1 draws
+        rng, ref = make_rng(8), make_rng(8)
+        assert not np.any(Budget(math.inf, rng).gamma_ball("b", 4, math.inf))
+        ref.gamma(shape=4, scale=1.0)
+        ref.normal(size=4)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
+        with pytest.raises(DataError, match="epsilon must be positive"):
+            Budget(epsilon, make_rng(0))
+
+    def test_negative_share_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Budget(1.0, make_rng(0)).charge("m", None, None, -0.1)
 
 
 class TestRandomLinearClassifier:
