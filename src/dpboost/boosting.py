@@ -13,13 +13,13 @@ linear classifier and only its error estimate is perturbed for privacy.
 
 ``draw_private_classifiers`` builds a fit's free inputs as one ``Draws``:
 all rounds' random private classifiers, drawn before any weight exists, in
-round order, one block of rounds per sampler call and per matrix product,
-and the split's public chain (None without public columns). None of it
-reads a weight, noise or epsilon: a draw sees only the labels,
-``classifier_rng`` feeds only the draws and the chain reads public columns
-only. So every
-round gets the classifier it would have drawn itself, and fits that differ
-only in epsilon share one ``Draws``.
+round order, one block of rounds per sampler call, and the split's public
+chain (None without public columns). Both read the training rows from the
+full data a block of rows at a time, never from a copy of the training
+matrix. None of it reads a weight, noise or epsilon: a draw sees only the
+labels, ``classifier_rng`` feeds only the draws and the chain reads public
+columns only. So every round gets the classifier it would have drawn
+itself, and fits that differ only in epsilon share one ``Draws``.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -94,11 +94,27 @@ def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: 
     return np.where(ok, candidate, w)
 
 
+# Rows per block of _row_blocks. A power of two: each full block scores with
+# the bits of one product over all rows, and on the census sweeps' shapes so
+# does the last (1,000 would not); a last bit moves a flag only at a score ~0.
+_SCORE_ROWS = 2048
+
+
+def _row_blocks(X: np.ndarray, rows: np.ndarray):
+    """Yield (start, X[rows[start : start + _SCORE_ROWS]]) for start = 0,
+    _SCORE_ROWS, ..., each gathered into the same C-ordered buffer."""
+    buf = np.empty((min(_SCORE_ROWS, len(rows)), X.shape[1]))
+    for start in range(0, len(rows), _SCORE_ROWS):
+        chunk = rows[start : start + _SCORE_ROWS]
+        # "raise" would gather into a copy; the callers' y[rows] raises for a row outside X
+        yield start, np.take(X, chunk, axis=0, out=buf[: len(chunk)], mode="wrap")
+
+
 class PublicChain:
-    """The public weak learners of split fits on ``train``, fitted lazily:
-    ``chain[k]`` is ``(h_k, mis_k, err_k)``, the ``fit_logreg_weighted`` fit
-    on one F-ordered copy of the public columns after k public rounds, the
-    rows it gets wrong and its weighted error.
+    """The public weak learners of split fits on the training rows ``rows`` of
+    ``data``, fitted lazily: ``chain[k]`` is ``(h_k, mis_k, err_k)``, the
+    ``fit_logreg_weighted`` fit on one F-ordered copy of the rows' public
+    columns after k public rounds, the rows it gets wrong and its weighted error.
 
     Exact: from unit weights at link 0, link k+1 is fitted on link k's
     weights times ``exp((0.5 - err_k) * mis_k)``, the only update a fit makes
@@ -107,19 +123,21 @@ class PublicChain:
     column, noise or epsilon, so fits that share a chain spend no budget on it.
     """
 
-    def __init__(self, train: Dataset, split: FeatureSplit):
+    def __init__(self, data: Dataset, rows: np.ndarray, split: FeatureSplit):
         self.cols = split.public_cols
-        X = train.X[:, list(self.cols)]
-        self._public = Dataset(X=X, y=train.y, columns=tuple(train.columns[c] for c in self.cols))
+        X = np.empty((len(rows), len(self.cols)), order="F")
+        for start, block in _row_blocks(data.X, rows):
+            X[start : start + len(block)] = block[:, self.cols]
+        self._public = Dataset(X=X, y=data.y[rows], columns=tuple(data.columns[c] for c in self.cols))
         self._links: list[tuple[LinearClassifier, np.ndarray, float]] = []
-        self._weights = np.ones(train.n)
+        self._weights = np.ones(len(rows))
 
     def __getitem__(self, k: int) -> tuple[LinearClassifier, np.ndarray, float]:
         while len(self._links) <= k:
             fitted = fit_logreg_weighted(self._public, range(self._public.d), self._weights)
             mis = fitted.predict(self._public.X) != self._public.y
             err = weighted_error(mis, self._weights)
-            self._links.append((replace(fitted, cols=self.cols), mis, err))  # members read train's columns
+            self._links.append((replace(fitted, cols=self.cols), mis, err))  # members read data's columns
             self._weights = self._weights * np.exp((0.5 - err) * mis)
         return self._links[k]
 
@@ -127,44 +145,46 @@ class PublicChain:
 @dataclass(frozen=True, eq=False)
 class Draws:
     """The inputs of a fit that cost no budget, as ``draw_private_classifiers``
-    builds them for one training set and split: round t's private classifier
-    ``classifiers[t-1]``, the training rows it gets wrong ``mis[t-1]`` (a
-    read-only (rounds, n) matrix), and the split's ``public`` chain, None when
-    the split has no public columns."""
+    builds them for one set of training rows and split: round t's private
+    classifier ``classifiers[t-1]``, the training rows it gets wrong
+    ``mis[t-1]`` (a read-only (rounds, n) matrix), and the split's ``public``
+    chain, None when the split has no public columns."""
 
     classifiers: tuple[LinearClassifier, ...]
     mis: np.ndarray
     public: PublicChain | None
 
 
-# Rounds drawn and scored per block in draw_private_classifiers: bounds its
-# float temporaries at n * _DRAW_BLOCK, whatever the number of rounds.
+# Rounds drawn per sampler call in draw_private_classifiers: bounds its
+# float temporaries at _SCORE_ROWS * _DRAW_BLOCK, whatever the number of rounds.
 _DRAW_BLOCK = 128
 
 
 def draw_private_classifiers(
-    train: Dataset,
+    data: Dataset,
+    rows: np.ndarray,
     split: FeatureSplit,
     rounds: int,
     classifier_rng: np.random.Generator,
     sampler=None,
 ) -> Draws:
-    """The ``Draws`` of fits of ``rounds`` rounds on ``train`` and ``split``:
-    the random private classifiers, the training rows each misclassifies, and
-    a ``PublicChain`` when the split has public columns.
+    """The ``Draws`` of fits of ``rounds`` rounds on the training rows ``rows``
+    of ``data`` and ``split``: the random private classifiers, the training
+    rows each misclassifies, and a ``PublicChain`` when the split has public
+    columns.
 
     ``classifier_rng`` feeds only the draws. ``sampler(y, count, rng)``
     replaces the default uniform random linear classifier on the private
     columns: it is called once per block of at most ``_DRAW_BLOCK`` rounds,
-    in round order, with the labels ``train.y``, and returns ``count``
-    classifiers. It sees no feature column and no observation weight (none
-    exists yet), since the only privacy cost accounted for is the noisy
-    error estimate. Each block is scored by one matrix product, so the float
-    temporaries stay at O(n * _DRAW_BLOCK) however many rounds there are.
-    Raises ``ValueError`` when ``split`` does not cover ``train``'s columns
-    or has no private column, or when a sampler returns another count.
+    in round order, with the training labels ``data.y[rows]``, and returns
+    ``count`` classifiers. It sees no feature column and no observation
+    weight (none exists yet), since the only privacy cost accounted for is
+    the noisy error estimate. Each block is scored on ``_SCORE_ROWS`` training
+    rows at a time, gathered into one buffer: the training matrix is never
+    copied. Raises ``ValueError`` when ``split`` does not cover ``data``'s
+    columns or has no private column, or when a sampler returns another count.
     """
-    split.validate_for(train.d)
+    split.validate_for(data.d)
     if len(split.private_cols) == 0:
         raise ValueError("boosting requires a non-empty private column set")
     if sampler is None:
@@ -172,19 +192,22 @@ def draw_private_classifiers(
         def sampler(y, count, rng):
             return [random_linear_classifier(split.private_cols, rng) for _ in range(count)]
 
+    y = data.y[rows]
     classifiers: list[LinearClassifier] = []
-    mis = np.empty((rounds, train.n), dtype=bool)
-    y_positive = train.y == 1
+    mis = np.empty((rounds, len(rows)), dtype=bool)
+    y_positive = y == 1
     for start in range(0, rounds, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, rounds - start)
-        block = list(sampler(train.y, count, classifier_rng))
+        block = list(sampler(y, count, classifier_rng))
         if len(block) != count:
             raise ValueError(f"the sampler returned {len(block)} classifiers for a block of {count} rounds")
-        positive = score_matrix(block, train.X) >= 0  # 0 predicts +1
-        np.not_equal(positive.T, y_positive, out=mis[start : start + count])
+        for first, X in _row_blocks(data.X, rows):
+            end = first + len(X)
+            positive = score_matrix(block, X) >= 0  # 0 predicts +1
+            np.not_equal(positive.T, y_positive[first:end], out=mis[start : start + count, first:end])
         classifiers.extend(block)
     mis.setflags(write=False)  # shared by every fit that takes these draws
-    public = PublicChain(train, split) if split.public_cols else None
+    public = PublicChain(data, rows, split) if split.public_cols else None
     return Draws(tuple(classifiers), mis, public)
 
 

@@ -10,9 +10,10 @@ teachers, or the whole fit of an algorithm that ignores epsilon), then fits
 and scores each epsilon's cell. Each record is the one its cell would give
 if run alone. A boosting cell scores every partial ensemble H_1..H_T, so
 each of its round records carries that round's test accuracy (the convergence
-trace) and the last one is the cell's. Records are merged in deterministic
-(epsilon, repeat) order regardless of execution order, so a fixed (config,
-seed) pair always yields byte-identical CSV output.
+trace) and the last one is the cell's. The sweep's process runs every
+workers-th repeat and a pool of workers - 1 the rest. Records are merged in
+deterministic (epsilon, repeat) order regardless of execution order, so a
+fixed (config, seed) pair always yields byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .data import (
     normalize,
     split_indices,
 )
-from .model import accuracy
+from .model import accuracy, score_matrix
 from .noise import Budget, PrivacyParams, Purpose, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
@@ -136,32 +137,32 @@ def _streams(repeat: int) -> dict:
 
 
 def _prepare(full: Dataset, cfg: ExperimentConfig, repeat: int):
-    """The repeat's (train, test, feature split): the balanced rows and the
-    split drawn from the SHUFFLE stream, each side taken from ``full`` in
-    one gather."""
+    """The repeat's (training row indices into ``full``, test set, feature
+    split): the balanced rows and the split drawn from the SHUFFLE stream,
+    the test rows taken from ``full`` in one gather."""
     shuffle_rng = rng_for(cfg.seed, repeat, Purpose.SHUFFLE)
     rows = balance_indices(full.y, shuffle_rng)
     train_rows, test_rows = split_indices(len(rows), cfg.test_frac, shuffle_rng)
-    train, test = full.take(rows[train_rows]), full.take(rows[test_rows])
     if cfg.algorithm == "brc-all-private":
-        fsplit = FeatureSplit.all_private(train.d)
+        fsplit = FeatureSplit.all_private(full.d)
     else:
-        fsplit = FeatureSplit.from_public_sources(train.columns, cfg.public_columns)
-    return train, test, fsplit
+        fsplit = FeatureSplit.from_public_sources(full.columns, cfg.public_columns)
+    return rows[train_rows], full.take(rows[test_rows]), fsplit
 
 
-def _cell_fitter(cfg: ExperimentConfig, repeat: int, train: Dataset, test: Dataset, fsplit: FeatureSplit):
+def _cell_fitter(cfg: ExperimentConfig, repeat: int, full: Dataset, train_rows, test: Dataset, fsplit: FeatureSplit):
     """Do the work the repeat's epsilons share, then return ``fit(eps) ->
     (model, round records or None)`` for one cell."""
     if cfg.algorithm in ("brc", "brc-all-private"):
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
-        draws = draw_private_classifiers(train, fsplit, cfg.rounds, classifier_rng)
+        draws = draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
 
         def fit(eps):
             params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
             return brc_fit(draws, params, budget=Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)))
 
         return fit
+    train = full.take(train_rows)
     if cfg.algorithm in ("logreg", "public-only"):
         cols = range(train.d) if cfg.algorithm == "logreg" else fsplit.public_cols
         model = fit_logreg_weighted(train, cols)  # no noise: one fit serves every epsilon
@@ -187,14 +188,17 @@ def _error(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _cell_outcome(fit, eps: float, test: Dataset) -> dict:
-    """Fit and score one cell; its record's outcome fields."""
+def _cell_outcome(fit, eps: float, test: Dataset, test_flags: dict) -> dict:
+    """Fit and score one cell; its record's outcome fields. ``test_flags`` maps
+    each classifier the repeat has scored to its test-row flags."""
     try:
         model, rounds = fit(eps)
         if rounds is None:
             return {"test_accuracy": accuracy(model, test)}
-        # one scoring of the test rows gives every prefix H_1..H_T
-        accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
+        new = [m.clf for m in model.members if m.clf not in test_flags]
+        test_flags.update(zip(new, score_matrix(new, test.X).T >= 0))
+        flags = np.stack([test_flags[m.clf] for m in model.members]).T
+        accs = (model.prefix_vote(flags) == test.y).mean(axis=1)
         rounds = tuple(replace(r, test_accuracy=float(a)) for r, a in zip(rounds, accs))
         return {"test_accuracy": rounds[-1].test_accuracy, "rounds": rounds}
     except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
@@ -207,12 +211,13 @@ def _run_repeat(full: Dataset, cfg: ExperimentConfig, repeat: int) -> list[Resul
     a failing fit fails its own cell only."""
     start = time.perf_counter()
     try:
-        train, test, fsplit = _prepare(full, cfg, repeat)
-        fit = _cell_fitter(cfg, repeat, train, test, fsplit)
+        train_rows, test, fsplit = _prepare(full, cfg, repeat)
+        fit = _cell_fitter(cfg, repeat, full, train_rows, test, fsplit)
     except Exception as exc:  # noqa: BLE001 - a bad repeat must not kill the sweep
         outcomes = [_error(exc)] * len(cfg.epsilons)
     else:
-        outcomes = [_cell_outcome(fit, eps, test) for eps in cfg.epsilons]
+        test_flags: dict = {}  # the epsilons' fits vote the same draws and chain links
+        outcomes = [_cell_outcome(fit, eps, test, test_flags) for eps in cfg.epsilons]
     wall_time = (time.perf_counter() - start) / len(cfg.epsilons)
     return [
         ResultRecord(
@@ -231,21 +236,24 @@ def _run_repeat(full: Dataset, cfg: ExperimentConfig, repeat: int) -> list[Resul
 _worker_full: Dataset | None = None  # the sweep's dataset, set once per pool worker
 
 
-def _set_blas_threads(threads: int) -> None:
-    """Cap the thread pool of numpy's bundled OpenBLAS; a no-op without one."""
+def _swap_blas_threads(threads: int) -> int:
+    """Set the thread count of numpy's bundled OpenBLAS and return the count
+    it had; without one, a no-op that returns ``threads``."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for lib in glob.glob(os.path.join(libdir, "*openblas*")):
         try:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(handle, symbol):
-                fn = getattr(handle, symbol)
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(threads)
-                break
+        for prefix, suffix in (("scipy_", "64_"), ("", "")):
+            get, set_ = (getattr(handle, f"{prefix}openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                previous = get()
+                set_(threads)
+                return previous
+    return threads
 
 
 def _init_worker(full: Dataset, blas_threads: int) -> None:
@@ -254,7 +262,7 @@ def _init_worker(full: Dataset, blas_threads: int) -> None:
     oversubscribe them."""
     global _worker_full
     _worker_full = full
-    _set_blas_threads(blas_threads)
+    _swap_blas_threads(blas_threads)
 
 
 def _worker(task) -> list[ResultRecord]:
@@ -284,14 +292,21 @@ def run_experiment(cfg: ExperimentConfig, full: Dataset | None = None) -> list[R
     if workers == 1:
         by_repeat = [_run_repeat(full, *task) for task in tasks]
     else:
-        # Keep the default start method: on Linux it forks, and forked workers
-        # inherit the parent's module state, which the benchmark's tracing
-        # wrappers rely on. Executor.map yields results in input order.
+        # This process runs every workers-th repeat with a worker's share of the
+        # BLAS threads, so one fresh process fewer pays for a cold first repeat.
+        # Keep the default start method: forked workers inherit the module
+        # state, which the benchmark's tracing wrappers rely on.
         blas_threads = max(1, _usable_cores() // workers)
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(full, blas_threads)
+            max_workers=workers - 1, initializer=_init_worker, initargs=(full, blas_threads)
         ) as pool:
-            by_repeat = list(pool.map(_worker, tasks))
+            pooled = pool.map(_worker, [task for task in tasks if task[1] % workers])  # submits them all now
+            previous = _swap_blas_threads(blas_threads)
+            try:
+                by_repeat = [_run_repeat(full, *task) for task in tasks[::workers]]
+            finally:
+                _swap_blas_threads(previous)
+            by_repeat = sorted(by_repeat + list(pooled), key=lambda records: records[0].repeat)
     # each task gives its repeat's records in epsilon order
     return [rec for records in zip(*by_repeat) for rec in records]
 

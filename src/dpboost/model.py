@@ -110,10 +110,10 @@ class Ensemble:
     alpha by the same positive factor leaves all predictions unchanged. The
     members' labels are read from one boolean matrix of score flags (score
     >= 0, so a score of exactly 0 votes +1), and each member adds +alpha or
-    -alpha to one running n-vector, in member order. ``vote`` takes that
-    matrix from the caller; ``predict`` and ``prefix_predictions`` compute
-    it from X and share the same sum, so ``predict`` is the last row of
-    ``prefix_predictions`` bit for bit.
+    -alpha to one running n-vector, in member order. ``vote`` and
+    ``prefix_vote`` take that matrix from the caller; ``predict`` and
+    ``prefix_predictions`` compute it from X and share the same sum, so
+    ``predict`` is the last row of ``prefix_predictions`` bit for bit.
     """
 
     members: tuple[EnsembleMember, ...]
@@ -147,14 +147,16 @@ class Ensemble:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.vote(self._flags(X))
 
-    def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(T, n) labels of each partial ensemble H_1..H_T, for the per-round
-        test accuracies: row t is the sign of the running vote after member t."""
-        flags = self._flags(X)
+    def prefix_vote(self, flags: np.ndarray) -> np.ndarray:
+        """(T, n) labels of each partial ensemble H_1..H_T from the flags
+        ``vote`` takes: row t is the sign of the running vote after member t."""
         nonneg = np.empty(flags.T.shape, dtype=bool)
         for row, running in zip(nonneg, self._running_votes(flags)):
             np.greater_equal(running, 0.0, out=row)
         return _labels(nonneg)
+
+    def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
+        return self.prefix_vote(self._flags(X))
 
 
 def accuracy(predictor, ds: Dataset) -> float:

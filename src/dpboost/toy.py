@@ -183,7 +183,7 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
             return [threshold_classifier(index, cfg.n) for index in fitted[-1].tolist()]
 
         draws = draw_private_classifiers(
-            ds, split, cfg.rounds, rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER), sampler
+            ds, np.arange(ds.n), split, cfg.rounds, rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER), sampler
         )
         thresholds = tuple(np.concatenate(fitted).tolist())
         flags = (draws.mis != (ds.y == 1)).T  # (n, rounds): True where round t's classifier votes +1

@@ -31,7 +31,7 @@ def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, s
 def fit_with_draws(train, split, params, *, classifier_rng, noise_rng, sampler=None):
     """``brc_fit`` on draws, and a public chain, made for this fit alone, with
     a ``Budget`` of ``params.epsilon`` on ``noise_rng``."""
-    draws = draw_private_classifiers(train, split, params.rounds, classifier_rng, sampler)
+    draws = draw_private_classifiers(train, np.arange(train.n), split, params.rounds, classifier_rng, sampler)
     return brc_fit(draws, params, budget=Budget(params.epsilon, noise_rng))
 
 

@@ -466,7 +466,7 @@ def test_criterion_10_privacy_accounting_audit():
     params = PrivacyParams(epsilon=0.16, rounds=25, c1=SQRT2, c2=SQRT2)
     noise_rng = make_rng(31)
     budget = Budget(params.epsilon, noise_rng)
-    brc_fit(draw_private_classifiers(ds, split, params.rounds, make_rng(30)), params, budget=budget)
+    brc_fit(draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(30)), params, budget=budget)
     ref = make_rng(31)
     for _ in range(params.rounds):
         laplace(params.laplace_scale(ds.n), ref)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dpboost.boosting as boosting
+from dpboost import harness
 from dpboost import (
     Budget,
     Dataset,
@@ -25,7 +26,7 @@ from dpboost import (
     weighted_error,
 )
 from dpboost.baselines import fit_logreg_weighted
-from dpboost.model import Ensemble, EnsembleMember
+from dpboost.model import Ensemble, EnsembleMember, score_matrix
 from dpboost.noise import Purpose, laplace, rng_for
 
 from conftest import fit_with_draws, planted_dataset
@@ -328,20 +329,20 @@ class TestBrcFit:
         split = FeatureSplit(public_cols=tuple(range(ds.d)), private_cols=())
         params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2)
         with pytest.raises(ValueError, match="private column set"):
-            draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+            draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
 
     def test_rejects_draws_of_the_wrong_length_or_shape(self):
         ds, split = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
         for rounds in (3, 5):  # too few, too many
-            draws = draw_private_classifiers(ds, split, rounds, make_rng(0))
+            draws = draw_private_classifiers(ds, np.arange(ds.n), split, rounds, make_rng(0))
             with pytest.raises(ValueError, match=f"draws hold {rounds} classifiers; this fit needs 4"):
                 brc_fit(draws, params, budget=Budget(params.epsilon, make_rng(1)))
 
     def test_rejects_a_budget_of_another_epsilon(self):
         ds, split = planted_dataset(n=60)
         params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
-        draws = draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
         rng = make_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="budget holds epsilon=2.0; this fit spends 1.0"):
@@ -355,7 +356,7 @@ class TestBrcFit:
         ds, split = planted_dataset(n=200, seed=13)
         if all_private:
             split = FeatureSplit.all_private(ds.d)
-        draws = draw_private_classifiers(ds, split, 10, make_rng(60))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, 10, make_rng(60))
         for epsilon in (0.1, 2.0, math.inf, 0.1):
             params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
             ens, recs = brc_fit(draws, params, budget=Budget(epsilon, make_rng(61)))
@@ -379,7 +380,7 @@ class TestBrcFit:
     def test_exactly_t_laplace_draws_at_stated_scale(self):
         ds, split = planted_dataset(n=100, seed=1)
         params = PrivacyParams(epsilon=0.4, rounds=7, c1=SQRT2, c2=SQRT2)
-        draws = draw_private_classifiers(ds, split, params.rounds, make_rng(0))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
         budget = Budget(params.epsilon, make_rng(1))
         brc_fit(draws, params, budget=budget)
         assert len(budget.ledger) == params.rounds
@@ -494,7 +495,7 @@ class TestPublicChain:
         X = ds.X.copy()
         X[:, list(split.private_cols)] = make_rng(5).uniform(-1, 1, size=(ds.n, len(split.private_cols)))
         other = Dataset(X=X, y=ds.y, columns=ds.columns)
-        assert_same_links(PublicChain(ds, split), PublicChain(other, split), 6)
+        assert_same_links(PublicChain(ds, np.arange(ds.n), split), PublicChain(other, np.arange(ds.n), split), 6)
 
     def test_each_link_refits_after_one_public_update(self, monkeypatch):
         # link k+1 is the fit on link k's weights times exp((0.5 - err_k) * mis_k),
@@ -508,7 +509,7 @@ class TestPublicChain:
             return real(data, cols, weights)
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
-        chain = PublicChain(ds, split)
+        chain = PublicChain(ds, np.arange(ds.n), split)
         assert fits == []
         chain[3]
         chain[1]
@@ -592,7 +593,7 @@ class TestDrawPrivateClassifiers:
         )
         tracemalloc.start()
         try:
-            mis = draw_private_classifiers(ds, FeatureSplit.all_private(d), 1_000, make_rng(1)).mis
+            mis = draw_private_classifiers(ds, np.arange(ds.n), FeatureSplit.all_private(d), 1_000, make_rng(1)).mis
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,7 +603,7 @@ class TestDrawPrivateClassifiers:
     def test_blocks_of_rounds_match_scoring_each_draw_alone(self, monkeypatch):
         monkeypatch.setattr(boosting, "_DRAW_BLOCK", 4)
         ds, split = planted_dataset(n=150, seed=14)
-        draws = draw_private_classifiers(ds, split, 11, make_rng(70))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, 11, make_rng(70))
         assert len(draws.classifiers) == 11 and draws.mis.flags.c_contiguous
         for clf, row in zip(draws.classifiers, draws.mis):
             assert np.array_equal(row, clf.predict(ds.X) != ds.y)
@@ -614,7 +615,7 @@ class TestDrawPrivateClassifiers:
         # leaves the stream in the same state
         ds, split = planted_dataset(n=60, seed=15)
         rng, ref = make_rng(71), make_rng(71)
-        draws = draw_private_classifiers(ds, split, rounds, rng)
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, rounds, rng)
         single = [random_linear_classifier(split.private_cols, ref) for _ in range(rounds)]
         assert same_classifiers(draws.classifiers, single)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -628,18 +629,60 @@ class TestDrawPrivateClassifiers:
         ds, split = planted_dataset(n=200, seed=16)
         if not public:
             split = FeatureSplit.all_private(ds.d)
-        short = draw_private_classifiers(ds, split, 25, make_rng(72))
-        long = draw_private_classifiers(ds, split, 300, make_rng(72))
+        short = draw_private_classifiers(ds, np.arange(ds.n), split, 25, make_rng(72))
+        long = draw_private_classifiers(ds, np.arange(ds.n), split, 300, make_rng(72))
         assert same_classifiers(short.classifiers, long.classifiers[:25])
         assert np.array_equal(short.mis, long.mis[:25])
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_row_blocks_flag_what_one_product_flags(self, blas_threads):
+        # 12,345 permuted rows of 14,000 census-shaped ones: more than the
+        # 10,001 rows at which OpenBLAS may split one product between
+        # threads, and not a multiple of the block. Each block of rows is
+        # scored on its own; the flags must equal those of one product over
+        # all rows, and link 0 of the chain the fit on a copy of the rows.
+        assert boosting._SCORE_ROWS & (boosting._SCORE_ROWS - 1) == 0  # see _SCORE_ROWS
+        rng = make_rng(80)
+        n, d = 14_000, 104
+        X = np.where(rng.random((n, d)) < 0.2, 1.0, -1.0)  # one-hot columns scaled to [-1, 1]
+        X[:, :6] = rng.uniform(-1, 1, size=(n, 6))  # numeric columns
+        ds = Dataset(X=X, y=np.where(rng.random(n) < 0.5, 1, -1), columns=tuple(("f", f"={j}") for j in range(d)))
+        rows = rng.permutation(n)[:12_345]
+        assert len(rows) % boosting._SCORE_ROWS
+        train = ds.take(rows)
+        previous = harness._swap_blas_threads(blas_threads)
+        try:
+            for split in (FeatureSplit.all_private(d), FeatureSplit(tuple(range(56)), tuple(range(56, d)))):
+                draws = draw_private_classifiers(ds, rows, split, 25, make_rng(81))
+                flags = score_matrix(draws.classifiers, ds.X[rows]) >= 0
+                assert np.array_equal(draws.mis, flags.T != (train.y == 1))
+            h, mis, _ = draws.public[0]
+            ref = fit_logreg_weighted(train, split.public_cols)
+            assert (h.cols, h.intercept) == (ref.cols, ref.intercept) and np.array_equal(h.coeffs, ref.coeffs)
+            assert np.array_equal(mis, ref.predict(train.X) != train.y)
+        finally:
+            harness._swap_blas_threads(previous)
+
+    def test_rows_index_as_numpy_does(self):
+        # a row outside the data raises; a negative row counts from the end
+        ds, split = planted_dataset(n=60)
+        with pytest.raises(IndexError):
+            draw_private_classifiers(ds, np.array([0, 60]), split, 3, make_rng(0))
+        with pytest.raises(IndexError):
+            PublicChain(ds, np.array([0, 60]), split)
+        wrapped, plain = (
+            draw_private_classifiers(ds, np.array(rows), split, 3, make_rng(0)) for rows in ([-1, 3, 10, -2], [59, 3, 10, 58])
+        )
+        assert np.array_equal(wrapped.mis, plain.mis)
+        assert_same_links(wrapped.public, plain.public, 1)
 
     def test_draws_carry_the_splits_public_chain(self):
         # a split with public columns gets a chain on exactly those columns,
         # an all-private split none; the flags are shared and read-only
         ds, split = planted_dataset(n=60)
-        draws = draw_private_classifiers(ds, split, 3, make_rng(0))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, 3, make_rng(0))
         assert isinstance(draws.public, PublicChain) and draws.public.cols == split.public_cols
-        assert draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), 3, make_rng(0)).public is None
+        assert draw_private_classifiers(ds, np.arange(ds.n), FeatureSplit.all_private(ds.d), 3, make_rng(0)).public is None
         assert draws.mis.shape == (3, ds.n) and not draws.mis.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             draws.mis[0, 0] = not draws.mis[0, 0]
@@ -683,7 +726,7 @@ class TestBrcFitAllPrivate:
                                    sampler=sampler)
         # one call per block of at most _DRAW_BLOCK rounds, each given the labels
         assert [count for _, count in calls] == [4, 4, 1]
-        assert all(y is ds.y for y, _ in calls)
+        assert all(np.array_equal(y, ds.y) for y, _ in calls)
         # call i continues the stream where call i-1 left it
         ref = make_rng(50)
         for state, (_, count) in zip(states, calls):
@@ -763,7 +806,7 @@ class TestBrcFitAllPrivate:
         ens, _ = fit_all_private(ds, params, 0, 1, sampler=sampler)
         assert len(seen) == 1
         y, count, rng = seen[0]
-        assert y is ds.y and count == 4 and isinstance(rng, np.random.Generator)
+        assert np.array_equal(y, ds.y) and count == 4 and isinstance(rng, np.random.Generator)
         assert not any(isinstance(arg, Dataset) for arg in seen[0])
         assert all(m.clf.cols == (0,) for m in ens.members)
 
@@ -775,7 +818,7 @@ class TestBrcFitAllPrivate:
             return [LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))] * returned
 
         with pytest.raises(ValueError, match=f"returned {returned} classifiers for a block of 4 rounds"):
-            draw_private_classifiers(ds, FeatureSplit.all_private(ds.d), 4, make_rng(0), sampler)
+            draw_private_classifiers(ds, np.arange(ds.n), FeatureSplit.all_private(ds.d), 4, make_rng(0), sampler)
 
 
 class TestSensitivityOracle:

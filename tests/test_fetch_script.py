@@ -128,7 +128,7 @@ class TestAdultShapedPipeline:
     def test_readme_quick_start_reproduces_the_sweeps_repeat_0(self, tmp_path, monkeypatch):
         # Runs the README's first python block in a directory laid out like
         # a checkout, with a fabricated data/adult.csv, and compares its
-        # train/test with what a seed-0 sweep prepares for repeat 0.
+        # training rows and test set with what a seed-0 sweep prepares for repeat 0.
         (tmp_path / "configs").mkdir()
         (tmp_path / "data").mkdir()
         shutil.copy(REPO / "configs" / "adult.schema.json", tmp_path / "configs")
@@ -150,7 +150,8 @@ class TestAdultShapedPipeline:
         )
         with pytest.warns(UserWarning, match="dropped"):
             full, _ = load_prepared_dataset(cfg)
-        train, test, _ = _prepare(full, cfg, repeat=0)
-        for mine, theirs in ((namespace["train"], train), (namespace["test"], test)):
-            assert np.array_equal(mine.X, theirs.X) and np.array_equal(mine.y, theirs.y)
-            assert mine.columns == theirs.columns
+        train_rows, test, _ = _prepare(full, cfg, repeat=0)
+        assert np.array_equal(namespace["train_rows"], train_rows)
+        mine = namespace["test"]
+        assert np.array_equal(mine.X, test.X) and np.array_equal(mine.y, test.y)
+        assert mine.columns == test.columns

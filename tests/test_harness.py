@@ -57,8 +57,8 @@ def config(synth_csv, tmp_path, **overrides):
 
 def fit_cell(full, cfg, eps, repeat):
     """Fit one cell by itself, as its repeat's task does: (model, round records, test)."""
-    train, test, fsplit = harness._prepare(full, cfg, repeat)
-    model, rounds = harness._cell_fitter(cfg, repeat, train, test, fsplit)(eps)
+    train_rows, test, fsplit = harness._prepare(full, cfg, repeat)
+    model, rounds = harness._cell_fitter(cfg, repeat, full, train_rows, test, fsplit)(eps)
     return model, rounds, test
 
 
@@ -286,11 +286,66 @@ class TestRunExperiment:
         # pool runs even on a one-core machine
         monkeypatch.setattr(harness, "_run_repeat", report_threads)
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-        # two repeats, so the pool has two workers, not eight
+        # two repeats, so two workers, not eight: this process and a pool of one
         records = run_experiment(config(synth_csv, tmp_path, workers=8, repeats=2))
         assert [r.wall_time for r in records] == [1, 1, 1, 1]
         assert [(r.epsilon, r.repeat) for r in records] == [(0.5, 0), (0.5, 1), (8.0, 0), (8.0, 1)]
         assert blas_threads() == before
+
+    def test_the_sweeps_process_runs_every_workers_th_repeat(self, synth_csv, tmp_path, monkeypatch):
+        # two cores and workers: 2, so this process runs repeats 0 and 2 and a
+        # pool of one forked worker runs repeats 1 and 3; a bad repeat in this
+        # process's share fails its own cells only
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        pools = []
+        real_pool = harness.concurrent.futures.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        real_prepare, real_run = harness._prepare, harness._run_repeat
+
+        def prepare(full, cfg, repeat):
+            if repeat == 2:
+                raise DataError("a bad repeat")
+            return real_prepare(full, cfg, repeat)
+
+        def run_repeat(full, cfg, repeat):  # tags each record with the process that ran it
+            return [dataclasses.replace(r, wall_time=float(os.getpid())) for r in real_run(full, cfg, repeat)]
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(harness, "_prepare", prepare)
+        monkeypatch.setattr(harness, "_run_repeat", run_repeat)
+        records = run_experiment(config(synth_csv, tmp_path, workers=2, repeats=4, rounds=3))
+        assert pools == [1]
+        assert [(r.epsilon, r.repeat) for r in records] == [(e, r) for e in (0.5, 8.0) for r in range(4)]
+        assert sorted({r.repeat for r in records if r.wall_time == os.getpid()}) == [0, 2]
+        assert [(r.repeat, r.error) for r in records if r.error] == [(2, "DataError: a bad repeat")] * 2
+
+    def test_the_sweeps_process_restores_its_blas_threads(self, synth_csv, tmp_path, monkeypatch):
+        blas_threads = _openblas_get_num_threads()
+        if blas_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        cfg = config(synth_csv, tmp_path, workers=2, repeats=2, rounds=3)
+        parent, real_run = os.getpid(), harness._run_repeat
+
+        def failing(full, cfg, repeat):
+            if os.getpid() == parent:
+                raise RuntimeError("a failing repeat task")
+            return real_run(full, cfg, repeat)
+
+        previous = harness._swap_blas_threads(3)  # not the 2 // 2 of the sweep's share
+        try:
+            run_experiment(cfg)
+            assert blas_threads() == 3
+            monkeypatch.setattr(harness, "_run_repeat", failing)
+            with pytest.raises(RuntimeError, match="a failing repeat task"):
+                run_experiment(cfg)
+            assert blas_threads() == 3
+        finally:
+            harness._swap_blas_threads(previous)
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # evaluation queries each test row once, so the noise scale is set
@@ -301,9 +356,9 @@ class TestRunExperiment:
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        train, _, _ = harness._prepare(full, cfg, 0)
+        train_rows, _, _ = harness._prepare(full, cfg, 0)
         model, _, test = fit_cell(full, cfg, 0.5, 0)
-        expected_queries = train.n + test.n
+        expected_queries = len(train_rows) + test.n
         assert model.vote_scale == pytest.approx(2.0 * (expected_queries + 5 - 1) / 0.5)
 
     def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
@@ -316,11 +371,11 @@ class TestRunExperiment:
         full, _ = load_prepared_dataset(cfg)
         assert harness._run_repeat(full, cfg, 0)[0].error is None
         # the same evaluation as the repeat task: test accuracy only
-        train, _, _ = harness._prepare(full, cfg, 0)
+        train_rows, _, _ = harness._prepare(full, cfg, 0)
         model, _, test = fit_cell(full, cfg, 0.5, 0)
         accuracy(model, test)
         assert model.budget.spent == pytest.approx(0.5, rel=1e-12)
-        assert sum(sens for name, sens, _, _ in model.budget.ledger if name == "pate votes") == 2 * (train.n + test.n)
+        assert sum(sens for name, sens, _, _ in model.budget.ledger if name == "pate votes") == 2 * (len(train_rows) + test.n)
         # one more query raises before it draws
         state = model.budget.rng.bit_generator.state
         with pytest.raises(RuntimeError, match="budget exhausted"):
@@ -373,6 +428,37 @@ class TestRepeatTasks:
         for algorithm in ("brc-all-private", "logreg"):
             run_experiment(config(synth_csv, tmp_path, algorithm=algorithm, epsilons=epsilons, repeats=2))
         assert counts == {"balance_indices": 4, "draw_private_classifiers": 2, "fit_logreg_weighted": 2}
+
+    @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private"])
+    def test_a_repeat_scores_each_classifier_on_the_test_rows_once(self, synth_csv, tmp_path, monkeypatch, algorithm):
+        # a repeat's epsilons vote the same draws and chain links: each
+        # distinct member is scored on the test rows once, and every round's
+        # test accuracy is the one its cell's own prefix predictions give
+        cfg = config(synth_csv, tmp_path, algorithm=algorithm, epsilons=(0.1, 0.5, 8.0), rounds=6, repeats=1)
+        full, _ = load_prepared_dataset(cfg)
+        scored, models = [], []
+        real_score, real_fit = harness.score_matrix, harness.brc_fit
+
+        def counting_score(clfs, X):
+            scored.extend(clfs)
+            return real_score(clfs, X)
+
+        def keeping_fit(*args, **kwargs):
+            model, rounds = real_fit(*args, **kwargs)
+            models.append(model)
+            return model, rounds
+
+        monkeypatch.setattr(harness, "score_matrix", counting_score)
+        monkeypatch.setattr(harness, "brc_fit", keeping_fit)
+        records = harness._run_repeat(full, cfg, 0)
+        assert all(r.error is None for r in records), [r.error for r in records]
+        distinct = {id(m.clf) for model in models for m in model.members}
+        assert sorted(map(id, scored)) == sorted(distinct)
+        assert len(distinct) < sum(len(model) for model in models)  # the cells share members
+        for eps, rec in zip(cfg.epsilons, records):
+            model, _, test = fit_cell(full, cfg, eps, 0)
+            accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
+            assert [r.test_accuracy for r in rec.rounds] == accs.tolist()
 
     def test_a_pate_repeat_fits_its_teachers_once(self, synth_csv, tmp_path, monkeypatch):
         # per repeat: pate_teachers teacher fits, then one student fit per epsilon

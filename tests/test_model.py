@@ -121,6 +121,7 @@ class TestEnsemble:
         e = Ensemble(members)
         assert np.array_equal(e.vote(flags), e.predict(X))
         assert np.array_equal(e.vote(flags), e.prefix_predictions(X)[-1])
+        assert np.array_equal(e.prefix_vote(flags), e.prefix_predictions(X))
 
     def test_votes_match_the_int64_reference(self):
         # The reference votes are the int64 labels of the raw scores, summed
@@ -148,6 +149,7 @@ class TestEnsemble:
         assert np.array_equal(e.prefix_predictions(X), expected)
         assert np.array_equal(e.predict(X), expected[-1])
         assert np.array_equal(e.vote(votes == 1), expected[-1])
+        assert np.array_equal(e.prefix_vote(votes == 1), expected)
 
     def test_prefix_predictions_last_matches_full(self):
         rng = make_rng(3)
