@@ -256,13 +256,12 @@ def _swap_blas_threads(threads: int) -> int:
     return threads
 
 
-def _init_worker(full: Dataset, blas_threads: int) -> None:
-    """Pool initializer: keep the dataset for every repeat this worker runs, and
-    split the cores' BLAS threads between the workers so they do not
-    oversubscribe them."""
+def _init_worker(full: Dataset) -> None:
+    """Pool initializer: keep the dataset for every repeat this worker runs.
+    The worker inherits its share of the BLAS threads from the fork; setting
+    the count again after a fork would start an OpenBLAS thread that spins."""
     global _worker_full
     _worker_full = full
-    _swap_blas_threads(blas_threads)
 
 
 def _worker(task) -> list[ResultRecord]:
@@ -292,21 +291,25 @@ def run_experiment(cfg: ExperimentConfig, full: Dataset | None = None) -> list[R
     if workers == 1:
         by_repeat = [_run_repeat(full, *task) for task in tasks]
     else:
-        # This process runs every workers-th repeat with a worker's share of the
-        # BLAS threads, so one fresh process fewer pays for a cold first repeat.
-        # Keep the default start method: forked workers inherit the module
-        # state, which the benchmark's tracing wrappers rely on.
-        blas_threads = max(1, _usable_cores() // workers)
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers - 1, initializer=_init_worker, initargs=(full, blas_threads)
-        ) as pool:
-            pooled = pool.map(_worker, [task for task in tasks if task[1] % workers])  # submits them all now
-            previous = _swap_blas_threads(blas_threads)
-            try:
+        # Set a worker's share of the BLAS threads once, before the pool forks,
+        # so that every process runs with it: a count set after a fork starts
+        # an OpenBLAS thread that busy-waits through the process's first
+        # repeat. Forked workers also inherit the dataset and any tracer.
+        import multiprocessing  # here, so that serial sweeps never load it
+
+        previous = _swap_blas_threads(max(1, _usable_cores() // workers))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers - 1,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(full,),
+            ) as pool:
+                pooled = pool.map(_worker, [task for task in tasks if task[1] % workers])  # submits them all now
                 by_repeat = [_run_repeat(full, *task) for task in tasks[::workers]]
-            finally:
-                _swap_blas_threads(previous)
-            by_repeat = sorted(by_repeat + list(pooled), key=lambda records: records[0].repeat)
+                by_repeat = sorted(by_repeat + list(pooled), key=lambda records: records[0].repeat)
+        finally:
+            _swap_blas_threads(previous)
     # each task gives its repeat's records in epsilon order
     return [rec for records in zip(*by_repeat) for rec in records]
 

@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -301,7 +302,7 @@ class TestRunExperiment:
         real_pool = harness.concurrent.futures.ProcessPoolExecutor
 
         def recording_pool(*args, **kwargs):
-            pools.append(kwargs["max_workers"])
+            pools.append((kwargs["max_workers"], kwargs["mp_context"].get_start_method()))
             return real_pool(*args, **kwargs)
 
         real_prepare, real_run = harness._prepare, harness._run_repeat
@@ -318,7 +319,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_prepare", prepare)
         monkeypatch.setattr(harness, "_run_repeat", run_repeat)
         records = run_experiment(config(synth_csv, tmp_path, workers=2, repeats=4, rounds=3))
-        assert pools == [1]
+        assert pools == [(1, "fork")]  # the workers inherit the BLAS share, the dataset and any tracer
         assert [(r.epsilon, r.repeat) for r in records] == [(e, r) for e in (0.5, 8.0) for r in range(4)]
         assert sorted({r.repeat for r in records if r.wall_time == os.getpid()}) == [0, 2]
         assert [(r.repeat, r.error) for r in records if r.error] == [(2, "DataError: a bad repeat")] * 2
@@ -346,6 +347,49 @@ class TestRunExperiment:
             assert blas_threads() == 3
         finally:
             harness._swap_blas_threads(previous)
+
+    def test_no_repeat_runs_beside_a_native_thread(self, synth_csv, tmp_path, monkeypatch):
+        # setting OpenBLAS's thread count after a fork starts a worker thread
+        # that busy-waits; the sweep's process sets the share once, before the
+        # pool forks, and restores its count once the pool has shut down, so
+        # no process runs a repeat beside a thread Python did not start
+        if _openblas_get_num_threads() is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs numpy's bundled OpenBLAS and /proc")
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)  # a share of 1
+        parent, events = os.getpid(), []
+        real_swap, real_run = harness._swap_blas_threads, harness._run_repeat
+
+        def swap(threads):
+            previous = real_swap(threads)
+            events.append((os.getpid(), "swap", threads, previous))
+            return previous
+
+        class RecordingPool(harness.concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append((os.getpid(), "pool"))
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                events.append((os.getpid(), "shutdown"))
+
+        def run_repeat(full, cfg, repeat):  # tags each record with its process's native threads and swaps
+            native = len(os.listdir("/proc/self/task")) - threading.active_count()
+            own_swaps = [e for e in events if e[0] == os.getpid() != parent]
+            tag = {"pid": os.getpid(), "native_threads": native, "swaps": own_swaps}
+            return [dataclasses.replace(r, streams=tag) for r in real_run(full, cfg, repeat)]
+
+        monkeypatch.setattr(harness, "_swap_blas_threads", swap)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_run_repeat", run_repeat)
+        records = run_experiment(config(synth_csv, tmp_path, workers=2, repeats=4, rounds=3))
+        assert all(r.error is None for r in records), [r.error for r in records]
+        tags = {r.repeat: r.streams for r in records}
+        assert {repeat: tag["native_threads"] for repeat, tag in tags.items()} == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert sorted(repeat for repeat, tag in tags.items() if tag["pid"] == parent) == [0, 2]
+        assert all(tag["swaps"] == [] for tag in tags.values())
+        previous = events[0][3]
+        assert events == [(parent, "swap", 1, previous), (parent, "pool"), (parent, "shutdown"), (parent, "swap", previous, 1)]
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # evaluation queries each test row once, so the noise scale is set
