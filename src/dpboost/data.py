@@ -8,15 +8,21 @@ functions of (input, seed), so repeated runs with the same seed produce
 bit-identical outputs.
 
 Ingestion holds no table of cell strings. ``load_csv`` reads the file in
-blocks of rows and codes each column of a block against that column's
-distinct values (``RawTable``); ``encode`` then works on the codes, parsing
-each distinct numeric token once, and writes X into one matrix. On the
+blocks and codes each column of a block against that column's distinct
+values (``RawTable``); ``encode`` then works on the codes, parsing each
+distinct numeric token once, and writes X into one matrix. On the
 48,842-row census file this keeps the set-up's memory near the size of X.
+
+Two tokenisers give the same ``RawTable``. A file of LF-ended lines with no
+``"``, CR or NUL byte is split by numpy work on blocks of raw bytes, and only
+each column's distinct cells of a block are decoded. A file with any of
+those bytes is read by ``csv.reader``, which honours RFC-4180 quoting.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import numbers
 import warnings
@@ -261,9 +267,23 @@ class FeatureSplit:
         return cls(public_cols=(), private_cols=tuple(range(d)))
 
 
-# Rows read per block in load_csv: bounds the row strings held at once at
-# _LOAD_BLOCK rows, whatever the length of the file.
+# Bytes read per block by load_csv's block tokeniser, each block extended to
+# the end of its last line: bounds the bytes and index arrays held at once.
+_BLOCK_BYTES = 1 << 19
+
+# Rows coded per block by the csv.reader path: bounds the row strings held at
+# once at _LOAD_BLOCK rows, whatever the length of the file.
 _LOAD_BLOCK = 512
+
+# Bytes the block tokeniser leaves to csv.reader: RFC-4180 quotes, CR line
+# ends and NUL.
+_CSV_READER_BYTES = (b'"', b"\r", b"\0")
+
+# _WORD_MASK[k] keeps the low k bytes of a little-endian uint64 word.
+_WORD_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+# An odd multiplier that mixes a cell's words into one key.
+_WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def load_csv(path, schema: Schema) -> RawTable:
@@ -271,34 +291,79 @@ def load_csv(path, schema: Schema) -> RawTable:
 
     Cell whitespace is stripped. Raises ``DataError`` on a missing header,
     a ragged row (the 0-based data row index, blank lines included, is
-    reported), or when a column the schema reads (a feature or the label) is
-    absent from the header or named there more than once.
+    reported), bytes that are not UTF-8 (naming the row they fall in), or
+    when a column the schema reads (a feature or the label) is absent from
+    the header or named there more than once.
 
-    The rows are coded ``_LOAD_BLOCK`` at a time, column by column, as they
-    are read, so no table of row strings is ever held.
+    A file of LF-ended lines with no ``"``, CR or NUL byte is split and
+    coded ``_BLOCK_BYTES`` at a time by numpy work on the raw bytes
+    (``_code_block``). The first block that holds one of those bytes sends
+    the whole file, from its top, to ``csv.reader`` (``_load_csv_rows``),
+    which honours RFC-4180 quoting and CR line ends and codes ``_LOAD_BLOCK``
+    rows at a time. Both give the same ``RawTable``, and neither ever holds
+    a table of row strings.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line:
+            raise DataError(f"{path}: missing header")
+        if any(b in line for b in _CSV_READER_BYTES):
+            return _load_csv_rows(path, schema)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: missing header") from None
-        # per column: each distinct stripped value and its code, and each
-        # distinct raw cell and the code of its stripped value
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        header = [h.strip() for h in text.rstrip("\n").split(",")] if text != "\n" else []
+        # per column, each distinct stripped value and its code
         levels: list[dict[str, int]] = [{} for _ in header]
-        lookups: list[dict[str, int]] = [{} for _ in header]
-        rows, blocks = [], []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: ragged row at index {i}")
-            rows.append(row)
-            if len(rows) == _LOAD_BLOCK:
-                blocks.append(_code_rows(rows, levels, lookups))
-                rows = []
-        blocks.append(_code_rows(rows, levels, lookups))
+        blocks, row = [np.empty((0, len(header)), dtype=np.int32)], 0
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            if not block.endswith(b"\n"):  # the file's last line has no line end
+                block += b"\n"
+            if any(b in block for b in _CSV_READER_BYTES):
+                break  # csv.reader reads the file again from its top
+            codes, lines = _code_block(path, block, row, levels)
+            blocks.append(codes)
+            row += lines
+        else:
+            return _raw_table(path, header, levels, blocks, schema)
+    return _load_csv_rows(path, schema)
+
+
+def _load_csv_rows(path, schema: Schema) -> RawTable:
+    """``load_csv`` through ``csv.reader``: the rows are coded ``_LOAD_BLOCK``
+    at a time, column by column, as they are read."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: missing header") from None
+            # per column: each distinct stripped value and its code, and each
+            # distinct raw cell and the code of its stripped value
+            levels: list[dict[str, int]] = [{} for _ in header]
+            lookups: list[dict[str, int]] = [{} for _ in header]
+            rows, blocks = [], []
+            for i, row in enumerate(reader):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: ragged row at index {i}")
+                rows.append(row)
+                if len(rows) == _LOAD_BLOCK:
+                    blocks.append(_code_rows(rows, levels, lookups))
+                    rows = []
+            blocks.append(_code_rows(rows, levels, lookups))
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     del lookups  # the raw cells go before the concatenation copies the codes
+    return _raw_table(path, header, levels, blocks, schema)
+
+
+def _raw_table(path, header: list[str], levels: list[dict[str, int]], blocks: list[np.ndarray],
+               schema: Schema) -> RawTable:
+    """The ``RawTable`` of coded blocks, once the header is checked against the schema."""
     if schema.label.name not in header:
         raise DataError(f"{path}: missing label column {schema.label.name!r}")
     for name in schema.feature_names:
@@ -308,6 +373,99 @@ def load_csv(path, schema: Schema) -> RawTable:
         if header.count(name) > 1:
             raise DataError(f"{path}: column {name!r} is named {header.count(name)} times in the header")
     return RawTable(header=tuple(header), levels=tuple(map(tuple, levels)), codes=np.concatenate(blocks))
+
+
+def _utf8_error(path) -> DataError:
+    """The ``DataError`` for a file that is not UTF-8: where its first bad
+    byte lies, as the 0-based data row that ``csv.reader`` would read it in
+    (blank lines counted) or as the header."""
+    with open(path, "rb") as fh:
+        content = fh.read()
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a character after the good bytes makes the bad byte's row the last row read
+        text = content[:exc.start].decode("utf-8") + "x"
+        i = sum(1 for _ in csv.reader(io.StringIO(text, newline=""))) - 2
+        where = f"row at index {i}" if i >= 0 else "header"
+        return DataError(f"{path}: {where} is not UTF-8 ({exc.reason} at byte {exc.start})")
+    return DataError(f"{path}: the file changed while it was read")
+
+
+def _code_block(path, block: bytes, row: int, levels: list[dict[str, int]]) -> tuple[np.ndarray, int]:
+    """The int32 codes of a block of whole LF-ended lines, the first of
+    them data row ``row``, and the block's line count.
+
+    Blank lines are skipped; a line of any other number of cells than
+    ``len(levels)`` raises ``DataError``. Each column's cells are read as
+    little-endian uint64 words, one fancy index per word, and only the
+    column's distinct cells are decoded, stripped and added to its
+    ``levels``, in first-seen order.
+    """
+    ncol = len(levels)
+    buf = np.frombuffer(block + bytes(8), dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    line_end = buf[seps] == ord("\n")
+    ends = seps[line_end]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    per_line = np.diff(np.flatnonzero(line_end), prepend=-1)  # its commas and its '\n'
+    kept = starts != ends
+    ragged = np.flatnonzero(kept & (per_line != ncol))
+    if ragged.size:
+        raise DataError(f"{path}: ragged row at index {row + int(ragged[0])}")
+    n = int(np.count_nonzero(kept))
+    codes = np.empty((n, ncol), dtype=np.int32)
+    if not n:
+        return codes, len(ends)
+    cell_ends = seps[np.repeat(kept, per_line)].reshape(n, ncol)
+    cell_starts = np.empty_like(cell_ends)
+    cell_starts[:, 0] = starts[kept]
+    cell_starts[:, 1:] = cell_ends[:, :-1] + 1
+    # word i of this view is bytes i to i + 8 of the block, little-endian
+    words_at = np.ndarray((len(block) + 1,), dtype="<u8", buffer=buf, strides=(1,))
+    for j, level in enumerate(levels):
+        start, length = cell_starts[:, j], cell_ends[:, j] - cell_starts[:, j]
+        words = np.empty((n, max(1, -(-int(length.max()) // 8))), dtype=np.uint64)
+        for k in range(words.shape[1]):  # past a cell's end, its mask keeps no byte
+            at = np.minimum(start + 8 * k, len(block))
+            words[:, k] = words_at[at] & _WORD_MASK[np.clip(length - 8 * k, 0, 8)]
+        first, inverse = _distinct_rows(words)
+        cells = [block[a:b] for a, b in zip(start[first].tolist(), cell_ends[first, j].tolist())]
+        try:
+            text = b"\n".join(cells).decode("utf-8")
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        table = [level.setdefault(cell, len(level)) for cell in map(str.strip, text.split("\n"))]
+        codes[:, j] = np.array(table, dtype=np.int32)[inverse]
+    return codes, len(ends)
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the first row of each distinct row of ``words``, in first-seen order;
+    each row's index into them).
+
+    The rows are hashed to one uint64 key and grouped by a sort of the keys;
+    a key shared by unequal rows sends the rows to ``np.unique``.
+    """
+    key = words[:, 0].copy()
+    for k in range(1, words.shape[1]):
+        key *= _WORD_MIX
+        key ^= words[:, k]
+    order = np.argsort(key)
+    sorted_key = key[order]
+    head = np.empty(len(key), dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=head[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    if words.shape[1] > 1 and not np.array_equal(words, words[first[inverse]]):
+        _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+    rank = np.argsort(first)
+    place = np.empty_like(rank)
+    place[rank] = np.arange(len(rank))
+    return first[rank], place[inverse]
 
 
 def _code_rows(rows: list[list[str]], levels: list[dict[str, int]], lookups: list[dict[str, int]]) -> np.ndarray:
@@ -329,7 +487,7 @@ def _numeric_table(name: str, levels: tuple[str, ...], codes: np.ndarray) -> np.
     a number, and only then at the first whose value is not finite."""
     table = np.zeros(len(levels))
     errors = {}
-    for c in np.unique(codes):
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(levels))):
         try:
             table[c] = float(levels[c])
         except ValueError as exc:
@@ -362,7 +520,9 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
 
     missing = np.zeros(raw.n, dtype=bool)
     for j in (*col_idx.values(), label_idx):
-        missing |= np.array([v in MISSING_TOKENS for v in raw.levels[j]], dtype=bool)[raw.codes[:, j]]
+        for token in MISSING_TOKENS:  # a column's levels are distinct: a token is at most one code
+            if token in raw.levels[j]:
+                missing |= raw.codes[:, j] == raw.levels[j].index(token)
     kept = np.flatnonzero(~missing)
     dropped = raw.n - len(kept)
     if dropped:
@@ -389,7 +549,7 @@ def encode(raw: RawTable, schema: Schema) -> Dataset:
             plan.append((spec.kind, len(manifest), codes, _numeric_table(spec.name, levels, codes)))
             manifest.append((spec.name, NUMERIC))
         else:
-            seen = sorted((levels[c], c) for c in np.unique(codes))
+            seen = sorted((levels[c], c) for c in np.flatnonzero(np.bincount(codes, minlength=len(levels))))
             offset = np.zeros(len(levels), dtype=np.intp)
             offset[[c for _, c in seen]] = np.arange(len(seen))
             plan.append((spec.kind, len(manifest), codes, offset))
@@ -413,16 +573,15 @@ def normalize(ds: Dataset, schema: Schema) -> Dataset:
     indicator columns map {0,1} onto {-1,+1}. The ranges are exogenous, so
     nothing about the data's extremes reaches the output.
 
-    The one-hot map is applied in place to a C-ordered copy of X, and the
-    numeric columns are then overwritten by the range map of all of them at
-    once: the element-wise operations are those of a column-by-column loop.
+    The one-hot map is written into a new C-ordered matrix, and the numeric
+    columns are then overwritten by the range map of all of them at once:
+    the element-wise operations are those of a column-by-column loop.
     """
     numeric = [j for j, (_, tag) in enumerate(ds.columns) if tag == NUMERIC]
     specs = [schema.column(ds.columns[j][0]) for j in numeric]
     lo = np.array([s.min for s in specs], dtype=np.float64)
     span = np.array([s.max - s.min for s in specs], dtype=np.float64)
-    X = ds.X.copy()
-    X *= 2.0
+    X = np.multiply(ds.X, 2.0, order="C")
     X -= 1.0
     X[:, numeric] = np.clip(2.0 * (ds.X[:, numeric] - lo) / span - 1.0, -1.0, 1.0)
     return Dataset(X=X, y=ds.y, columns=ds.columns)

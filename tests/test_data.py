@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -84,6 +85,18 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv", simple_schema())
+
+    @pytest.mark.parametrize("content, where", [
+        (b"a,sex,label\n1,M,+\n\n2,\xff,-\n", "row at index 2"),  # the blank line counts
+        (b'a,sex,label\n1,"M",+\n\n2,\xff,-\n', "row at index 2"),  # read by csv.reader
+        (b'a,sex,label\n1,"M\n\xe9",+\n', "row at index 0"),  # in a cell that spans two lines
+        (b"a,s\xe9x,label\n1,M,+\n", "header"),
+    ])
+    def test_bytes_not_utf8_rejected(self, tmp_path, content, where):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {where} is not UTF-8")):
+            load_csv(path, simple_schema())
 
     def test_whitespace_stripped(self, tmp_path):
         path = write(tmp_path, "a, sex, label\n1, M , +\n1,M,+\n")
@@ -356,6 +369,27 @@ ORACLE_CASES = {
     "every row dropped": ("a,sex,note,b,label\n?,M,x,1,+\n", "no rows remain after dropping missing values"),
     # 71 of the 1,200 rows have a '?'; sex takes the levels F, M and X
     "more rows than one block": (many_rows(1_200, late_level_at=700), (1_129, 5)),
+    # csv.reader takes the files with a quote or a CR; the block tokeniser the rest
+    "quoted comma, newline and doubled quote": (
+        'a,sex,note,b,label\n1,"M","x,y",1,+\n2,F,"two\nlines",2,-\n"3"," M ","say ""hi""",-1,+\n',
+        (3, 4),
+    ),
+    "CRLF line ends": ("a,sex,note,b,label\r\n1,M,x,1,+\r\n2,F,y,2,-\r\n", (2, 4)),
+    "no final newline": ("a,sex,note,b,label\n1,M,x,1,+\n2,F,y,2,-", (2, 4)),
+    "whitespace-only line": ("a,sex,note,b,label\n1,M,x,1,+\n  \t \n2,F,y,2,-\n", "ragged row at index 1"),
+    # the BOM stays on the first header cell, which the schema does not read;
+    # str.strip also strips the no-break space
+    "BOM and non-ASCII cells": (
+        "\ufeffnote,a,sex,b,label\nnaïve,1,Mädchen,1,+\n—,2,\u00a0Ж\u00a0,2,-\n café ,3,Mädchen,1,+\n", (3, 4),
+    ),
+    # cells of up to 26 bytes: pairs that differ only in their 8th, 16th or 19th byte
+    "cells longer than 16 bytes": (
+        "a,sex,note,b,label\n1,Married-civ-spouse,x,1,+\n2,Married-civ-spouses,x,1,-\n"
+        "3, Married-civ-spouse ,x,1,+\n4,Outlying-US(Guam-USVI-etc),x,1,-\n5,divorced,x,1,+\n"
+        "6,divorcee,x,1,-\n7,Married-AF-spous,x,1,+\n8,Married-AF-spouz,x,1,-\n",
+        (8, 9),
+    ),
+    "first quote after the first block": (many_rows(60, late_level_at=30) + '7,"Q, R",x,1,+\n', (57, 6)),
 }
 
 
@@ -379,7 +413,25 @@ def prepared(prepare):
     return outcome, [str(w.message) for w in caught]
 
 
+def first_seen_coding(rows, width):
+    """Per column, the distinct values in first-seen order; and each row's
+    indices into them."""
+    levels = [{} for _ in range(width)]
+    codes = [[level.setdefault(v, len(level)) for level, v in zip(levels, r)] for r in rows]
+    return tuple(map(tuple, levels)), np.array(codes, dtype=np.int32).reshape(len(rows), width)
+
+
 def assert_matches_reference(path, schema):
+    try:
+        header, rows = reference_load_csv(path, schema)
+    except DataError:
+        pass
+    else:
+        raw = load_csv(path, schema)
+        levels, codes = first_seen_coding(rows, len(header))
+        assert raw.header == header and raw.levels == levels
+        assert raw.codes.dtype == np.int32 and np.array_equal(raw.codes, codes)
+
     def current():
         encoded = encode(load_csv(path, schema), schema)
         return encoded, normalize(encoded, schema)
@@ -397,10 +449,12 @@ class TestIngestionOracle:
     """load_csv, encode and normalize against the row-wise code they replace:
     the same X, y and columns byte for byte, the same errors and warnings."""
 
+    # a block of 2 is one line of the block tokeniser, or 2 rows of csv.reader
     @pytest.mark.parametrize("block", [2, data._LOAD_BLOCK])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_row_wise_reference(self, tmp_path, monkeypatch, case, block):
         monkeypatch.setattr(data, "_LOAD_BLOCK", block)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
         text, expected = ORACLE_CASES[case]
         got, _ = assert_matches_reference(write(tmp_path, text), oracle_schema())
         if isinstance(expected, str):  # the case reaches the branch it names
@@ -416,11 +470,32 @@ class TestIngestionOracle:
 
     def test_a_level_first_seen_in_a_later_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_LOAD_BLOCK", 512)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 4_096)  # 'X' is first seen at byte 10,214
         path = write(tmp_path, ORACLE_CASES["more rows than one block"][0])
         raw = load_csv(path, oracle_schema())
         assert raw.n == 1_200 and raw.levels[1] == ("M", "F", "X")
         got, _ = assert_matches_reference(path, oracle_schema())
         assert ("sex", "=X") in got[-1]
+
+    def test_csv_reader_reads_only_files_with_a_quote_or_cr(self, tmp_path, monkeypatch):
+        read_by_csv_reader = []
+        load_rows = data._load_csv_rows
+        monkeypatch.setattr(data, "_load_csv_rows", lambda *args: read_by_csv_reader.append(args) or load_rows(*args))
+        for case, (text, _) in ORACLE_CASES.items():
+            read_by_csv_reader.clear()
+            try:
+                load_csv(write(tmp_path, text), oracle_schema())
+            except DataError:
+                pass
+            assert bool(read_by_csv_reader) == ('"' in text or "\r" in text), case
+
+    def test_distinct_rows_survive_a_hash_collision(self):
+        # rows a and b are unequal and share one key: np.unique tells them apart
+        mix = int(data._WORD_MIX)
+        a, b0 = (0x6867666564636261, 0x6A69), 0x7877767574737271
+        b = (b0, (a[0] * mix % 2**64) ^ a[1] ^ (b0 * mix % 2**64))
+        first, inverse = data._distinct_rows(np.array([a, b, a, b], dtype=np.uint64))
+        assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0, 1]
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_normalize_matches_reference_in_either_layout(self, order):
