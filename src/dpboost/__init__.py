@@ -48,7 +48,6 @@ from .harness import (
 from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, score_matrix, sign_labels
 from .noise import (
     Budget,
-    PrivacyParams,
     Purpose,
     laplace,
     make_rng,

@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import fit_logreg_weighted
-from .data import Dataset, FeatureSplit
+from .data import Dataset, FeatureSplit, check_int
 from .model import Ensemble, EnsembleMember, LinearClassifier, score_matrix
-from .noise import Budget, PrivacyParams, random_linear_classifier
+from .noise import Budget, check_clipping, laplace_scale, random_linear_classifier
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,19 @@ def weighted_error(mis, weights) -> float:
     return float(np.dot(w, mis) / w.sum())
 
 
-def noisy_private_error(mis, w_pri, params: PrivacyParams, budget: Budget) -> float:
+def noisy_private_error(mis, w_pri, c1: float, c2: float, rounds: int, budget: Budget) -> float:
     """Weighted error released through ``budget`` at sensitivity c1*c2/n and
-    scale c1*c2*rounds/(epsilon*n), n = len(w_pri): epsilon/rounds of it.
+    scale ``laplace_scale(c1, c2, rounds, budget.epsilon, n)``, n = len(w_pri):
+    epsilon/rounds of it.
 
     The result may legitimately fall outside [0, 1].
     """
     w = np.asarray(w_pri, dtype=np.float64)
-    if w.min() < 1.0 / params.c1 - 1e-12 or w.max() > params.c2 + 1e-12:
+    if w.min() < 1.0 / c1 - 1e-12 or w.max() > c2 + 1e-12:
         raise ValueError("private weights outside the clipping bounds [1/c1, c2]")
     n = len(w)
-    return budget.release("brc error", weighted_error(mis, w), params.c1 * params.c2 / n, params.laplace_scale(n))
+    scale = laplace_scale(c1, c2, rounds, budget.epsilon, n)
+    return budget.release("brc error", weighted_error(mis, w), c1 * c2 / n, scale)
 
 
 def clipped_update(w: np.ndarray, alpha: float, mis: np.ndarray, c1: float, c2: float) -> np.ndarray:
@@ -181,9 +183,11 @@ def draw_private_classifiers(
     weight (none exists yet), since the only privacy cost accounted for is
     the noisy error estimate. Each block is scored on ``_SCORE_ROWS`` training
     rows at a time, gathered into one buffer: the training matrix is never
-    copied. Raises ``ValueError`` when ``split`` does not cover ``data``'s
-    columns or has no private column, or when a sampler returns another count.
+    copied. Raises ``DataError`` unless ``rounds`` is a positive integer, and
+    ``ValueError`` when ``split`` does not cover ``data``'s columns or has no
+    private column, or when a sampler returns another count.
     """
+    check_int("rounds", rounds, 1)
     split.validate_for(data.d)
     if len(split.private_cols) == 0:
         raise ValueError("boosting requires a non-empty private column set")
@@ -211,8 +215,9 @@ def draw_private_classifiers(
     return Draws(tuple(classifiers), mis, public)
 
 
-def brc_fit(draws: Draws, params: PrivacyParams, *, budget: Budget) -> tuple[Ensemble, list[RoundRecord]]:
-    """Boost for ``params.rounds`` rounds on the inputs ``draws`` holds.
+def brc_fit(draws: Draws, budget: Budget, *, c1: float, c2: float) -> tuple[Ensemble, list[RoundRecord]]:
+    """Boost for T = ``len(draws.classifiers)`` rounds on the inputs ``draws``
+    holds, spending ``budget.epsilon``.
 
     Round t merges two precomputed streams: link k of ``draws.public``,
     where k counts the public rounds before t, and round t's private
@@ -221,23 +226,19 @@ def brc_fit(draws: Draws, params: PrivacyParams, *, budget: Budget) -> tuple[Ens
     0.5 (ties go private), (c) sets alpha = 0.5 - err of the chosen
     classifier, and (d) after a private round updates the private weights,
     clipped to [1/c1, c2]; a public round moves on to the next link. Exactly
-    ``rounds`` Laplace releases go through ``budget`` (one per round, each
-    epsilon/rounds), for a total privacy cost of epsilon; n, which sets
-    their scale, is the number of training rows in ``draws.mis``.
+    T Laplace releases go through ``budget`` (one per round, each
+    epsilon/T), for a total privacy cost of epsilon; n, which sets their
+    scale, is the number of training rows in ``draws.mis``.
 
     ``draws`` reads no weight, noise or epsilon, so fits that differ only in
-    ``params`` may share it. ``budget`` is the fit's own and its stream feeds
+    ``budget`` may share it. ``budget`` is the fit's own and its stream feeds
     only the Laplace noise; keeping it apart from the draws' stream means
     adding consumers to one never perturbs the other. Without public columns
-    every round is private, tagged "all". Raises ``ValueError`` when
-    ``draws`` does not hold ``params.rounds`` classifiers or ``budget`` holds
-    another epsilon than ``params``.
+    every round is private, tagged "all". Raises ``DataError`` unless c1 and
+    c2 pass ``check_clipping``.
     """
-    if len(draws.classifiers) != params.rounds:
-        raise ValueError(f"draws hold {len(draws.classifiers)} classifiers; this fit needs {params.rounds}")
-    if budget.epsilon != params.epsilon:
-        raise ValueError(f"the budget holds epsilon={budget.epsilon}; this fit spends {params.epsilon}")
-
+    check_clipping(c1, c2)
+    rounds = len(draws.classifiers)
     public = draws.public
     private_tag = "all" if public is None else "private"
     w_pri = np.ones(draws.mis.shape[1])
@@ -246,7 +247,7 @@ def brc_fit(draws: Draws, params: PrivacyParams, *, budget: Budget) -> tuple[Ens
     k = 0  # public rounds so far
     for t, (h_pri, mis_pri) in enumerate(zip(draws.classifiers, draws.mis), start=1):
         h_pub, _, err_pub = (None, None, None) if public is None else public[k]
-        err_pri = noisy_private_error(mis_pri, w_pri, params, budget)
+        err_pri = noisy_private_error(mis_pri, w_pri, c1, c2, rounds, budget)
 
         if h_pub is not None and abs(0.5 - err_pub) > abs(0.5 - err_pri):
             alpha = 0.5 - err_pub
@@ -255,7 +256,7 @@ def brc_fit(draws: Draws, params: PrivacyParams, *, budget: Budget) -> tuple[Ens
             records.append(RoundRecord(t, "public", err_pub, err_pri, alpha))
         else:
             alpha = 0.5 - err_pri
-            w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
+            w_pri = clipped_update(w_pri, alpha, mis_pri, c1, c2)
             members.append(EnsembleMember(alpha=alpha, clf=h_pri))
             records.append(RoundRecord(t, private_tag, err_pub, err_pri, alpha))
 

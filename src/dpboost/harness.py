@@ -48,7 +48,7 @@ from .data import (
     split_indices,
 )
 from .model import accuracy, score_matrix
-from .noise import Budget, PrivacyParams, Purpose, check_epsilons, rng_for, stream_id
+from .noise import Budget, Purpose, check_clipping, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
 
@@ -73,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
-        for name, minimum in (("repeats", 1), ("seed", 0), ("workers", 1), ("pate_teachers", 2)):
+        for name, minimum in (("rounds", 1), ("repeats", 1), ("seed", 0), ("workers", 1), ("pate_teachers", 2)):
             check_int(name, getattr(self, name), minimum)
         if isinstance(self.public_columns, str):
             raise DataError(f"public_columns must be a list, got the string {self.public_columns!r}")
@@ -81,7 +81,8 @@ class ExperimentConfig:
             check_str(name, getattr(self, name))
         if not 0.0 < self.test_frac < 1.0:
             raise DataError(f"test_frac must lie strictly between 0 and 1, got {self.test_frac}")
-        object.__setattr__(self, "epsilons", check_epsilons(self.epsilons, self.rounds, self.c1, self.c2))
+        check_clipping(self.c1, self.c2)
+        object.__setattr__(self, "epsilons", check_epsilons(self.epsilons))
         object.__setattr__(self, "public_columns", tuple(self.public_columns))
         if not self.public_columns and self.algorithm in ("brc", "public-only", "pate"):
             raise DataError(f"{self.algorithm} needs at least one public column; public_columns is empty")
@@ -157,11 +158,9 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, full: Dataset, train_rows, 
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
         draws = draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
 
-        def fit(eps):
-            params = PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2)
-            return brc_fit(draws, params, budget=Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)))
-
-        return fit
+        return lambda eps: brc_fit(
+            draws, Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)), c1=cfg.c1, c2=cfg.c2
+        )
     train = full.take(train_rows)
     if cfg.algorithm in ("logreg", "public-only"):
         cols = range(train.d) if cfg.algorithm == "logreg" else fsplit.public_cols

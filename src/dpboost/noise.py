@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, check_int, check_real
+from .data import DataError, check_real
 from .model import LinearClassifier
 
 
@@ -40,44 +39,43 @@ def rng_for(seed: int, repeat: int, purpose: Purpose) -> np.random.Generator:
     return make_rng(seed, stream_id(repeat, purpose))
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Total budget epsilon split over ``rounds`` error queries.
-
-    Weight clipping to [1/c1, c2] (both finite) bounds the sensitivity of a
-    weighted error over n rows at c1*c2/n, so Lap(c1*c2*rounds/(epsilon*n))
-    noise costs epsilon/rounds per round, epsilon in total under basic
-    composition. ``epsilon=math.inf`` gives a zero scale (non-private limit).
-    """
-
-    epsilon: float
-    rounds: int
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        for name in ("epsilon", "c1", "c2"):
-            check_real(name, getattr(self, name))
-        if not self.epsilon > 0:
-            raise DataError(f"epsilon must be positive, got {self.epsilon}")
-        check_int("rounds", self.rounds, 1)
-        if not (1 <= self.c1 < np.inf and 1 <= self.c2 < np.inf):
-            raise DataError("clipping parameters c1 and c2 must be finite and >= 1")
-
-    def laplace_scale(self, n: int) -> float:
-        return self.c1 * self.c2 * self.rounds / (self.epsilon * n)
+def check_clipping(c1, c2) -> None:
+    """``DataError`` unless the weight-clipping bounds c1 and c2 are finite
+    numbers >= 1: clipping private weights to [1/c1, c2] bounds the
+    sensitivity of a weighted error over n rows at c1*c2/n."""
+    check_real("c1", c1)
+    check_real("c2", c2)
+    if not (1 <= c1 < np.inf and 1 <= c2 < np.inf):
+        raise DataError("clipping parameters c1 and c2 must be finite and >= 1")
 
 
-def check_epsilons(epsilons, rounds: int, c1: float, c2: float) -> tuple[float, ...]:
+def check_epsilon(epsilon) -> None:
+    """``DataError`` unless ``epsilon`` is a positive number; ``math.inf``
+    is the non-private limit."""
+    check_real("epsilon", epsilon)
+    if not epsilon > 0:
+        raise DataError(f"epsilon must be positive, got {epsilon}")
+
+
+def laplace_scale(c1: float, c2: float, rounds: int, epsilon: float, n: int) -> float:
+    """The Laplace scale c1*c2*rounds/(epsilon*n) of one of ``rounds`` error
+    releases at sensitivity c1*c2/n: epsilon/rounds each, epsilon in total
+    under basic composition; 0 at epsilon = inf."""
+    return c1 * c2 * rounds / (epsilon * n)
+
+
+def check_epsilons(epsilons) -> tuple[float, ...]:
     """A sweep's epsilons as floats; ``DataError`` unless they form a non-empty
-    list or tuple, valid as ``PrivacyParams`` with ``rounds``, ``c1`` and
-    ``c2``, that repeats no value (its runs would be counted twice)."""
+    list or tuple of valid epsilons that repeats no value (its runs would be
+    counted twice)."""
     if not isinstance(epsilons, (list, tuple)) or not epsilons:
         raise DataError(f"epsilons must be a non-empty list, got {epsilons!r}")
     try:
-        values = tuple(float(PrivacyParams(e, rounds, c1, c2).epsilon) for e in epsilons)
-    except ValueError as exc:
-        raise DataError(f"bad privacy parameters for epsilons {list(epsilons)}: {exc}") from exc
+        for e in epsilons:
+            check_epsilon(e)
+    except DataError as exc:
+        raise DataError(f"bad epsilons {list(epsilons)}: {exc}") from exc
+    values = tuple(float(e) for e in epsilons)
     if len(set(values)) != len(values):
         raise DataError(f"epsilons must not repeat a value, got {list(epsilons)}")
     return values
@@ -114,9 +112,7 @@ class Budget:
     release at scale 0 draws nothing, for an infinite share (epsilon = inf)."""
 
     def __init__(self, epsilon: float, rng: np.random.Generator):
-        check_real("epsilon", epsilon)
-        if not epsilon > 0:
-            raise DataError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.epsilon = epsilon
         self.rng = rng
         self.spent = 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from .boosting import brc_fit, draw_private_classifiers
 from .data import DataError, Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier
-from .noise import Budget, PrivacyParams, Purpose, check_epsilons, rng_for
+from .noise import Budget, Purpose, check_clipping, check_epsilons, laplace_scale, rng_for
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,14 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n", 2), ("repeats", 1), ("seed", 0)):
+        for name, minimum in (("n", 2), ("rounds", 1), ("repeats", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum)
         if self.n % 2 != 0:
             raise DataError("n must be even and at least 2")
         check_real("flip_prob", self.flip_prob)
         if not 0.0 <= self.flip_prob < 0.5:
             raise DataError("flip probability must lie in [0, 0.5)")
-        PrivacyParams(1.0, self.rounds, self.c1, self.c2)  # checks rounds, c1 and c2
+        check_clipping(self.c1, self.c2)
 
 
 def threshold_classifier(index: int, n: int) -> LinearClassifier:
@@ -113,7 +113,7 @@ class ToyReport:
     def noise_scale(self, epsilon: float) -> float:
         """The rule-of-thumb quantity c1*c2*rounds/(epsilon*n) for this config."""
         cfg = self.config
-        return PrivacyParams(epsilon, cfg.rounds, cfg.c1, cfg.c2).laplace_scale(cfg.n)
+        return laplace_scale(cfg.c1, cfg.c2, cfg.rounds, epsilon, cfg.n)
 
     def accuracies(self, epsilon: float) -> np.ndarray:
         return np.array([r.accuracy for r in self.runs if r.epsilon == epsilon])
@@ -170,8 +170,7 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     ``boosting._DRAW_BLOCK`` rounds bit for bit the flags ``score_matrix``
     gives the whole ensemble, above that the flags its fit used.
     """
-    check_epsilons(eps_list, cfg.rounds, cfg.c1, cfg.c2)
-    all_params = [PrivacyParams(epsilon=eps, rounds=cfg.rounds, c1=cfg.c1, c2=cfg.c2) for eps in eps_list]
+    check_epsilons(eps_list)
     ds = generate_toy(cfg.n)
     split = FeatureSplit.all_private(ds.d)
     by_repeat = []
@@ -188,12 +187,11 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         thresholds = tuple(np.concatenate(fitted).tolist())
         flags = (draws.mis != (ds.y == 1)).T  # (n, rounds): True where round t's classifier votes +1
         runs = []
-        for params in all_params:
-            budget = Budget(params.epsilon, rng_for(cfg.seed, repeat, Purpose.LAPLACE))
-            ensemble, _ = brc_fit(draws, params, budget=budget)
+        for eps in eps_list:
+            ensemble, _ = brc_fit(draws, Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)), c1=cfg.c1, c2=cfg.c2)
             runs.append(
                 ToyRun(
-                    epsilon=params.epsilon,
+                    epsilon=eps,
                     repeat=repeat,
                     accuracy=float(np.mean(ensemble.vote(flags) == ds.y)),
                     thresholds=thresholds,

@@ -20,7 +20,6 @@ from dpboost import (
     Budget,
     ExperimentConfig,
     FeatureSplit,
-    PrivacyParams,
     ToyConfig,
     aggregate,
     brc_fit,
@@ -35,6 +34,7 @@ from dpboost import (
 from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
 from dpboost.cli import main as cli_main
 from dpboost.harness import load_prepared_dataset
+from dpboost.noise import laplace_scale
 
 from conftest import FixedFlips, fit_with_draws, planted_dataset, write_synthetic_csv
 
@@ -379,11 +379,13 @@ def test_criterion_07b_noise_free_trace_matches_reference_adaboost():
     full, _ = planted_dataset(n=260, seed=42)
     train = full.take(np.arange(200))
     test = full.take(np.arange(200, 260))
-    params = PrivacyParams(epsilon=math.inf, rounds=30, c1=SQRT2, c2=SQRT2)
     ens, _ = fit_with_draws(
         train,
         FeatureSplit.all_private(train.d),
-        params,
+        math.inf,
+        30,
+        c1=SQRT2,
+        c2=SQRT2,
         classifier_rng=make_rng(77),
         noise_rng=make_rng(78),
     )
@@ -463,28 +465,29 @@ def test_criterion_10_privacy_accounting_audit():
     scale c1*c2*T/(eps*n), and its noise stream advances exactly T Laplace
     draws, so nothing else data-dependent is drawn from it."""
     ds, split = planted_dataset(n=150, seed=10)
-    params = PrivacyParams(epsilon=0.16, rounds=25, c1=SQRT2, c2=SQRT2)
+    epsilon, rounds = 0.16, 25
+    scale = laplace_scale(SQRT2, SQRT2, rounds, epsilon, ds.n)
     noise_rng = make_rng(31)
-    budget = Budget(params.epsilon, noise_rng)
-    brc_fit(draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(30)), params, budget=budget)
+    budget = Budget(epsilon, noise_rng)
+    brc_fit(draw_private_classifiers(ds, np.arange(ds.n), split, rounds, make_rng(30)), budget, c1=SQRT2, c2=SQRT2)
     ref = make_rng(31)
-    for _ in range(params.rounds):
-        laplace(params.laplace_scale(ds.n), ref)
-    scales = [scale for _, _, scale, _ in budget.ledger]
+    for _ in range(rounds):
+        laplace(scale, ref)
+    scales = [s for _, _, s, _ in budget.ledger]
     ok = (
-        len(scales) == params.rounds
-        and all(s == params.laplace_scale(ds.n) for s in scales)
+        len(scales) == rounds
+        and all(s == scale for s in scales)
         and noise_rng.bit_generator.state == ref.bit_generator.state
     )
     report(
         "10 privacy accounting audit",
         ok,
-        f"{len(scales)} releases at scale {params.laplace_scale(ds.n):.6g}, spent {budget.spent:.6g} "
-        f"of {params.epsilon:g}, noise stream advanced exactly {params.rounds} draws",
+        f"{len(scales)} releases at scale {scale:.6g}, spent {budget.spent:.6g} "
+        f"of {epsilon:g}, noise stream advanced exactly {rounds} draws",
     )
-    assert len(scales) == params.rounds
-    assert all(s == params.laplace_scale(ds.n) for s in scales)
-    assert budget.spent == pytest.approx(params.epsilon, rel=1e-12)
+    assert len(scales) == rounds
+    assert all(s == scale for s in scales)
+    assert budget.spent == pytest.approx(epsilon, rel=1e-12)
     assert noise_rng.bit_generator.state == ref.bit_generator.state
 
 

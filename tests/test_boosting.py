@@ -9,10 +9,10 @@ import dpboost.boosting as boosting
 from dpboost import harness
 from dpboost import (
     Budget,
+    DataError,
     Dataset,
     FeatureSplit,
     LinearClassifier,
-    PrivacyParams,
     PublicChain,
     accuracy,
     brc_fit,
@@ -27,7 +27,7 @@ from dpboost import (
 )
 from dpboost.baselines import fit_logreg_weighted
 from dpboost.model import Ensemble, EnsembleMember, score_matrix
-from dpboost.noise import Purpose, laplace, rng_for
+from dpboost.noise import Purpose, laplace, laplace_scale, rng_for
 
 from conftest import fit_with_draws, planted_dataset
 
@@ -88,22 +88,22 @@ class TestNoisyPrivateError:
         self.clf = LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))
         self.mis = misclassified(self.clf, self.ds)
 
-    def params(self, epsilon, c=SQRT2):
-        return PrivacyParams(epsilon=epsilon, rounds=1, c1=c, c2=c)
+    def release(self, mis, w, epsilon, rng):
+        """One of one round's releases at c1 = c2 = sqrt 2."""
+        return noisy_private_error(mis, w, SQRT2, SQRT2, 1, Budget(epsilon, rng))
 
     def test_vanishing_noise(self):
         # scale ~ 1e-15: the perturbed value collapses onto the exact error
-        p = self.params(epsilon=2 * 1 / (4 * 1e-15))  # scale = c1 c2 T/(eps n) = 1e-15
+        epsilon = 2 * 1 / (4 * 1e-15)  # scale = c1 c2 T/(eps n) = 1e-15
         exact = weighted_error(self.mis, np.ones(4))
-        noisy = noisy_private_error(self.mis, np.ones(4), p, Budget(p.epsilon, make_rng(0)))
+        noisy = self.release(self.mis, np.ones(4), epsilon, make_rng(0))
         assert abs(noisy - exact) < 1e-12
 
     def test_monte_carlo_mean(self):
-        p = self.params(epsilon=0.5)
-        scale = p.laplace_scale(4)
+        scale = laplace_scale(SQRT2, SQRT2, 1, 0.5, 4)
         exact = weighted_error(self.mis, np.ones(4))
         rng = make_rng(3)
-        draws = [noisy_private_error(self.mis, np.ones(4), p, Budget(p.epsilon, rng)) for _ in range(10_000)]
+        draws = [self.release(self.mis, np.ones(4), 0.5, rng) for _ in range(10_000)]
         assert np.mean(draws) == pytest.approx(exact, abs=3 * scale / 100)
 
     def test_outside_unit_interval_frequency(self):
@@ -111,30 +111,27 @@ class TestNoisyPrivateError:
         ds = Dataset(
             X=np.array([[0.5], [0.5]]), y=np.array([1, -1]), columns=(("c", "numeric"),)
         )
-        p = PrivacyParams(epsilon=1.0, rounds=1, c1=SQRT2, c2=SQRT2)
-        assert p.laplace_scale(2) == pytest.approx(1.0)
+        assert laplace_scale(SQRT2, SQRT2, 1, 1.0, 2) == pytest.approx(1.0)
         rng = make_rng(11)
         mis = misclassified(self.clf, ds)
-        draws = np.array([noisy_private_error(mis, np.ones(2), p, Budget(p.epsilon, rng)) for _ in range(2000)])
+        draws = np.array([self.release(mis, np.ones(2), 1.0, rng) for _ in range(2000)])
         frac_outside = np.mean((draws < 0.0) | (draws > 1.0))
         assert frac_outside == pytest.approx(math.exp(-0.5), abs=0.05)
 
     def test_scale_follows_the_row_count(self):
-        # one params object, two sizes: each release is at sensitivity
+        # one budget, two sizes: each release is at sensitivity
         # c1*c2/len(w) and scale c1*c2*T/(eps*len(w)), for eps/T
-        p = PrivacyParams(epsilon=0.5, rounds=3, c1=SQRT2, c2=2.0)
-        budget = Budget(p.epsilon, make_rng(0))
+        budget = Budget(0.5, make_rng(0))
         for n in (100, 1000):
-            noisy_private_error(np.zeros(n, dtype=bool), np.ones(n), p, budget)
+            noisy_private_error(np.zeros(n, dtype=bool), np.ones(n), SQRT2, 2.0, 3, budget)
         assert [entry[:3] for entry in budget.ledger] == [
             ("brc error", SQRT2 * 2.0 / n, SQRT2 * 2.0 * 3 / (0.5 * n)) for n in (100, 1000)
         ]
         assert [share for *_, share in budget.ledger] == pytest.approx([0.5 / 3] * 2, rel=1e-15)
 
     def test_weights_must_respect_bounds(self):
-        p = self.params(epsilon=1.0)
         with pytest.raises(ValueError, match="clipping bounds"):
-            noisy_private_error(self.mis, np.full(4, 10.0), p, Budget(p.epsilon, make_rng(0)))
+            self.release(self.mis, np.full(4, 10.0), 1.0, make_rng(0))
 
 
 class TestClippedUpdate:
@@ -172,12 +169,12 @@ class TestClippedUpdate:
         assert np.all((out == candidate) | (out == w))
 
 
-def replay_split_fit(train, split, params, ensemble, records):
+def replay_split_fit(train, split, c1, c2, ensemble, records):
     """Independently re-derive the weight trajectories from the fit outputs,
     checking the branch rule, the alpha rule, and the clipping bounds."""
     w_pub = np.ones(train.n)
     w_pri = np.ones(train.n)
-    lo, hi = 1.0 / params.c1, params.c2
+    lo, hi = 1.0 / c1, c2
     for member, rec in zip(ensemble.members, records):
         assert rec.alpha == member.alpha
         if rec.err_pub is not None:
@@ -192,7 +189,7 @@ def replay_split_fit(train, split, params, ensemble, records):
         else:
             assert rec.alpha == 0.5 - rec.err_pri_noisy
             w_pri_before = w_pri.copy()
-            w_pri = clipped_update(w_pri, rec.alpha, mis, params.c1, params.c2)
+            w_pri = clipped_update(w_pri, rec.alpha, mis, c1, c2)
             assert np.all(w_pri >= lo) and np.all(w_pri <= hi)
             changed = w_pri != w_pri_before
             assert not np.any(changed & ~mis) or rec.alpha == 0.0
@@ -200,26 +197,26 @@ def replay_split_fit(train, split, params, ensemble, records):
     return w_pub, w_pri
 
 
-def refit_every_round(train, split, params, classifier_rng, noise_rng):
+def refit_every_round(train, split, epsilon, rounds, classifier_rng, noise_rng, c1=SQRT2, c2=SQRT2):
     """The split booster loop written out with a fresh public fit in every
     round, as a reference for the fit that reuses an unchanged one."""
     w_pub = np.ones(train.n)
     w_pri = np.ones(train.n)
-    budget = Budget(params.epsilon, noise_rng)
+    budget = Budget(epsilon, noise_rng)
     members, records = [], []
-    for t in range(1, params.rounds + 1):
+    for t in range(1, rounds + 1):
         h_pub = fit_logreg_weighted(train, split.public_cols, w_pub)
         mis_pub = h_pub.predict(train.X) != train.y
         err_pub = weighted_error(mis_pub, w_pub)
         h_pri = random_linear_classifier(split.private_cols, classifier_rng)
         mis_pri = h_pri.predict(train.X) != train.y
-        err_pri = noisy_private_error(mis_pri, w_pri, params, budget)
+        err_pri = noisy_private_error(mis_pri, w_pri, c1, c2, rounds, budget)
         if abs(0.5 - err_pub) > abs(0.5 - err_pri):
             chosen, alpha, clf = "public", 0.5 - err_pub, h_pub
             w_pub = w_pub * np.exp(alpha * mis_pub)
         else:
             chosen, alpha, clf = "private", 0.5 - err_pri, h_pri
-            w_pri = clipped_update(w_pri, alpha, mis_pri, params.c1, params.c2)
+            w_pri = clipped_update(w_pri, alpha, mis_pri, c1, c2)
         members.append(EnsembleMember(alpha=alpha, clf=clf))
         records.append(boosting.RoundRecord(t, chosen, err_pub, err_pri, alpha))
     return Ensemble(members=tuple(members)), records
@@ -228,9 +225,8 @@ def refit_every_round(train, split, params, classifier_rng, noise_rng):
 class TestBrcFit:
     def test_round_count_and_subspaces(self):
         ds, split = planted_dataset(n=200)
-        params = PrivacyParams(epsilon=1.0, rounds=8, c1=SQRT2, c2=SQRT2)
         ens, recs = fit_with_draws(
-            ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1)
+            ds, split, 1.0, 8, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(0), noise_rng=make_rng(1)
         )
         assert len(ens) == len(recs) == 8
         # a member's columns show the side it came from, as its round's tag says
@@ -240,18 +236,16 @@ class TestBrcFit:
 
     def test_replay_invariants(self):
         ds, split = planted_dataset(n=300, seed=4)
-        params = PrivacyParams(epsilon=0.8, rounds=12, c1=SQRT2, c2=2.0)
         ens, recs = fit_with_draws(
-            ds, split, params, classifier_rng=make_rng(5), noise_rng=make_rng(6)
+            ds, split, 0.8, 12, c1=SQRT2, c2=2.0, classifier_rng=make_rng(5), noise_rng=make_rng(6)
         )
-        replay_split_fit(ds, split, params, ens, recs)
+        replay_split_fit(ds, split, SQRT2, 2.0, ens, recs)
         assert {r.chosen for r in recs} <= {"public", "private"}
 
     def test_noise_free_reduction_records_exact_private_error(self):
         ds, split = planted_dataset(n=150, seed=9)
-        params = PrivacyParams(epsilon=math.inf, rounds=10, c1=2.0, c2=2.0)
         ens, recs = fit_with_draws(
-            ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2)
+            ds, split, math.inf, 10, c1=2.0, c2=2.0, classifier_rng=make_rng(1), noise_rng=make_rng(2)
         )
         # replay private weights and recompute each round's exact private error
         w_pri = np.ones(ds.n)
@@ -268,9 +262,8 @@ class TestBrcFit:
         # rounds where the public classifier wins must leave w_pri unchanged,
         # and vice versa; checked through the replayed trajectories.
         ds, split = planted_dataset(n=200, seed=2)
-        params = PrivacyParams(epsilon=2.0, rounds=15, c1=SQRT2, c2=SQRT2)
         ens, recs = fit_with_draws(
-            ds, split, params, classifier_rng=make_rng(3), noise_rng=make_rng(4)
+            ds, split, 2.0, 15, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(3), noise_rng=make_rng(4)
         )
         w_pub = np.ones(ds.n)
         w_pri = np.ones(ds.n)
@@ -298,8 +291,9 @@ class TestBrcFit:
             return LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=tuple(cols))
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", perfect)
-        params = PrivacyParams(epsilon=100.0, rounds=1, c1=2.0, c2=2.0)
-        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(1), noise_rng=make_rng(2))
+        ens, recs = fit_with_draws(
+            ds, split, 100.0, 1, c1=2.0, c2=2.0, classifier_rng=make_rng(1), noise_rng=make_rng(2)
+        )
         assert len(ens) == 1
         assert recs[0].chosen == "public" and ens.members[0].clf.cols == (0,)
         assert ens.members[0].alpha == 0.5
@@ -316,9 +310,8 @@ class TestBrcFit:
             columns=(("junk", "numeric"), ("position", "numeric")),
         )
         split = FeatureSplit(public_cols=(0,), private_cols=(1,))
-        params = PrivacyParams(epsilon=100.0, rounds=50, c1=2.0, c2=2.0)
         ens, _ = fit_with_draws(
-            ds, split, params,
+            ds, split, 100.0, 50, c1=2.0, c2=2.0,
             classifier_rng=rng_for(0, 0, Purpose.PRIVATE_CLASSIFIER),
             noise_rng=rng_for(0, 0, Purpose.LAPLACE),
         )
@@ -327,26 +320,27 @@ class TestBrcFit:
     def test_requires_private_columns(self):
         ds, _ = planted_dataset(n=50)
         split = FeatureSplit(public_cols=tuple(range(ds.d)), private_cols=())
-        params = PrivacyParams(epsilon=1.0, rounds=2, c1=2, c2=2)
         with pytest.raises(ValueError, match="private column set"):
-            draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
+            draw_private_classifiers(ds, np.arange(ds.n), split, 2, make_rng(0))
 
-    def test_rejects_draws_of_the_wrong_length_or_shape(self):
+    @pytest.mark.parametrize("rounds", [0, 2.5, True])
+    def test_draws_need_a_positive_integer_round_count(self, rounds):
         ds, split = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
-        for rounds in (3, 5):  # too few, too many
-            draws = draw_private_classifiers(ds, np.arange(ds.n), split, rounds, make_rng(0))
-            with pytest.raises(ValueError, match=f"draws hold {rounds} classifiers; this fit needs 4"):
-                brc_fit(draws, params, budget=Budget(params.epsilon, make_rng(1)))
+        with pytest.raises(DataError, match="rounds must be"):
+            draw_private_classifiers(ds, np.arange(ds.n), split, rounds, make_rng(0))
 
-    def test_rejects_a_budget_of_another_epsilon(self):
+    @pytest.mark.parametrize(
+        "c1, c2, message",
+        [(0.5, 2, "finite and >= 1"), (2, math.inf, "finite and >= 1"), (True, 2, "c1 must be a number"),
+         (2, "2", "c2 must be a number")],
+    )
+    def test_rejects_bad_clipping_before_any_draw(self, c1, c2, message):
         ds, split = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
-        draws = draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, 4, make_rng(0))
         rng = make_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="budget holds epsilon=2.0; this fit spends 1.0"):
-            brc_fit(draws, params, budget=Budget(2.0, rng))
+        with pytest.raises(DataError, match=message):
+            brc_fit(draws, Budget(1.0, rng), c1=c1, c2=c2)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("all_private", [False, True], ids=["split", "all-private"])
@@ -358,20 +352,19 @@ class TestBrcFit:
             split = FeatureSplit.all_private(ds.d)
         draws = draw_private_classifiers(ds, np.arange(ds.n), split, 10, make_rng(60))
         for epsilon in (0.1, 2.0, math.inf, 0.1):
-            params = PrivacyParams(epsilon=epsilon, rounds=10, c1=SQRT2, c2=SQRT2)
-            ens, recs = brc_fit(draws, params, budget=Budget(epsilon, make_rng(61)))
-            ref_ens, ref_recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(60), noise_rng=make_rng(61))
+            ens, recs = brc_fit(draws, Budget(epsilon, make_rng(61)), c1=SQRT2, c2=SQRT2)
+            ref_ens, ref_recs = fit_with_draws(
+                ds, split, epsilon, 10, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(60), noise_rng=make_rng(61)
+            )
             assert recs == ref_recs
             assert_same_ensemble(ens, ref_ens)
         assert not draws.mis.flags.writeable
 
     def test_deterministic_serialization(self):
         ds, split = planted_dataset(n=120, seed=3)
-        params = PrivacyParams(epsilon=0.3, rounds=6, c1=SQRT2, c2=SQRT2)
-
         def run():
             ens, _ = fit_with_draws(
-                ds, split, params, classifier_rng=make_rng(8), noise_rng=make_rng(9)
+                ds, split, 0.3, 6, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(8), noise_rng=make_rng(9)
             )
             return ens
 
@@ -379,19 +372,18 @@ class TestBrcFit:
 
     def test_exactly_t_laplace_draws_at_stated_scale(self):
         ds, split = planted_dataset(n=100, seed=1)
-        params = PrivacyParams(epsilon=0.4, rounds=7, c1=SQRT2, c2=SQRT2)
-        draws = draw_private_classifiers(ds, np.arange(ds.n), split, params.rounds, make_rng(0))
-        budget = Budget(params.epsilon, make_rng(1))
-        brc_fit(draws, params, budget=budget)
-        assert len(budget.ledger) == params.rounds
-        assert all(scale == params.laplace_scale(ds.n) for _, _, scale, _ in budget.ledger)
-        assert budget.spent == pytest.approx(params.epsilon, rel=1e-12)
+        draws = draw_private_classifiers(ds, np.arange(ds.n), split, 7, make_rng(0))
+        budget = Budget(0.4, make_rng(1))
+        brc_fit(draws, budget, c1=SQRT2, c2=SQRT2)
+        assert len(budget.ledger) == 7
+        assert all(scale == laplace_scale(SQRT2, SQRT2, 7, 0.4, ds.n) for _, _, scale, _ in budget.ledger)
+        assert budget.spent == pytest.approx(0.4, rel=1e-12)
 
     def test_loop_calls_the_tested_primitives(self, monkeypatch):
         # every round's errors and private update go through the exported
         # primitives, so their tests cover the code the fit runs
         ds, split = planted_dataset(n=100, seed=5)
-        params = PrivacyParams(epsilon=0.5, rounds=6, c1=SQRT2, c2=SQRT2)
+        rounds = 6
         calls = {"weighted_error": 0, "noisy_private_error": 0, "clipped_update": 0}
         for name in calls:
             real = getattr(boosting, name)
@@ -401,21 +393,22 @@ class TestBrcFit:
                 return _real(*args)
 
             monkeypatch.setattr(boosting, name, counting)
-        _, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(0), noise_rng=make_rng(1))
+        _, recs = fit_with_draws(
+            ds, split, 0.5, rounds, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(0), noise_rng=make_rng(1)
+        )
         private_rounds = sum(r.chosen == "private" for r in recs)
         # the public learner is fitted in round 1 and after each public round
         fits = 1 + sum(r.chosen == "public" for r in recs[:-1])
-        assert fits < params.rounds  # some rounds reuse the previous fit
+        assert fits < rounds  # some rounds reuse the previous fit
         # one public error per fit, plus one inside each noisy private error
-        assert calls["noisy_private_error"] == params.rounds
-        assert calls["weighted_error"] == params.rounds + fits
+        assert calls["noisy_private_error"] == rounds
+        assert calls["weighted_error"] == rounds + fits
         assert calls["clipped_update"] == private_rounds
 
     @pytest.mark.parametrize("epsilon", [0.5, math.inf])
     def test_reused_public_fit_matches_refitting_every_round(self, monkeypatch, epsilon):
         ds, split = planted_dataset(n=240, seed=8)
-        params = PrivacyParams(epsilon=epsilon, rounds=14, c1=SQRT2, c2=SQRT2)
-        ref_ens, ref_recs = refit_every_round(ds, split, params, make_rng(30), make_rng(31))
+        ref_ens, ref_recs = refit_every_round(ds, split, epsilon, 14, make_rng(30), make_rng(31))
 
         fits = []
         real = boosting.fit_logreg_weighted
@@ -426,23 +419,22 @@ class TestBrcFit:
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
         ens, recs = fit_with_draws(
-            ds, split, params, classifier_rng=make_rng(30), noise_rng=make_rng(31)
+            ds, split, epsilon, 14, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(30), noise_rng=make_rng(31)
         )
         assert recs == ref_recs
         assert_same_ensemble(ens, ref_ens)
         public_rounds = sum(r.chosen == "public" for r in recs[:-1])
-        assert 0 < public_rounds < params.rounds - 1
+        assert 0 < public_rounds < 14 - 1
         assert len(fits) == 1 + public_rounds
 
         fits.clear()
-        fit_all_private(ds, params, 30, 31)
+        fit_all_private(ds, epsilon, 14, 30, 31, c1=SQRT2, c2=SQRT2)
         assert fits == []
 
     def test_public_fits_share_one_gathered_matrix(self, monkeypatch):
         # every public refit of a fit, and its misclassified-row flags, reads
         # one F-ordered copy of the public columns; members keep split's columns
         ds, split = planted_dataset(n=240, seed=8)
-        params = PrivacyParams(epsilon=0.5, rounds=14, c1=SQRT2, c2=SQRT2)
         seen = []
         real = boosting.fit_logreg_weighted
 
@@ -451,7 +443,9 @@ class TestBrcFit:
             return real(data, cols, weights)
 
         monkeypatch.setattr(boosting, "fit_logreg_weighted", counting)
-        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(30), noise_rng=make_rng(31))
+        ens, recs = fit_with_draws(
+            ds, split, 0.5, 14, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(30), noise_rng=make_rng(31)
+        )
         assert len(seen) > 1
         assert all(X is seen[0] for X in seen)
         assert seen[0].flags.f_contiguous and seen[0].shape == (ds.n, len(split.public_cols))
@@ -465,17 +459,17 @@ class TestBrcFit:
         # on those streams can depend on the data.
         ds, split = planted_dataset(n=80, seed=6)
         k = len(split.private_cols)
-        params = PrivacyParams(epsilon=0.4, rounds=9, c1=SQRT2, c2=SQRT2)
+        rounds = 9
         clf_rng, noise_rng = make_rng(20), make_rng(21)
-        fit_with_draws(ds, split, params, classifier_rng=clf_rng, noise_rng=noise_rng)
+        fit_with_draws(ds, split, 0.4, rounds, c1=SQRT2, c2=SQRT2, classifier_rng=clf_rng, noise_rng=noise_rng)
 
         ref_noise = make_rng(21)
-        for _ in range(params.rounds):
-            laplace(params.laplace_scale(ds.n), ref_noise)
+        for _ in range(rounds):
+            laplace(laplace_scale(SQRT2, SQRT2, rounds, 0.4, ds.n), ref_noise)
         assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
 
         ref_clf = make_rng(20)
-        ref_clf.uniform(-1.0, 1.0, size=params.rounds * (k + 1))
+        ref_clf.uniform(-1.0, 1.0, size=rounds * (k + 1))
         assert clf_rng.bit_generator.state == ref_clf.bit_generator.state
 
 
@@ -524,29 +518,32 @@ class TestPublicChain:
             w = w * np.exp((0.5 - err) * mis)
 
 
-def fit_all_private(ds, params, clf_seed, noise_seed, **kwargs):
+def fit_all_private(ds, epsilon, rounds, clf_seed, noise_seed, c1=2.0, c2=2.0, **kwargs):
     return fit_with_draws(
         ds,
         FeatureSplit.all_private(ds.d),
-        params,
+        epsilon,
+        rounds,
+        c1=c1,
+        c2=c2,
         classifier_rng=make_rng(clf_seed),
         noise_rng=make_rng(noise_seed),
         **kwargs,
     )
 
 
-def draw_in_each_round(train, params, classifier_rng, noise_rng, sampler):
+def draw_in_each_round(train, epsilon, rounds, classifier_rng, noise_rng, sampler, c1=SQRT2, c2=SQRT2):
     """The all-private booster loop with each round drawing and scoring its
     own classifier, as a reference for the fit that draws them up front."""
     w = np.ones(train.n)
-    budget = Budget(params.epsilon, noise_rng)
+    budget = Budget(epsilon, noise_rng)
     members, records = [], []
-    for t in range(1, params.rounds + 1):
+    for t in range(1, rounds + 1):
         (h,) = sampler(train.y, 1, classifier_rng)
         mis = h.predict(train.X) != train.y
-        err = noisy_private_error(mis, w, params, budget)
+        err = noisy_private_error(mis, w, c1, c2, rounds, budget)
         alpha = 0.5 - err
-        w = clipped_update(w, alpha, mis, params.c1, params.c2)
+        w = clipped_update(w, alpha, mis, c1, c2)
         members.append(EnsembleMember(alpha=alpha, clf=h))
         records.append(boosting.RoundRecord(t, "all", None, err, alpha))
     return Ensemble(members=tuple(members)), records
@@ -695,12 +692,11 @@ class TestBrcFitAllPrivate:
         # the fit's one sampler call for all 16 rounds draws what 16 calls of
         # one round each would
         ds, _ = planted_dataset(n=240, seed=10)
-        params = PrivacyParams(epsilon=epsilon, rounds=16, c1=SQRT2, c2=SQRT2)
         sampler = sampler and sampler(ds.d)
         ref_ens, ref_recs = draw_in_each_round(
-            ds, params, make_rng(40), make_rng(41), sampler or uniform_sampler(ds.d)
+            ds, epsilon, 16, make_rng(40), make_rng(41), sampler or uniform_sampler(ds.d)
         )
-        ens, recs = fit_all_private(ds, params, 40, 41, sampler=sampler)
+        ens, recs = fit_all_private(ds, epsilon, 16, 40, 41, c1=SQRT2, c2=SQRT2, sampler=sampler)
         assert recs == ref_recs
         assert_same_ensemble(ens, ref_ens)
         if sampler is not None:
@@ -712,7 +708,6 @@ class TestBrcFitAllPrivate:
         ds, split = planted_dataset(n=120, seed=11)
         if not public:
             split = FeatureSplit.all_private(ds.d)
-        params = PrivacyParams(epsilon=0.5, rounds=9, c1=SQRT2, c2=SQRT2)
         calls, states, drawn = [], [], []
 
         def sampler(y, count, rng):
@@ -722,8 +717,8 @@ class TestBrcFitAllPrivate:
             drawn.extend(block)
             return block
 
-        ens, recs = fit_with_draws(ds, split, params, classifier_rng=make_rng(50), noise_rng=make_rng(51),
-                                   sampler=sampler)
+        ens, recs = fit_with_draws(ds, split, 0.5, 9, c1=SQRT2, c2=SQRT2, classifier_rng=make_rng(50),
+                                   noise_rng=make_rng(51), sampler=sampler)
         # one call per block of at most _DRAW_BLOCK rounds, each given the labels
         assert [count for _, count in calls] == [4, 4, 1]
         assert all(np.array_equal(y, ds.y) for y, _ in calls)
@@ -742,8 +737,7 @@ class TestBrcFitAllPrivate:
 
     def test_round_count_and_tags(self):
         ds, _ = planted_dataset(n=100)
-        params = PrivacyParams(epsilon=0.5, rounds=5, c1=SQRT2, c2=SQRT2)
-        ens, recs = fit_all_private(ds, params, 0, 1)
+        ens, recs = fit_all_private(ds, 0.5, 5, 0, 1, c1=SQRT2, c2=SQRT2)
         assert len(ens) == 5
         assert all(m.clf.cols == tuple(range(ds.d)) for m in ens.members)
         assert all(r.chosen == "all" and r.err_pub is None for r in recs)
@@ -752,17 +746,15 @@ class TestBrcFitAllPrivate:
         # One random classifier with a noise-dominated alpha: averaged over
         # seeds the balanced accuracy sits near 1/2.
         ds, _ = planted_dataset(n=200, seed=5)
-        params = PrivacyParams(epsilon=0.001, rounds=1, c1=2.0, c2=2.0)
         accs = []
         for seed in range(50):
-            ens, _ = fit_all_private(ds, params, seed, 1000 + seed)
+            ens, _ = fit_all_private(ds, 0.001, 1, seed, 1000 + seed)
             accs.append(accuracy(ens, ds))
         assert np.mean(accs) == pytest.approx(0.5, abs=0.1)
 
     def test_weight_bounds_via_replay(self):
         ds, _ = planted_dataset(n=120, seed=12)
-        params = PrivacyParams(epsilon=0.2, rounds=20, c1=2.0, c2=2.0)
-        ens, recs = fit_all_private(ds, params, 4, 5)
+        ens, recs = fit_all_private(ds, 0.2, 20, 4, 5)
         w = np.ones(ds.n)
         for member, rec in zip(ens.members, recs):
             assert rec.alpha == 0.5 - rec.err_pri_noisy
@@ -776,8 +768,7 @@ class TestBrcFitAllPrivate:
         from dpboost.harness import ResultRecord, emit_records_jsonl
 
         ds, _ = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=3, c1=2, c2=2)
-        _, recs = fit_all_private(ds, params, 0, 1)
+        _, recs = fit_all_private(ds, 1.0, 3, 0, 1)
         cell = dict(algorithm="brc-all-private", epsilon=1.0, repeat=0, seed=0, streams={})
         path = tmp_path / "records.jsonl"
         emit_records_jsonl([ResultRecord(**cell, rounds=tuple(recs)), ResultRecord(**cell)], path)
@@ -795,7 +786,6 @@ class TestBrcFitAllPrivate:
         # the sampler is handed the training labels and the round count, and
         # no Dataset, so it cannot read a private column
         ds, _ = planted_dataset(n=60)
-        params = PrivacyParams(epsilon=1.0, rounds=4, c1=2, c2=2)
         seen = []
 
         def sampler(*args):
@@ -803,7 +793,7 @@ class TestBrcFitAllPrivate:
             y, count, _ = args
             return [LinearClassifier(coeffs=np.array([1.0]), intercept=0.0, cols=(0,))] * count
 
-        ens, _ = fit_all_private(ds, params, 0, 1, sampler=sampler)
+        ens, _ = fit_all_private(ds, 1.0, 4, 0, 1, sampler=sampler)
         assert len(seen) == 1
         y, count, rng = seen[0]
         assert np.array_equal(y, ds.y) and count == 4 and isinstance(rng, np.random.Generator)

@@ -6,14 +6,13 @@ import pytest
 from dpboost import (
     Budget,
     DataError,
-    PrivacyParams,
     Purpose,
     laplace,
     make_rng,
     random_linear_classifier,
     rng_for,
 )
-from dpboost.noise import check_epsilons, stream_id
+from dpboost.noise import check_clipping, check_epsilons, laplace_scale, stream_id
 
 
 class TestLaplaceSampler:
@@ -191,38 +190,39 @@ class TestStreams:
         assert np.array_equal(a, b)
 
 
-class TestPrivacyParams:
+class TestPrivacyInputs:
     def test_laplace_scale_formula(self):
-        p = PrivacyParams(epsilon=0.16, rounds=25, c1=math.sqrt(2), c2=math.sqrt(2))
-        assert p.laplace_scale(1000) == math.sqrt(2) * math.sqrt(2) * 25 / (0.16 * 1000)
+        scale = laplace_scale(math.sqrt(2), math.sqrt(2), 25, 0.16, 1000)
+        assert scale == math.sqrt(2) * math.sqrt(2) * 25 / (0.16 * 1000)
 
     def test_infinite_epsilon_gives_zero_scale(self):
-        p = PrivacyParams(epsilon=math.inf, rounds=25, c1=2, c2=2)
-        assert p.laplace_scale(100) == 0.0
+        assert laplace_scale(2, 2, 25, math.inf, 100) == 0.0
 
-    def test_validation(self):
-        with pytest.raises(DataError):
-            PrivacyParams(epsilon=0.0, rounds=1, c1=1, c2=1)
-        with pytest.raises(DataError):
-            PrivacyParams(epsilon=1.0, rounds=0, c1=1, c2=1)
-        with pytest.raises(DataError):
-            PrivacyParams(epsilon=1.0, rounds=2.5, c1=1, c2=1)
-        with pytest.raises(DataError):
-            PrivacyParams(epsilon=1.0, rounds=1, c1=0.5, c2=1)
-        with pytest.raises(DataError):
-            PrivacyParams(epsilon=1.0, rounds=1, c1=1, c2=math.nan)
-        for bad in ({"c1": math.inf}, {"c2": math.inf}):
+    def test_clipping_validation(self):
+        check_clipping(1, 1)
+        check_clipping(2.0, math.sqrt(2))
+        for c1, c2 in ((0.5, 1), (1, math.nan)):
+            with pytest.raises(DataError):
+                check_clipping(c1, c2)
+        for c1, c2 in ((math.inf, 1), (1, math.inf)):
             with pytest.raises(DataError, match="finite"):
-                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
-        for bad in ({"epsilon": "0.5"}, {"epsilon": True}, {"c1": True}, {"c2": "2"}):
+                check_clipping(c1, c2)
+        for c1, c2 in ((True, 1), (1, "2")):
             with pytest.raises(DataError, match="must be a number"):
-                PrivacyParams(**{"epsilon": 1.0, "rounds": 1, "c1": 1, "c2": 1, **bad})
+                check_clipping(c1, c2)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, "0.5", True])
+    def test_budget_and_sweep_share_one_epsilon_check(self, epsilon):
+        with pytest.raises(DataError, match="epsilon must be"):
+            Budget(epsilon, make_rng(0))
+        with pytest.raises(DataError, match="epsilon must be"):
+            check_epsilons([1.0, epsilon])
 
 
 class TestCheckEpsilons:
     def test_returns_floats_in_order(self):
-        assert check_epsilons([1, 0.5, math.inf], 5, 2.0, 2.0) == (1.0, 0.5, math.inf)
-        assert check_epsilons((0.1,), 5, 2.0, 2.0) == (0.1,)
+        assert check_epsilons([1, 0.5, math.inf]) == (1.0, 0.5, math.inf)
+        assert check_epsilons((0.1,)) == (0.1,)
 
     @pytest.mark.parametrize(
         "epsilons, message",
@@ -239,8 +239,4 @@ class TestCheckEpsilons:
     )
     def test_bad_lists_rejected(self, epsilons, message):
         with pytest.raises(DataError, match=message):
-            check_epsilons(epsilons, 5, 2.0, 2.0)
-
-    def test_checks_the_other_parameters_too(self):
-        with pytest.raises(DataError, match="rounds"):
-            check_epsilons([0.5], 0, 2.0, 2.0)
+            check_epsilons(epsilons)
