@@ -49,6 +49,7 @@ from .model import Ensemble, EnsembleMember, LinearClassifier, accuracy, score_m
 from .noise import (
     Budget,
     Purpose,
+    cell_budget,
     laplace,
     make_rng,
     random_linear_classifier,

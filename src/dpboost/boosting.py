@@ -19,7 +19,7 @@ full data a block of rows at a time, never from a copy of the training
 matrix. None of it reads a weight, noise or epsilon: a draw sees only the
 labels, ``classifier_rng`` feeds only the draws and the chain reads public
 columns only. So every round gets the classifier it would have drawn
-itself, and fits that differ only in epsilon share one ``Draws``.
+itself, and fits that differ only in their budget share one ``Draws``.
 
 Observation weights on the private side are clipped to [1/c1, c2], which
 bounds the sensitivity of the weighted error at c1*c2/n; the matching brute
@@ -61,13 +61,15 @@ class RoundRecord:
 
 def weighted_error(mis, weights) -> float:
     """sum(w_i * mis_i) / sum(w_i) for strictly positive weights, where
-    ``mis`` flags the misclassified rows."""
+    ``mis`` flags the misclassified rows. The sum is ``np.einsum``'s, whose
+    order does not depend on the BLAS thread count (``np.dot`` splits more
+    than 10,000 terms between OpenBLAS threads)."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != np.shape(mis):
         raise ValueError(f"weights shape {w.shape} does not match {np.shape(mis)}")
     if not w.min() > 0:
         raise ValueError("weights must be strictly positive")
-    return float(np.dot(w, mis) / w.sum())
+    return float(np.einsum("i,i->", w, mis) / w.sum())
 
 
 def noisy_private_error(mis, w_pri, c1: float, c2: float, rounds: int, budget: Budget) -> float:

@@ -19,7 +19,6 @@ fixed (config, seed) pair always yields byte-identical CSV output.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import ctypes
 import glob
 import json
@@ -48,7 +47,7 @@ from .data import (
     split_indices,
 )
 from .model import accuracy, score_matrix
-from .noise import Budget, Purpose, check_clipping, check_epsilons, rng_for, stream_id
+from .noise import Budget, Purpose, cell_budget, check_clipping, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
 
@@ -95,7 +94,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One (epsilon, repeat) cell, with enough seed/stream data to replay it.
+    """One (epsilon, repeat) cell, with enough seed/stream data to replay it:
+    ``streams`` holds the repeat's stream ids, and the cell's noise stream is
+    its LAPLACE one keyed further on the record's own ``epsilon``
+    (``noise.cell_budget``).
 
     ``wall_time`` is the wall time of the cell's repeat task divided equally
     among that task's cells, one per epsilon: the task shares its data
@@ -152,34 +154,24 @@ def _prepare(full: Dataset, cfg: ExperimentConfig, repeat: int):
 
 
 def _cell_fitter(cfg: ExperimentConfig, repeat: int, full: Dataset, train_rows, test: Dataset, fsplit: FeatureSplit):
-    """Do the work the repeat's epsilons share, then return ``fit(eps) ->
-    (model, round records or None)`` for one cell."""
+    """Do the work the repeat's epsilons share, then return ``fit(budget) ->
+    (model, round records or None)`` for one cell, given its ``cell_budget``."""
     if cfg.algorithm in ("brc", "brc-all-private"):
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
         draws = draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
-
-        return lambda eps: brc_fit(
-            draws, Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)), c1=cfg.c1, c2=cfg.c2
-        )
+        return lambda budget: brc_fit(draws, budget, c1=cfg.c1, c2=cfg.c2)
     train = full.take(train_rows)
     if cfg.algorithm in ("logreg", "public-only"):
         cols = range(train.d) if cfg.algorithm == "logreg" else fsplit.public_cols
         model = fit_logreg_weighted(train, cols)  # no noise: one fit serves every epsilon
-        return lambda eps: (model, None)
+        return lambda budget: (model, None)
     if cfg.algorithm == "dp-logreg":
-
-        def fit(eps):
-            return fit_dp_logreg(train, Budget(eps, rng_for(cfg.seed, repeat, Purpose.BASELINE))), None
-
-        return fit
+        return lambda budget: (fit_dp_logreg(train, budget), None)
     if cfg.algorithm == "pate":
         rng = rng_for(cfg.seed, repeat, Purpose.BASELINE)
         teachers = fit_pate_teachers(train, fsplit, rng, k_teachers=cfg.pate_teachers)
-        # each epsilon's budget draws its votes from a copy of the stream as the
-        # shard shuffle left it; evaluation queries each test row once
-        return lambda eps: (
-            fit_pate(train, fsplit, teachers, Budget(eps, copy.deepcopy(rng)), extra_query_budget=test.n), None
-        )
+        # evaluation queries each test row once
+        return lambda budget: (fit_pate(train, fsplit, teachers, budget, extra_query_budget=test.n), None)
     raise DataError(f"unknown algorithm {cfg.algorithm!r}")  # pragma: no cover - guarded by config validation
 
 
@@ -187,11 +179,11 @@ def _error(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _cell_outcome(fit, eps: float, test: Dataset, test_flags: dict) -> dict:
-    """Fit and score one cell; its record's outcome fields. ``test_flags`` maps
-    each classifier the repeat has scored to its test-row flags."""
+def _cell_outcome(fit, budget: Budget, test: Dataset, test_flags: dict) -> dict:
+    """Fit and score one cell on its ``budget``; its record's outcome fields.
+    ``test_flags`` maps each classifier the repeat has scored to its test-row flags."""
     try:
-        model, rounds = fit(eps)
+        model, rounds = fit(budget)
         if rounds is None:
             return {"test_accuracy": accuracy(model, test)}
         new = [m.clf for m in model.members if m.clf not in test_flags]
@@ -216,7 +208,7 @@ def _run_repeat(full: Dataset, cfg: ExperimentConfig, repeat: int) -> list[Resul
         outcomes = [_error(exc)] * len(cfg.epsilons)
     else:
         test_flags: dict = {}  # the epsilons' fits vote the same draws and chain links
-        outcomes = [_cell_outcome(fit, eps, test, test_flags) for eps in cfg.epsilons]
+        outcomes = [_cell_outcome(fit, cell_budget(cfg.seed, repeat, eps), test, test_flags) for eps in cfg.epsilons]
     wall_time = (time.perf_counter() - start) / len(cfg.epsilons)
     return [
         ResultRecord(

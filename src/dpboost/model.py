@@ -111,9 +111,9 @@ class Ensemble:
     members' labels are read from one boolean matrix of score flags (score
     >= 0, so a score of exactly 0 votes +1), and each member adds +alpha or
     -alpha to one running n-vector, in member order. ``vote`` and
-    ``prefix_vote`` take that matrix from the caller; ``predict`` and
-    ``prefix_predictions`` compute it from X and share the same sum, so
-    ``predict`` is the last row of ``prefix_predictions`` bit for bit.
+    ``prefix_vote`` take that matrix from the caller; ``predict`` computes it
+    from X and shares the same sum, so ``predict`` is the last row of
+    ``prefix_vote`` on those flags bit for bit.
     """
 
     members: tuple[EnsembleMember, ...]
@@ -154,9 +154,6 @@ class Ensemble:
         for row, running in zip(nonneg, self._running_votes(flags)):
             np.greater_equal(running, 0.0, out=row)
         return _labels(nonneg)
-
-    def prefix_predictions(self, X: np.ndarray) -> np.ndarray:
-        return self.prefix_vote(self._flags(X))
 
 
 def accuracy(predictor, ds: Dataset) -> float:

@@ -22,8 +22,8 @@ class Purpose(enum.IntEnum):
 
     SHUFFLE = 0              # balancing and train/test splitting
     PRIVATE_CLASSIFIER = 1   # random classifier coefficients
-    LAPLACE = 2              # error-perturbation noise
-    BASELINE = 3             # noise inside baseline mechanisms
+    LAPLACE = 2              # each cell's noise, keyed further on its epsilon (cell_budget)
+    BASELINE = 3             # PATE's teacher shards
 
 
 def stream_id(repeat: int, purpose: Purpose) -> int:
@@ -148,6 +148,17 @@ class Budget:
         direction = self.rng.normal(size=d)
         direction /= np.linalg.norm(direction)
         return norm * direction
+
+
+def cell_budget(seed: int, repeat: int, epsilon: float) -> Budget:
+    """The ``Budget`` of the (epsilon, repeat) cell of a sweep of ``seed``.
+    Its noise stream is keyed on (seed, the repeat's LAPLACE stream id, the
+    IEEE-754 bits of epsilon), so no two cells of a sweep share noise and
+    basic composition covers its records, while a cell draws the same noise
+    whatever other epsilons its sweep holds."""
+    bits = int(np.float64(epsilon).view(np.uint64))
+    key = np.random.SeedSequence(seed, spawn_key=(stream_id(repeat, Purpose.LAPLACE), bits))
+    return Budget(epsilon, np.random.default_rng(key))
 
 
 def random_linear_classifier(cols, rng: np.random.Generator) -> LinearClassifier:

@@ -19,7 +19,7 @@ import numpy as np
 from .boosting import brc_fit, draw_private_classifiers
 from .data import DataError, Dataset, FeatureSplit, check_int, check_real
 from .model import LinearClassifier
-from .noise import Budget, Purpose, check_clipping, check_epsilons, laplace_scale, rng_for
+from .noise import Purpose, cell_budget, check_clipping, check_epsilons, laplace_scale, rng_for
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,11 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
     (epsilon, repeat) cell, recording final training accuracy and the
     per-round (threshold, alpha) trace.
 
-    Repeats are paired across epsilon values: repeat r always uses the
-    streams (seed, r, purpose), so cells differ only in the noise scale. A
-    repeat's thresholds are drawn once and shared by its epsilons' fits,
-    each with its own Laplace stream; the runs come out in (epsilon,
+    Repeats are paired across epsilon values: repeat r always draws its
+    thresholds from the stream (seed, r, PRIVATE_CLASSIFIER), once, and its
+    epsilons' fits share them. Each cell's noise comes from its own
+    ``cell_budget``, keyed on its epsilon, so a run is the same whatever
+    other epsilons ``eps_list`` holds. The runs come out in (epsilon,
     repeat) order. ``eps_list`` is checked by ``check_epsilons``.
 
     Each ensemble votes its training accuracy from its draws' flags: up to
@@ -188,7 +189,7 @@ def run_toy_sweep(cfg: ToyConfig, eps_list) -> ToyReport:
         flags = (draws.mis != (ds.y == 1)).T  # (n, rounds): True where round t's classifier votes +1
         runs = []
         for eps in eps_list:
-            ensemble, _ = brc_fit(draws, Budget(eps, rng_for(cfg.seed, repeat, Purpose.LAPLACE)), c1=cfg.c1, c2=cfg.c2)
+            ensemble, _ = brc_fit(draws, cell_budget(cfg.seed, repeat, eps), c1=cfg.c1, c2=cfg.c2)
             runs.append(
                 ToyRun(
                     epsilon=eps,

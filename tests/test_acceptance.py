@@ -30,6 +30,7 @@ from dpboost import (
     make_rng,
     run_experiment,
     run_toy_sweep,
+    score_matrix,
 )
 from dpboost.baselines import weighted_logistic_grad, weighted_logistic_loss
 from dpboost.cli import main as cli_main
@@ -389,7 +390,7 @@ def test_criterion_07b_noise_free_trace_matches_reference_adaboost():
         classifier_rng=make_rng(77),
         noise_rng=make_rng(78),
     )
-    prefix = ens.prefix_predictions(test.X)
+    prefix = ens.prefix_vote(score_matrix([m.clf for m in ens.members], test.X) >= 0)
     ours = [float(np.mean(p == test.y)) for p in prefix]
     reference = _reference_adaboost_random(train, test, 30, SQRT2, SQRT2, make_rng(77))
     ok = ours == reference

@@ -253,7 +253,7 @@ class TestBrcFit:
         for rec in recs:
             h_pri = random_linear_classifier(split.private_cols, clf_rng)
             mis = h_pri.predict(ds.X) != ds.y
-            exact = float(np.dot(w_pri, mis) / np.sum(w_pri))
+            exact = float(np.einsum("i,i->", w_pri, mis) / np.sum(w_pri))
             assert rec.err_pri_noisy == exact
             if rec.chosen == "private":
                 w_pri = clipped_update(w_pri, rec.alpha, mis, 2.0, 2.0)

@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import glob
+import itertools
 import json
 import math
 import os
@@ -10,10 +11,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dpboost import Budget, DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg
-from dpboost import run_experiment
-from dpboost import baselines, boosting, harness
+from dpboost import Budget, DataError, Ensemble, ExperimentConfig, accuracy, aggregate, cell_budget, emit_csv, emit_svg
+from dpboost import run_experiment, score_matrix
+from dpboost import baselines, boosting, harness, noise
 from dpboost.data import config_from_dict
+from dpboost.noise import Purpose, laplace_scale, rng_for
 from dpboost.harness import (
     ResultRecord,
     SummaryRow,
@@ -22,6 +24,8 @@ from dpboost.harness import (
     load_prepared_dataset,
     read_summary_csv,
 )
+
+from conftest import write_synthetic_csv
 
 
 def _openblas_get_num_threads():
@@ -59,7 +63,8 @@ def config(synth_csv, tmp_path, **overrides):
 def fit_cell(full, cfg, eps, repeat):
     """Fit one cell by itself, as its repeat's task does: (model, round records, test)."""
     train_rows, test, fsplit = harness._prepare(full, cfg, repeat)
-    model, rounds = harness._cell_fitter(cfg, repeat, full, train_rows, test, fsplit)(eps)
+    fit = harness._cell_fitter(cfg, repeat, full, train_rows, test, fsplit)
+    model, rounds = fit(cell_budget(cfg.seed, repeat, eps))
     return model, rounds, test
 
 
@@ -501,7 +506,8 @@ class TestRepeatTasks:
         assert len(distinct) < sum(len(model) for model in models)  # the cells share members
         for eps, rec in zip(cfg.epsilons, records):
             model, _, test = fit_cell(full, cfg, eps, 0)
-            accs = (model.prefix_predictions(test.X) == test.y).mean(axis=1)
+            flags = score_matrix([m.clf for m in model.members], test.X) >= 0
+            accs = (model.prefix_vote(flags) == test.y).mean(axis=1)
             assert [r.test_accuracy for r in rec.rounds] == accs.tolist()
 
     def test_a_pate_repeat_fits_its_teachers_once(self, synth_csv, tmp_path, monkeypatch):
@@ -601,7 +607,7 @@ class TestPrivacyLedger:
                 self.start = rng.bit_generator.state
                 made.append(self)
 
-        monkeypatch.setattr(harness, "Budget", Recorded)
+        monkeypatch.setattr(noise, "Budget", Recorded)  # the class cell_budget builds
         return made
 
     @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private", "dp-logreg", "pate"])
@@ -630,6 +636,48 @@ class TestPrivacyLedger:
             ref.normal(size=d)
         assert budget.rng.bit_generator.state == ref.bit_generator.state
         assert budget.spent == math.inf
+
+
+class TestCellNoise:
+    """What a sweep's records release together: each cell's noise is its own,
+    and no record depends on the BLAS thread count."""
+
+    def test_round_one_errors_of_a_sweep_do_not_solve_to_the_exact_error(self, synth_csv, tmp_path):
+        # round 1 has unit weights and the same classifier at every epsilon,
+        # so its released errors are e = g + b*z at each cell's scale b. Were
+        # z shared, any two cells would give g = (b_b*e_a - b_a*e_b)/(b_b - b_a)
+        # up to rounding: the exact private error, from records costing sum eps
+        cfg = config(synth_csv, tmp_path, epsilons=(0.5, 1.0, 2.0), rounds=10, repeats=1)
+        full, _ = load_prepared_dataset(cfg)
+        records = run_experiment(cfg, full=full)
+        train_rows, _, fsplit = harness._prepare(full, cfg, 0)
+        classifier_rng = rng_for(cfg.seed, 0, Purpose.PRIVATE_CLASSIFIER)
+        draws = boosting.draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
+        n = len(train_rows)
+        exact = boosting.weighted_error(draws.mis[0], np.ones(n))
+        released = [(laplace_scale(cfg.c1, cfg.c2, cfg.rounds, r.epsilon, n), r.rounds[0].err_pri_noisy) for r in records]
+        for (b_a, e_a), (b_b, e_b) in itertools.combinations(released, 2):
+            solved = (b_b * e_a - b_a * e_b) / (b_b - b_a)
+            assert abs(solved - exact) > 1e-6
+
+    @pytest.mark.skipif(_openblas_get_num_threads() is None, reason="numpy bundles no OpenBLAS")
+    @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private", "logreg", "dp-logreg"])
+    def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path, algorithm):
+        # about 19,500 training rows: OpenBLAS splits a dot product of more
+        # than 10,000 terms between its threads, and a pool worker runs fewer
+        # threads than a serial sweep
+        synth = write_synthetic_csv(str(tmp_path), n=24_000)
+        cfg = config(synth, tmp_path, algorithm=algorithm, epsilons=(0.5, 2.0), rounds=10, repeats=1, test_frac=0.1)
+        full, _ = load_prepared_dataset(cfg)
+        runs = []
+        for threads in (1, 2):
+            previous = harness._swap_blas_threads(threads)
+            try:
+                runs.append(without_wall_time(run_experiment(cfg, full=full)))
+            finally:
+                harness._swap_blas_threads(previous)
+        assert all(r.error is None for r in runs[0]), [r.error for r in runs[0]]
+        assert runs[0] == runs[1]
 
 
 class TestAggregate:

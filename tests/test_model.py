@@ -13,6 +13,11 @@ def clf(coeffs, intercept, cols):
     return LinearClassifier(coeffs=np.array(coeffs, dtype=float), intercept=intercept, cols=cols)
 
 
+def prefix_labels(e, X):
+    """(T, n) labels of H_1..H_T on X, voted from the members' score flags."""
+    return e.prefix_vote(score_matrix([m.clf for m in e.members], X) >= 0)
+
+
 class TestLinearClassifier:
     def test_positive_score(self):
         assert clf([1.0], 0.0, (0,)).predict([[0.5]]).tolist() == [1]
@@ -120,8 +125,8 @@ class TestEnsemble:
         flags = np.stack([m.clf.predict(X) == 1 for m in members], axis=1)
         e = Ensemble(members)
         assert np.array_equal(e.vote(flags), e.predict(X))
-        assert np.array_equal(e.vote(flags), e.prefix_predictions(X)[-1])
-        assert np.array_equal(e.prefix_vote(flags), e.prefix_predictions(X))
+        assert np.array_equal(e.vote(flags), prefix_labels(e, X)[-1])
+        assert np.array_equal(e.prefix_vote(flags), prefix_labels(e, X))
 
     def test_votes_match_the_int64_reference(self):
         # The reference votes are the int64 labels of the raw scores, summed
@@ -145,8 +150,8 @@ class TestEnsemble:
         assert np.all(votes[scores == 0.0] == 1)
         alphas = np.array([m.alpha for m in members])
         expected = sign_labels(np.cumsum(votes * alphas, axis=1).T)
-        assert e.vote(scores >= 0).dtype == e.prefix_predictions(X).dtype == e.predict(X).dtype == np.int64
-        assert np.array_equal(e.prefix_predictions(X), expected)
+        assert e.vote(scores >= 0).dtype == e.prefix_vote(scores >= 0).dtype == e.predict(X).dtype == np.int64
+        assert np.array_equal(e.prefix_vote(scores >= 0), expected)
         assert np.array_equal(e.predict(X), expected[-1])
         assert np.array_equal(e.vote(votes == 1), expected[-1])
         assert np.array_equal(e.prefix_vote(votes == 1), expected)
@@ -156,7 +161,7 @@ class TestEnsemble:
         members = self.interleaved_members(rng)
         e = Ensemble(members)
         X = rng.uniform(-1, 1, size=(30, 4))
-        prefix = e.prefix_predictions(X)
+        prefix = prefix_labels(e, X)
         assert prefix.shape == (7, 30)
         assert np.array_equal(prefix[-1], e.predict(X))
         assert np.array_equal(prefix[0], sign_labels(members[0].alpha * members[0].clf.predict(X)))
@@ -164,7 +169,7 @@ class TestEnsemble:
     def test_predict_is_last_prefix_where_summation_order_matters(self):
         # Alphas of 1e16 and 0.1 make the final score depend on the order in
         # which the weighted votes are summed: a BLAS dot product adds them in
-        # another order than the running sum of prefix_predictions, and on
+        # another order than the running sum of prefix_vote, and on
         # some rows the two land on opposite signs. predict must be the last
         # prefix bit for bit there too, so a sweep's reported accuracy and
         # accuracy(model, test) agree.
@@ -179,7 +184,7 @@ class TestEnsemble:
             )
             e = Ensemble(members)
             votes = np.stack([m.clf.predict(X) for m in members], axis=1)
-            prefix = e.prefix_predictions(X)
+            prefix = prefix_labels(e, X)
             # every prefix is the running sum of the weighted votes in member order
             assert np.array_equal(prefix, sign_labels(np.cumsum(votes * alphas, axis=1).T))
             assert np.array_equal(e.predict(X), prefix[-1])

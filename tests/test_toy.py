@@ -186,6 +186,13 @@ class TestToySweep:
         for a, b in zip(lo, hi):
             assert a.thresholds == b.thresholds
 
+    def test_a_run_does_not_depend_on_the_other_epsilons(self):
+        # each cell's noise is keyed on its own epsilon, so a sweep's runs are
+        # those of its one-epsilon sweeps, in epsilon order
+        cfg = self.small_cfg()
+        both = run_toy_sweep(cfg, [0.5, 5.0]).runs
+        assert both == run_toy_sweep(cfg, [0.5]).runs + run_toy_sweep(cfg, [5.0]).runs
+
     def test_csv_round_trip(self, tmp_path):
         report = run_toy_sweep(self.small_cfg(), [0.5])
         path = tmp_path / "toy.csv"
