@@ -11,8 +11,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dpboost import Budget, DataError, Ensemble, ExperimentConfig, accuracy, aggregate, cell_budget, emit_csv, emit_svg
-from dpboost import run_experiment, score_matrix
+from dpboost import Budget, DataError, Ensemble, ExperimentConfig, accuracy, aggregate, emit_csv, emit_svg
+from dpboost import cell_budget, run_experiment, score_matrix
 from dpboost import baselines, boosting, harness, noise
 from dpboost.data import config_from_dict
 from dpboost.noise import Purpose, laplace_scale, rng_for
@@ -655,7 +655,9 @@ class TestCellNoise:
         draws = boosting.draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
         n = len(train_rows)
         exact = boosting.weighted_error(draws.mis[0], np.ones(n))
-        released = [(laplace_scale(cfg.c1, cfg.c2, cfg.rounds, r.epsilon, n), r.rounds[0].err_pri_noisy) for r in records]
+        released = [
+            (laplace_scale(cfg.c1, cfg.c2, cfg.rounds, r.epsilon, n), r.rounds[0].err_pri_noisy) for r in records
+        ]
         for (b_a, e_a), (b_b, e_b) in itertools.combinations(released, 2):
             solved = (b_b * e_a - b_a * e_b) / (b_b - b_a)
             assert abs(solved - exact) > 1e-6
