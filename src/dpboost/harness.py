@@ -25,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -76,6 +76,8 @@ class ExperimentConfig:
             check_int(name, getattr(self, name), minimum)
         if isinstance(self.public_columns, str):
             raise DataError(f"public_columns must be a list, got the string {self.public_columns!r}")
+        for column in self.public_columns:
+            check_str("each of public_columns", column)
         for name in ("dataset", "schema", "output_dir"):
             check_str(name, getattr(self, name))
         if not 0.0 < self.test_frac < 1.0:
@@ -224,12 +226,11 @@ def _run_repeat(full: Dataset, cfg: ExperimentConfig, repeat: int) -> list[Resul
     ]
 
 
-_worker_full: Dataset | None = None  # the sweep's dataset, set once per pool worker
+_worker_full: Dataset | None = None  # the dataset of the sweep whose pool is running
 
 
-def _swap_blas_threads(threads: int) -> int:
-    """Set the thread count of numpy's bundled OpenBLAS and return the count
-    it had; without one, a no-op that returns ``threads``."""
+def _set_blas_threads(threads: int) -> None:
+    """Set the thread count of numpy's bundled OpenBLAS; without one, a no-op."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for lib in glob.glob(os.path.join(libdir, "*openblas*")):
         try:
@@ -237,25 +238,17 @@ def _swap_blas_threads(threads: int) -> int:
         except OSError:
             continue
         for prefix, suffix in (("scipy_", "64_"), ("", "")):
-            get, set_ = (getattr(handle, f"{prefix}openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
+            set_ = getattr(handle, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if set_:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                previous = get()
                 set_(threads)
-                return previous
-    return threads
-
-
-def _init_worker(full: Dataset) -> None:
-    """Pool initializer: keep the dataset for every repeat this worker runs.
-    The worker inherits its share of the BLAS threads from the fork; setting
-    the count again after a fork would start an OpenBLAS thread that spins."""
-    global _worker_full
-    _worker_full = full
+                return
 
 
 def _worker(task) -> list[ResultRecord]:
+    """Run one pooled repeat on the dataset the worker inherited from the
+    fork, with the BLAS share it inherited too: setting the count again
+    after a fork would start an OpenBLAS thread that spins."""
     return _run_repeat(_worker_full, *task)
 
 
@@ -283,24 +276,23 @@ def run_experiment(cfg: ExperimentConfig, full: Dataset | None = None) -> list[R
         by_repeat = [_run_repeat(full, *task) for task in tasks]
     else:
         # Set a worker's share of the BLAS threads once, before the pool forks,
-        # so that every process runs with it: a count set after a fork starts
-        # an OpenBLAS thread that busy-waits through the process's first
-        # repeat. Forked workers also inherit the dataset and any tracer.
+        # and keep it: a count set after a fork, in a worker or in this
+        # process, starts an OpenBLAS thread that busy-waits. The forked
+        # workers inherit the share, the dataset and any tracer.
         import multiprocessing  # here, so that serial sweeps never load it
 
-        previous = _swap_blas_threads(max(1, _usable_cores() // workers))
+        global _worker_full
+        _set_blas_threads(max(1, _usable_cores() // workers))
+        _worker_full = full
         try:
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers - 1,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(full,),
+                max_workers=workers - 1, mp_context=multiprocessing.get_context("fork")
             ) as pool:
                 pooled = pool.map(_worker, [task for task in tasks if task[1] % workers])  # submits them all now
                 by_repeat = [_run_repeat(full, *task) for task in tasks[::workers]]
                 by_repeat = sorted(by_repeat + list(pooled), key=lambda records: records[0].repeat)
         finally:
-            _swap_blas_threads(previous)
+            _worker_full = None  # the module pins no dataset between sweeps
     # each task gives its repeat's records in epsilon order
     return [rec for records in zip(*by_repeat) for rec in records]
 
@@ -312,6 +304,9 @@ class SummaryRow:
     mean_accuracy: float
     std: float
     count: int
+
+
+_SUMMARY_HEADER = ",".join(f.name for f in fields(SummaryRow))
 
 
 def aggregate(records) -> list[SummaryRow]:
@@ -342,11 +337,12 @@ def emit_records_jsonl(records, path) -> None:
 
 
 def emit_csv(summary, path) -> None:
-    """Summary table as CSV: algorithm,epsilon,mean_accuracy,std,count."""
+    """Summary table as CSV: a header of ``SummaryRow``'s field names, then
+    one line per row."""
     summary = list(summary)
     if not summary:
         raise ValueError("emit_csv needs a non-empty summary")
-    lines = ["algorithm,epsilon,mean_accuracy,std,count"]
+    lines = [_SUMMARY_HEADER]
     for row in summary:
         lines.append(
             f"{row.algorithm},{row.epsilon:g},{row.mean_accuracy:.6f},{row.std:.6f},{row.count}"
@@ -359,7 +355,7 @@ def read_summary_csv(path) -> list[SummaryRow]:
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "algorithm,epsilon,mean_accuracy,std,count":
+        if header != _SUMMARY_HEADER:
             raise DataError(f"{path}: unexpected summary header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

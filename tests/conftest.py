@@ -1,10 +1,40 @@
+import contextlib
+import ctypes
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from dpboost import Budget, Dataset, FeatureSplit, brc_fit, draw_private_classifiers
+from dpboost import Budget, Dataset, FeatureSplit, brc_fit, draw_private_classifiers, harness
+
+
+def _openblas_get_num_threads():
+    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                fn = getattr(handle, symbol)
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(threads):
+    """Run the block at ``threads`` OpenBLAS threads, then set the count it
+    had back; without numpy's OpenBLAS, a no-op."""
+    get = _openblas_get_num_threads()
+    previous = get() if get else threads
+    harness._set_blas_threads(threads)
+    try:
+        yield
+    finally:
+        harness._set_blas_threads(previous)
 
 
 def planted_dataset(n=400, d_pub=3, d_pri=4, pub_signal=0.25, pri_signal=0.55, seed=0):

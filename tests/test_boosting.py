@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dpboost.boosting as boosting
-from dpboost import harness
 from dpboost import (
     Budget,
     DataError,
@@ -29,7 +28,7 @@ from dpboost.baselines import fit_logreg_weighted
 from dpboost.model import Ensemble, EnsembleMember, score_matrix
 from dpboost.noise import Purpose, laplace, laplace_scale, rng_for
 
-from conftest import fit_with_draws, planted_dataset
+from conftest import blas_threads, fit_with_draws, planted_dataset
 
 SQRT2 = math.sqrt(2.0)
 
@@ -631,8 +630,8 @@ class TestDrawPrivateClassifiers:
         assert same_classifiers(short.classifiers, long.classifiers[:25])
         assert np.array_equal(short.mis, long.mis[:25])
 
-    @pytest.mark.parametrize("blas_threads", [1, 2])
-    def test_row_blocks_flag_what_one_product_flags(self, blas_threads):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_blocks_flag_what_one_product_flags(self, threads):
         # 12,345 permuted rows of 14,000 census-shaped ones: more than the
         # 10,001 rows at which OpenBLAS may split one product between
         # threads, and not a multiple of the block. Each block of rows is
@@ -647,8 +646,7 @@ class TestDrawPrivateClassifiers:
         rows = rng.permutation(n)[:12_345]
         assert len(rows) % boosting._SCORE_ROWS
         train = ds.take(rows)
-        previous = harness._swap_blas_threads(blas_threads)
-        try:
+        with blas_threads(threads):
             for split in (FeatureSplit.all_private(d), FeatureSplit(tuple(range(56)), tuple(range(56, d)))):
                 draws = draw_private_classifiers(ds, rows, split, 25, make_rng(81))
                 flags = score_matrix(draws.classifiers, ds.X[rows]) >= 0
@@ -657,8 +655,6 @@ class TestDrawPrivateClassifiers:
             ref = fit_logreg_weighted(train, split.public_cols)
             assert (h.cols, h.intercept) == (ref.cols, ref.intercept) and np.array_equal(h.coeffs, ref.coeffs)
             assert np.array_equal(mis, ref.predict(train.X) != train.y)
-        finally:
-            harness._swap_blas_threads(previous)
 
     def test_rows_index_as_numpy_does(self):
         # a row outside the data raises; a negative row counts from the end

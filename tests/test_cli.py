@@ -151,6 +151,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("dpboost: error:") and "output_dir" in err
 
+    @pytest.mark.parametrize("column", [["pubnum"], 5], ids=["list", "int"])
+    def test_non_string_public_column_rejected(self, tmp_path, capsys, column):
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, out_dir = write_run_config(tmp_path, csv_path, schema_path, public_columns=[column])
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and "public_columns" in err
+        assert not os.path.exists(out_dir)
+
 
 def write_toy_config(tmp_path, **overrides):
     cfg = {

@@ -1,4 +1,4 @@
-import ctypes
+import contextlib
 import dataclasses
 import glob
 import itertools
@@ -6,6 +6,7 @@ import json
 import math
 import os
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -25,21 +26,7 @@ from dpboost.harness import (
     read_summary_csv,
 )
 
-from conftest import write_synthetic_csv
-
-
-def _openblas_get_num_threads():
-    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(handle, symbol):
-                fn = getattr(handle, symbol)
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return fn
-    return None
+from conftest import _openblas_get_num_threads, blas_threads, write_synthetic_csv
 
 
 def config(synth_csv, tmp_path, **overrides):
@@ -105,6 +92,8 @@ class TestExperimentConfig:
             {"workers": 1.5},
             {"workers": 2.0},
             {"public_columns": "sex"},
+            {"public_columns": [["sex"]]},
+            {"public_columns": [5]},
             {"epsilons": "0.5"},
             {"epsilons": (True,)},
             {"epsilons": ("0.5",)},
@@ -274,16 +263,15 @@ class TestRunExperiment:
         assert rec.error is None, rec.error
 
     def test_pool_workers_split_the_blas_threads(self, synth_csv, tmp_path, monkeypatch):
-        blas_threads = _openblas_get_num_threads()
-        if blas_threads is None:
+        get_threads = _openblas_get_num_threads()
+        if get_threads is None:
             pytest.skip("numpy bundles no OpenBLAS")
-        before = blas_threads()
 
         def report_threads(full, cfg, repeat):
             return [
                 ResultRecord(
                     algorithm=cfg.algorithm, epsilon=eps, repeat=repeat, seed=cfg.seed,
-                    streams={}, wall_time=float(blas_threads()),
+                    streams={}, wall_time=float(get_threads()),
                 )
                 for eps in cfg.epsilons
             ]
@@ -296,7 +284,7 @@ class TestRunExperiment:
         records = run_experiment(config(synth_csv, tmp_path, workers=8, repeats=2))
         assert [r.wall_time for r in records] == [1, 1, 1, 1]
         assert [(r.epsilon, r.repeat) for r in records] == [(0.5, 0), (0.5, 1), (8.0, 0), (8.0, 1)]
-        assert blas_threads() == before
+        assert get_threads() == 1  # the sweep's process keeps its share
 
     def test_the_sweeps_process_runs_every_workers_th_repeat(self, synth_csv, tmp_path, monkeypatch):
         # two cores and workers: 2, so this process runs repeats 0 and 2 and a
@@ -329,11 +317,15 @@ class TestRunExperiment:
         assert sorted({r.repeat for r in records if r.wall_time == os.getpid()}) == [0, 2]
         assert [(r.repeat, r.error) for r in records if r.error] == [(2, "DataError: a bad repeat")] * 2
 
-    def test_the_sweeps_process_restores_its_blas_threads(self, synth_csv, tmp_path, monkeypatch):
-        blas_threads = _openblas_get_num_threads()
-        if blas_threads is None:
-            pytest.skip("numpy bundles no OpenBLAS")
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    def test_the_sweeps_process_keeps_its_share_and_pins_no_dataset(self, synth_csv, tmp_path, monkeypatch):
+        # a count set after a fork starts OpenBLAS threads that busy-wait, so
+        # the sweep's process keeps the share it set before the pool forked;
+        # its dataset reaches the workers through the fork, and the module
+        # drops it once the pool has shut down, also after a failing repeat
+        get_threads = _openblas_get_num_threads()
+        if get_threads is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs numpy's bundled OpenBLAS and /proc")
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)  # a share of 1
         cfg = config(synth_csv, tmp_path, workers=2, repeats=2, rounds=3)
         parent, real_run = os.getpid(), harness._run_repeat
 
@@ -342,32 +334,43 @@ class TestRunExperiment:
                 raise RuntimeError("a failing repeat task")
             return real_run(full, cfg, repeat)
 
-        previous = harness._swap_blas_threads(3)  # not the 2 // 2 of the sweep's share
-        try:
+        def other_threads_ticks():  # user + system CPU ticks of each thread but this one
+            ticks = {}
+            for task in glob.glob("/proc/self/task/*"):
+                if int(os.path.basename(task)) != threading.get_native_id():
+                    with contextlib.suppress(FileNotFoundError), open(os.path.join(task, "stat")) as fh:
+                        stat = fh.read().rsplit(")", 1)[1].split()
+                        ticks[task] = int(stat[11]) + int(stat[12])
+            return ticks
+
+        harness._set_blas_threads(2)  # not the sweep's share
+        run_experiment(cfg)
+        before = other_threads_ticks()
+        time.sleep(0.3)
+        after = other_threads_ticks()
+        assert sum(t - before.get(task, 0) for task, t in after.items()) == 0
+        assert get_threads() == 1
+        assert harness._worker_full is None
+        monkeypatch.setattr(harness, "_run_repeat", failing)
+        with pytest.raises(RuntimeError, match="a failing repeat task"):
             run_experiment(cfg)
-            assert blas_threads() == 3
-            monkeypatch.setattr(harness, "_run_repeat", failing)
-            with pytest.raises(RuntimeError, match="a failing repeat task"):
-                run_experiment(cfg)
-            assert blas_threads() == 3
-        finally:
-            harness._swap_blas_threads(previous)
+        assert get_threads() == 1
+        assert harness._worker_full is None
 
     def test_no_repeat_runs_beside_a_native_thread(self, synth_csv, tmp_path, monkeypatch):
         # setting OpenBLAS's thread count after a fork starts a worker thread
         # that busy-waits; the sweep's process sets the share once, before the
-        # pool forks, and restores its count once the pool has shut down, so
-        # no process runs a repeat beside a thread Python did not start
+        # pool forks, and keeps it, so no process runs a repeat beside a
+        # thread Python did not start
         if _openblas_get_num_threads() is None or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs numpy's bundled OpenBLAS and /proc")
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)  # a share of 1
         parent, events = os.getpid(), []
-        real_swap, real_run = harness._swap_blas_threads, harness._run_repeat
+        real_set, real_run = harness._set_blas_threads, harness._run_repeat
 
-        def swap(threads):
-            previous = real_swap(threads)
-            events.append((os.getpid(), "swap", threads, previous))
-            return previous
+        def set_threads(threads):
+            real_set(threads)
+            events.append((os.getpid(), "set", threads))
 
         class RecordingPool(harness.concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -378,13 +381,13 @@ class TestRunExperiment:
                 super().shutdown(*args, **kwargs)
                 events.append((os.getpid(), "shutdown"))
 
-        def run_repeat(full, cfg, repeat):  # tags each record with its process's native threads and swaps
+        def run_repeat(full, cfg, repeat):  # tags each record with its process's native threads and sets
             native = len(os.listdir("/proc/self/task")) - threading.active_count()
-            own_swaps = [e for e in events if e[0] == os.getpid() != parent]
-            tag = {"pid": os.getpid(), "native_threads": native, "swaps": own_swaps}
+            own_sets = [e for e in events if e[0] == os.getpid() != parent]
+            tag = {"pid": os.getpid(), "native_threads": native, "sets": own_sets}
             return [dataclasses.replace(r, streams=tag) for r in real_run(full, cfg, repeat)]
 
-        monkeypatch.setattr(harness, "_swap_blas_threads", swap)
+        monkeypatch.setattr(harness, "_set_blas_threads", set_threads)
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_run_repeat", run_repeat)
         records = run_experiment(config(synth_csv, tmp_path, workers=2, repeats=4, rounds=3))
@@ -392,9 +395,8 @@ class TestRunExperiment:
         tags = {r.repeat: r.streams for r in records}
         assert {repeat: tag["native_threads"] for repeat, tag in tags.items()} == {0: 0, 1: 0, 2: 0, 3: 0}
         assert sorted(repeat for repeat, tag in tags.items() if tag["pid"] == parent) == [0, 2]
-        assert all(tag["swaps"] == [] for tag in tags.values())
-        previous = events[0][3]
-        assert events == [(parent, "swap", 1, previous), (parent, "pool"), (parent, "shutdown"), (parent, "swap", previous, 1)]
+        assert all(tag["sets"] == [] for tag in tags.values())
+        assert events == [(parent, "set", 1), (parent, "pool"), (parent, "shutdown")]
 
     def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
         # evaluation queries each test row once, so the noise scale is set
@@ -673,11 +675,8 @@ class TestCellNoise:
         full, _ = load_prepared_dataset(cfg)
         runs = []
         for threads in (1, 2):
-            previous = harness._swap_blas_threads(threads)
-            try:
+            with blas_threads(threads):
                 runs.append(without_wall_time(run_experiment(cfg, full=full)))
-            finally:
-                harness._swap_blas_threads(previous)
         assert all(r.error is None for r in runs[0]), [r.error for r in runs[0]]
         assert runs[0] == runs[1]
 
