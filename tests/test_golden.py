@@ -1,4 +1,4 @@
-"""Pinned outputs of the boosting sweeps for fixed seeds.
+"""Pinned outputs of the sweeps for fixed seeds.
 
 The summary and toy-accuracy literals were recorded from the code before the
 all-private fit was folded into ``brc_fit``; the records, toy CSV and toy
@@ -14,8 +14,11 @@ CSV ingestion, before it was replaced by per-column codes. Every pin of a
 noisy output (the summaries, round accuracies and records of the boosting
 sweeps, and the toy's accuracies and files) was then regenerated from the
 code when each cell got its own noise stream (``noise.cell_budget``) and the
-weighted error became an ``np.einsum`` sum in the same change. A refactor
-must reproduce the pins byte for byte.
+weighted error became an ``np.einsum`` sum in the same change. The summary
+and records pins of the logreg, public-only, dp-logreg and pate sweeps were
+recorded from the code while PATE's student still drew its test votes
+through a stateful model after its fit. A refactor must reproduce the pins
+byte for byte.
 """
 
 import dataclasses
@@ -86,6 +89,26 @@ GOLDEN_SUMMARY = {
         "brc-all-private,0.5,0.829167,0.041248,2\n"
         "brc-all-private,8,0.829167,0.041248,2\n"
     ),
+    "logreg": (
+        "algorithm,epsilon,mean_accuracy,std,count\n"
+        "logreg,0.5,0.908333,0.000000,2\n"
+        "logreg,8,0.908333,0.000000,2\n"
+    ),
+    "public-only": (
+        "algorithm,epsilon,mean_accuracy,std,count\n"
+        "public-only,0.5,0.600000,0.023570,2\n"
+        "public-only,8,0.600000,0.023570,2\n"
+    ),
+    "dp-logreg": (
+        "algorithm,epsilon,mean_accuracy,std,count\n"
+        "dp-logreg,0.5,0.841667,0.058926,2\n"
+        "dp-logreg,8,0.908333,0.011785,2\n"
+    ),
+    "pate": (
+        "algorithm,epsilon,mean_accuracy,std,count\n"
+        "pate,0.5,0.595833,0.005893,2\n"
+        "pate,8,0.600000,0.023570,2\n"
+    ),
 }
 
 
@@ -137,6 +160,10 @@ def test_boosting_round_accuracies_are_pinned(tmp_path, algorithm):
 GOLDEN_RECORDS_SHA256 = {
     "brc": "38434effbad81e1868968d324babc4b392337324d5a48c31296324736db4b6ae",
     "brc-all-private": "8b240ea3447bff37627f5d7ca721f27fbcf5946dd377f286ba3c50a0fc15632a",
+    "logreg": "d754a840fad2c529073415e787abf737deefda82fa8ff0253bcf793b408c12ac",
+    "public-only": "120d0bddeb8e783bb4cdea0618da27d4b7187ba871a77a37e8bb52ce2da7e715",
+    "dp-logreg": "f73f9ba34d7d7bdac7a76527792a423c8ad3b08fabc27f085468e4ef606fbe42",
+    "pate": "22dd0399af0af8777302116258197395671bdd0b60b7db5a9a2b5f3620777413",
 }
 
 GOLDEN_TOY_CSV = (
