@@ -5,7 +5,6 @@ reproducibility harness.
 
 from .baselines import (
     LogRegHyper,
-    PateModel,
     fit_dp_logreg,
     fit_logreg_weighted,
     fit_pate,

@@ -210,47 +210,6 @@ def fit_dp_logreg(ds: Dataset, budget: Budget) -> LinearClassifier:
     )
 
 
-class PateModel:
-    """Teachers on private columns vote a label feature for a public student.
-
-    Both label counts of each vote query are released through ``budget``
-    with Lap(``vote_scale``) noise. Replacing one person's private features
-    changes the teacher fitted on their shard, which moves each count of a
-    query on another row by at most 1; the training query on their own row
-    also feeds the new features to all k teachers, so its counts move by at
-    most k. So a call on m rows is one release at L1 sensitivity 2m, and
-    ``fit_pate`` charges the own-row surplus 2(k-1) once. Later queries are
-    charged as queries on other rows (the harness queries held-out test
-    rows); re-querying a row draws fresh noise, another query. Past the
-    declared queries the budget raises ``RuntimeError`` before drawing.
-
-    ``teachers`` is a tuple of ``LinearClassifier``, scored by one
-    ``score_matrix`` call. Prediction is stateful: it spends budget and
-    draws two noise values per predicted row.
-    """
-
-    def __init__(self, teachers, student, public_cols, vote_scale, budget):
-        self.teachers = tuple(teachers)
-        self.student = student
-        self.public_cols = tuple(public_cols)
-        self.vote_scale = vote_scale
-        self.budget = budget
-
-    def noisy_votes(self, X: np.ndarray) -> np.ndarray:
-        """+/-1 winning label per row from noise-perturbed teacher vote counts."""
-        plus = np.count_nonzero(score_matrix(self.teachers, X) >= 0, axis=1)
-        counts = np.stack([plus, len(self.teachers) - plus])
-        plus, minus = self.budget.release("pate votes", counts, 2 * X.shape[0], self.vote_scale)
-        return sign_labels(plus - minus)
-
-    def _student_matrix(self, X: np.ndarray) -> np.ndarray:
-        votes = self.noisy_votes(X).astype(np.float64)
-        return np.hstack([X[:, list(self.public_cols)], votes[:, None]])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.student.predict(self._student_matrix(X))
-
-
 def fit_pate_teachers(
     train: Dataset, split: FeatureSplit, rng: np.random.Generator, *, k_teachers: int
 ) -> tuple[LinearClassifier, ...]:
@@ -272,31 +231,35 @@ def fit_pate_teachers(
     return tuple(teachers)
 
 
-def fit_pate(
-    train: Dataset,
-    split: FeatureSplit,
-    teachers,
-    budget: Budget,
-    *,
-    extra_query_budget: int,
-) -> PateModel:
-    """Fit a student on the public columns of ``train`` plus the noisy
-    winning label that ``teachers`` (``fit_pate_teachers`` on the same
-    ``train`` and ``split``) vote for each row.
+def fit_pate(train: Dataset, split: FeatureSplit, teachers, budget: Budget, queries: np.ndarray) -> np.ndarray:
+    """The labels of the rows of ``queries`` given by a student fitted on the
+    public columns of ``train`` plus the noisy winning label that
+    ``teachers`` (``fit_pate_teachers`` on the same ``train`` and ``split``)
+    vote for each row.
 
-    ``extra_query_budget`` reserves budget for vote queries made after
-    training, one per predicted row: the noise scale is fixed so that the
-    own-row surplus and train.n + extra_query_budget queries spend
-    ``budget`` exactly, and querying more raises.
+    Both label counts of each row's vote are released through ``budget``
+    with Lap(vote_scale) noise, first for the training rows, then for the
+    rows of ``queries``, which must lie outside ``train``. Replacing one
+    person's private features changes the teacher fitted on their shard,
+    which moves each count of another row's vote by at most 1; their own
+    row's vote also feeds the new features to all k teachers, so its counts
+    move by at most k. So the votes of m rows are one release at L1
+    sensitivity 2m, and the own-row surplus 2(k-1) is charged once: at
+    vote_scale = 2(train.n + len(queries) + k - 1)/epsilon, the votes spend
+    ``budget`` exactly. Every vote is drawn here, and nothing is released
+    after the call returns.
     """
     k = len(teachers)
-    queries = train.n + int(extra_query_budget)
-    vote_scale = 2.0 * (queries + k - 1) / budget.epsilon
+    m = train.n + len(queries)
+    vote_scale = 2.0 * (m + k - 1) / budget.epsilon
     # the share 2(k-1)/vote_scale, written so that it is inf, not 0/0, at epsilon = inf
-    budget.charge("pate own-row surplus", 2 * (k - 1), vote_scale, budget.epsilon * (k - 1) / (queries + k - 1))
-    model = PateModel(teachers, None, split.public_cols, vote_scale, budget)
+    budget.charge("pate own-row surplus", 2 * (k - 1), vote_scale, budget.epsilon * (k - 1) / (m + k - 1))
+
+    def with_votes(X: np.ndarray) -> np.ndarray:
+        plus = np.count_nonzero(score_matrix(teachers, X) >= 0, axis=1)
+        plus, minus = budget.release("pate votes", np.stack([plus, k - plus]), 2 * X.shape[0], vote_scale)
+        return np.hstack([X[:, list(split.public_cols)], sign_labels(plus - minus)[:, None]])
 
     columns = tuple(train.columns[i] for i in split.public_cols) + (("vote", "numeric"),)
-    student = Dataset(X=model._student_matrix(train.X), y=train.y, columns=columns)
-    model.student = fit_logreg_weighted(student, range(len(columns)))
-    return model
+    student = fit_logreg_weighted(Dataset(X=with_votes(train.X), y=train.y, columns=columns), range(len(columns)))
+    return student.predict(with_votes(queries))

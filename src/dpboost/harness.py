@@ -46,7 +46,7 @@ from .data import (
     normalize,
     split_indices,
 )
-from .model import accuracy, score_matrix
+from .model import score_matrix
 from .noise import Budget, Purpose, cell_budget, check_clipping, check_epsilons, rng_for, stream_id
 
 ALGORITHMS = ("brc", "brc-all-private", "logreg", "dp-logreg", "pate", "public-only")
@@ -156,8 +156,9 @@ def _prepare(full: Dataset, cfg: ExperimentConfig, repeat: int):
 
 
 def _cell_fitter(cfg: ExperimentConfig, repeat: int, full: Dataset, train_rows, test: Dataset, fsplit: FeatureSplit):
-    """Do the work the repeat's epsilons share, then return ``fit(budget) ->
-    (model, round records or None)`` for one cell, given its ``cell_budget``."""
+    """Do the work the repeat's epsilons share, then return ``fit(budget)``
+    for one cell, given its ``cell_budget``: a boosting fit gives ``(model,
+    round records)``, any other fit ``(the test rows' labels, None)``."""
     if cfg.algorithm in ("brc", "brc-all-private"):
         classifier_rng = rng_for(cfg.seed, repeat, Purpose.PRIVATE_CLASSIFIER)
         draws = draw_private_classifiers(full, train_rows, fsplit, cfg.rounds, classifier_rng)
@@ -165,15 +166,14 @@ def _cell_fitter(cfg: ExperimentConfig, repeat: int, full: Dataset, train_rows, 
     train = full.take(train_rows)
     if cfg.algorithm in ("logreg", "public-only"):
         cols = range(train.d) if cfg.algorithm == "logreg" else fsplit.public_cols
-        model = fit_logreg_weighted(train, cols)  # no noise: one fit serves every epsilon
-        return lambda budget: (model, None)
+        labels = fit_logreg_weighted(train, cols).predict(test.X)  # no noise: one fit serves every epsilon
+        return lambda budget: (labels, None)
     if cfg.algorithm == "dp-logreg":
-        return lambda budget: (fit_dp_logreg(train, budget), None)
+        return lambda budget: (fit_dp_logreg(train, budget).predict(test.X), None)
     if cfg.algorithm == "pate":
         rng = rng_for(cfg.seed, repeat, Purpose.BASELINE)
         teachers = fit_pate_teachers(train, fsplit, rng, k_teachers=cfg.pate_teachers)
-        # evaluation queries each test row once
-        return lambda budget: (fit_pate(train, fsplit, teachers, budget, extra_query_budget=test.n), None)
+        return lambda budget: (fit_pate(train, fsplit, teachers, budget, test.X), None)
     raise DataError(f"unknown algorithm {cfg.algorithm!r}")  # pragma: no cover - guarded by config validation
 
 
@@ -185,13 +185,13 @@ def _cell_outcome(fit, budget: Budget, test: Dataset, test_flags: dict) -> dict:
     """Fit and score one cell on its ``budget``; its record's outcome fields.
     ``test_flags`` maps each classifier the repeat has scored to its test-row flags."""
     try:
-        model, rounds = fit(budget)
-        if rounds is None:
-            return {"test_accuracy": accuracy(model, test)}
-        new = [m.clf for m in model.members if m.clf not in test_flags]
+        fitted, rounds = fit(budget)
+        if rounds is None:  # fitted is the test rows' labels
+            return {"test_accuracy": float(np.mean(fitted == test.y))}
+        new = [m.clf for m in fitted.members if m.clf not in test_flags]
         test_flags.update(zip(new, score_matrix(new, test.X).T >= 0))
-        flags = np.stack([test_flags[m.clf] for m in model.members]).T
-        accs = (model.prefix_vote(flags) == test.y).mean(axis=1)
+        flags = np.stack([test_flags[m.clf] for m in fitted.members]).T
+        accs = (fitted.prefix_vote(flags) == test.y).mean(axis=1)
         rounds = tuple(replace(r, test_accuracy=float(a)) for r, a in zip(rounds, accs))
         return {"test_accuracy": rounds[-1].test_accuracy, "rounds": rounds}
     except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep

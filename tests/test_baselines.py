@@ -20,6 +20,7 @@ from dpboost import (
     fit_pate_teachers,
     make_rng,
     score_matrix,
+    sign_labels,
 )
 from dpboost.baselines import (
     _sigmoid,
@@ -392,40 +393,59 @@ def separable_private_dataset(n=400, seed=0):
     return ds, FeatureSplit(public_cols=(0,), private_cols=(1,))
 
 
-def fit_pate_with_own_teachers(ds, split, epsilon, rng, *, k_teachers, extra_query_budget):
+class RecordingBudget(Budget):
+    """A ``Budget`` that keeps every noisy value it releases."""
+
+    def __init__(self, epsilon, rng):
+        super().__init__(epsilon, rng)
+        self.released = []
+
+    def release(self, mechanism, value, sensitivity, scale):
+        out = super().release(mechanism, value, sensitivity, scale)
+        self.released.append(out)
+        return out
+
+    def votes(self):
+        """The winning labels of each vote release, in release order."""
+        return [sign_labels(plus - minus) for plus, minus in self.released]
+
+    def vote_scales(self):
+        return {scale for name, _, scale, _ in self.ledger if name.startswith("pate")}
+
+
+def fit_pate_with_own_teachers(ds, split, epsilon, rng, queries, *, k_teachers):
     """Teachers and student from one stream, as a repeat task fits them for
-    its first epsilon."""
+    its first epsilon: (the labels of ``queries``, the spent budget)."""
     teachers = fit_pate_teachers(ds, split, rng, k_teachers=k_teachers)
-    return fit_pate(ds, split, teachers, Budget(epsilon, rng), extra_query_budget=extra_query_budget)
+    budget = RecordingBudget(epsilon, rng)
+    return fit_pate(ds, split, teachers, budget, queries), budget
 
 
 class TestPate:
     def test_oracle_vote_dominates_with_infinite_budget(self):
         ds, split = separable_private_dataset()
-        model = fit_pate_with_own_teachers(
-            ds, split, math.inf, make_rng(0), k_teachers=2, extra_query_budget=0
-        )
+        held_out, _ = separable_private_dataset(n=100, seed=1)
+        labels, budget = fit_pate_with_own_teachers(ds, split, math.inf, make_rng(0), held_out.X, k_teachers=2)
         # noiseless votes recover the label, and the student leans on them
-        assert np.array_equal(model.noisy_votes(ds.X), ds.y)
-        assert accuracy(model, ds) >= 0.95
+        train_votes, test_votes = budget.votes()
+        assert np.array_equal(train_votes, ds.y) and np.array_equal(test_votes, held_out.y)
+        assert np.mean(labels == held_out.y) >= 0.95
 
     def test_tiny_budget_votes_are_useless_but_student_survives(self):
         ds, split = separable_private_dataset(seed=3)
-        # reserve the 2n events queried below: one noisy_votes pass, one predict
-        model = fit_pate_with_own_teachers(
-            ds, split, 0.01, make_rng(1), k_teachers=2, extra_query_budget=2 * ds.n
-        )
-        votes = model.noisy_votes(ds.X)
-        assert abs(np.mean(votes == ds.y) - 0.5) < 0.1
-        assert 0.3 <= accuracy(model, ds) <= 1.0
+        held_out, _ = separable_private_dataset(seed=4)
+        labels, budget = fit_pate_with_own_teachers(ds, split, 0.01, make_rng(1), held_out.X, k_teachers=2)
+        for votes, y in zip(budget.votes(), (ds.y, held_out.y)):
+            assert abs(np.mean(votes == y) - 0.5) < 0.1
+        assert 0.3 <= np.mean(labels == held_out.y) <= 1.0
 
     def test_vote_scale_formula(self):
         ds, split = separable_private_dataset()
-        model = fit_pate_with_own_teachers(
-            ds, split, 0.16, make_rng(2), k_teachers=2, extra_query_budget=40
-        )
-        # queries = n + 40 events, plus k - 1 for the query on a row's own features
-        assert model.vote_scale == pytest.approx(2.0 * (ds.n + 40 + 2 - 1) / 0.16)
+        held_out, _ = separable_private_dataset(n=40, seed=1)
+        _, budget = fit_pate_with_own_teachers(ds, split, 0.16, make_rng(2), held_out.X, k_teachers=2)
+        # n + 40 query events, plus k - 1 for the query on a row's own features
+        (scale,) = budget.vote_scales()
+        assert scale == pytest.approx(2.0 * (ds.n + 40 + 2 - 1) / 0.16)
 
     def test_too_many_teachers_rejected(self):
         ds, split = separable_private_dataset(n=100)
@@ -435,12 +455,11 @@ class TestPate:
 
     def test_prediction_deterministic_given_rng(self):
         ds, split = separable_private_dataset(seed=5)
-        preds = []
-        for _ in range(2):
-            model = fit_pate_with_own_teachers(
-                ds, split, 0.5, make_rng(9), k_teachers=3, extra_query_budget=ds.n
-            )
-            preds.append(model.predict(ds.X))
+        held_out, _ = separable_private_dataset(n=100, seed=6)
+        preds = [
+            fit_pate_with_own_teachers(ds, split, 0.5, make_rng(9), held_out.X, k_teachers=3)[0]
+            for _ in range(2)
+        ]
         assert np.array_equal(preds[0], preds[1])
 
     def test_needs_both_sides(self):
@@ -459,33 +478,41 @@ class TestPate:
 
     def test_fit_draws_two_vote_vectors(self):
         # the fit consumes 2n Laplace draws (both counts for each training
-        # row) in one (2, n) release, as two n-vectors would; the student
-        # draws nothing itself
+        # row) in one (2, n) release, as two n-vectors would, then 2m for
+        # the m query rows the same way; the student draws nothing itself
         ds, split = separable_private_dataset(n=120, seed=8)
+        held_out, _ = separable_private_dataset(n=30, seed=9)
         teachers = fit_pate_teachers(ds, split, make_rng(13), k_teachers=2)
         rng = make_rng(14)
-        fit_pate(ds, split, teachers, Budget(0.5, rng), extra_query_budget=0)
+        fit_pate(ds, split, teachers, Budget(0.5, rng), held_out.X)
         ref = make_rng(14)
         ref.random(ds.n)
         ref.random(ds.n)
+        ref.random(held_out.n)
+        ref.random(held_out.n)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_fit_votes_with_the_given_teachers(self, monkeypatch):
-        # fit_pate fits no teacher: the model votes with the ones it is given
+        # fit_pate fits no teacher: both vote releases score the ones it is given
         ds, split = separable_private_dataset(n=120, seed=8)
+        held_out, _ = separable_private_dataset(n=30, seed=9)
         teachers = fit_pate_teachers(ds, split, make_rng(13), k_teachers=3)
-        fits = []
-        real = baselines.fit_logreg_weighted
+        fits, voters = [], []
+        real_fit, real_scores = baselines.fit_logreg_weighted, baselines.score_matrix
 
         def counting(*args, **kwargs):
             fits.append(args[0])
-            return real(*args, **kwargs)
+            return real_fit(*args, **kwargs)
+
+        def scoring(clfs, X):
+            voters.append(clfs)
+            return real_scores(clfs, X)
 
         monkeypatch.setattr(baselines, "fit_logreg_weighted", counting)
-        model = fit_pate(ds, split, teachers, Budget(0.5, make_rng(14)), extra_query_budget=0)
+        monkeypatch.setattr(baselines, "score_matrix", scoring)
+        fit_pate(ds, split, teachers, Budget(0.5, make_rng(14)), held_out.X)
         assert len(fits) == 1 and fits[0].columns[-1] == ("vote", "numeric")
-        assert len(model.teachers) == 3
-        assert all(a is b for a, b in zip(model.teachers, teachers))
+        assert len(voters) == 2 and all(v is teachers for v in voters)
 
     def test_vote_counts_move_by_k_on_a_rows_own_query_and_1_elsewhere(self):
         # Brute force on a tiny instance: replace one row's private features
@@ -517,10 +544,11 @@ class TestPate:
         # both counts of a query move together, so its L1 change is twice
         # the plus count's; basic composition charges every event at its worst
         teachers = fit_pate_teachers(ds, split, copy.deepcopy(stream), k_teachers=k)
-        model = fit_pate(ds, split, teachers, Budget(epsilon, make_rng(0)), extra_query_budget=held_out.n)
+        budget = RecordingBudget(epsilon, make_rng(0))
+        fit_pate(ds, split, teachers, budget, held_out.X)
+        (vote_scale,) = budget.vote_scales()
         queries = ds.n + held_out.n
-        assert 2 * (max(own) + (queries - 1) * max(others)) / model.vote_scale <= epsilon * (1 + 1e-12)
+        assert 2 * (max(own) + (queries - 1) * max(others)) / vote_scale <= epsilon * (1 + 1e-12)
         # the ledger books that worst case: the own-row surplus 2(k-1) and
         # each query's 2, all at vote_scale
-        model.noisy_votes(held_out.X)
-        assert model.budget.spent == pytest.approx(2 * (k - 1 + queries) / model.vote_scale, rel=1e-12)
+        assert budget.spent == pytest.approx(2 * (k - 1 + queries) / vote_scale, rel=1e-12)

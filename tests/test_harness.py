@@ -398,8 +398,8 @@ class TestRunExperiment:
         assert all(tag["sets"] == [] for tag in tags.values())
         assert events == [(parent, "set", 1), (parent, "pool"), (parent, "shutdown")]
 
-    def test_pate_cell_reserves_evaluation_queries(self, synth_csv, tmp_path):
-        # evaluation queries each test row once, so the noise scale is set
+    def test_pate_cell_scale_counts_its_test_queries(self, synth_csv, tmp_path):
+        # the cell queries each test row once, so the noise scale is set
         # from train.n + test.n query events, plus pate_teachers - 1 for the
         # query on a training row's own features
         cfg = config(
@@ -407,31 +407,30 @@ class TestRunExperiment:
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        train_rows, _, _ = harness._prepare(full, cfg, 0)
-        model, _, test = fit_cell(full, cfg, 0.5, 0)
-        expected_queries = len(train_rows) + test.n
-        assert model.vote_scale == pytest.approx(2.0 * (expected_queries + 5 - 1) / 0.5)
+        train_rows, test, fsplit = harness._prepare(full, cfg, 0)
+        budget = cell_budget(cfg.seed, 0, 0.5)
+        harness._cell_fitter(cfg, 0, full, train_rows, test, fsplit)(budget)
+        (scale,) = {scale for _, _, scale, _ in budget.ledger}
+        assert scale == pytest.approx(2.0 * (len(train_rows) + test.n + 5 - 1) / 0.5)
 
-    def test_pate_evaluation_spends_reserve_exactly_then_raises(self, synth_csv, tmp_path):
-        from dpboost import accuracy
-
+    def test_pate_cell_spends_its_budget_exactly(self, synth_csv, tmp_path):
         cfg = config(
             synth_csv, tmp_path, algorithm="pate", repeats=1, epsilons=(0.5,),
             pate_teachers=5,
         )
         full, _ = load_prepared_dataset(cfg)
-        assert harness._run_repeat(full, cfg, 0)[0].error is None
-        # the same evaluation as the repeat task: test accuracy only
-        train_rows, _, _ = harness._prepare(full, cfg, 0)
-        model, _, test = fit_cell(full, cfg, 0.5, 0)
-        accuracy(model, test)
-        assert model.budget.spent == pytest.approx(0.5, rel=1e-12)
-        assert sum(sens for name, sens, _, _ in model.budget.ledger if name == "pate votes") == 2 * (len(train_rows) + test.n)
-        # one more query raises before it draws
-        state = model.budget.rng.bit_generator.state
-        with pytest.raises(RuntimeError, match="budget exhausted"):
-            model.predict(test.X[:1])
-        assert model.budget.rng.bit_generator.state == state
+        (record,) = harness._run_repeat(full, cfg, 0)
+        # the same fit as the repeat task: its labels give the record's accuracy
+        train_rows, test, fsplit = harness._prepare(full, cfg, 0)
+        budget = cell_budget(cfg.seed, 0, 0.5)
+        labels, rounds = harness._cell_fitter(cfg, 0, full, train_rows, test, fsplit)(budget)
+        assert rounds is None and record.test_accuracy == np.mean(labels == test.y)
+        # the ledger is complete when the fit returns: the own-row surplus,
+        # then the training rows' votes and the test rows' votes
+        assert [name for name, *_ in budget.ledger] == ["pate own-row surplus", "pate votes", "pate votes"]
+        assert math.fsum(share for *_, share in budget.ledger) == pytest.approx(0.5, rel=1e-12)
+        assert budget.spent == pytest.approx(0.5, rel=1e-12)
+        assert sum(sens for name, sens, _, _ in budget.ledger if name == "pate votes") == 2 * (len(train_rows) + test.n)
 
     def test_record_replays_in_isolation(self, synth_csv, tmp_path):
         # a record's (seed, epsilon, repeat) suffice to re-run just that cell
@@ -614,7 +613,7 @@ class TestPrivacyLedger:
 
     @pytest.mark.parametrize("algorithm", ["brc", "brc-all-private", "dp-logreg", "pate"])
     def test_shares_sum_to_epsilon(self, synth_csv, tmp_path, budgets, algorithm):
-        # pate's budget includes the evaluation queries of the test rows; at
+        # pate's budget includes the votes of the test rows; at
         # eps 0.16 dp-logreg raises lam, at eps 1 it does not
         cfg = config(synth_csv, tmp_path, algorithm=algorithm, epsilons=(0.16, 1.0), pate_teachers=5)
         full, _ = load_prepared_dataset(cfg)
