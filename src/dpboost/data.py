@@ -340,10 +340,8 @@ def _load_csv_rows(path, schema: Schema) -> RawTable:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DataError(f"{path}: missing header") from None
-            # per column: each distinct stripped value and its code, and each
-            # distinct raw cell and the code of its stripped value
+            # per column: each distinct stripped value and its code
             levels: list[dict[str, int]] = [{} for _ in header]
-            lookups: list[dict[str, int]] = [{} for _ in header]
             rows, blocks = [], []
             for i, row in enumerate(reader):
                 if not row:
@@ -352,12 +350,11 @@ def _load_csv_rows(path, schema: Schema) -> RawTable:
                     raise DataError(f"{path}: ragged row at index {i}")
                 rows.append(row)
                 if len(rows) == _LOAD_BLOCK:
-                    blocks.append(_code_rows(rows, levels, lookups))
+                    blocks.append(_code_rows(rows, levels))
                     rows = []
-            blocks.append(_code_rows(rows, levels, lookups))
+            blocks.append(_code_rows(rows, levels))
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
-    del lookups  # the raw cells go before the concatenation copies the codes
     return _raw_table(path, header, levels, blocks, schema)
 
 
@@ -468,15 +465,15 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[rank], place[inverse]
 
 
-def _code_rows(rows: list[list[str]], levels: list[dict[str, int]], lookups: list[dict[str, int]]) -> np.ndarray:
+def _code_rows(rows: list[list[str]], levels: list[dict[str, int]]) -> np.ndarray:
     """The ``(len(rows), len(levels))`` int32 codes of a block of rows, coded
-    column by column; a cell not seen before is stripped once and added to
-    its column's ``lookups`` and, if its stripped value is new, ``levels``."""
+    column by column; each distinct cell of the block is stripped once, and
+    a stripped value not seen before is added to its column's ``levels``."""
     codes = np.empty((len(rows), len(levels)), dtype=np.int32)
-    for j, (level, lookup, cells) in enumerate(zip(levels, lookups, zip(*rows))):
-        for cell in dict.fromkeys(cells):
-            if cell not in lookup:
-                lookup[cell] = level.setdefault(cell.strip(), len(level))
+    for j, (level, cells) in enumerate(zip(levels, zip(*rows))):
+        lookup = dict.fromkeys(cells)
+        for cell in lookup:
+            lookup[cell] = level.setdefault(cell.strip(), len(level))
         codes[:, j] = np.fromiter(map(lookup.__getitem__, cells), np.int32, len(cells))
     return codes
 

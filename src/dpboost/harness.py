@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise DataError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
         for name, minimum in (("rounds", 1), ("repeats", 1), ("seed", 0), ("workers", 1), ("pate_teachers", 2)):
             check_int(name, getattr(self, name), minimum)
-        if isinstance(self.public_columns, str):
-            raise DataError(f"public_columns must be a list, got the string {self.public_columns!r}")
+        if not isinstance(self.public_columns, (list, tuple)):
+            raise DataError(f"public_columns must be a list, got {self.public_columns!r}")
         for column in self.public_columns:
             check_str("each of public_columns", column)
         for name in ("dataset", "schema", "output_dir"):

@@ -160,6 +160,15 @@ class TestRunCommand:
         assert err.startswith("dpboost: error:") and "public_columns" in err
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("columns", [5, None, {"pubnum": 1}], ids=["int", "null", "object"])
+    def test_public_columns_that_are_not_a_list_rejected(self, tmp_path, capsys, columns):
+        csv_path, schema_path = write_synthetic_csv(str(tmp_path))
+        cfg_path, out_dir = write_run_config(tmp_path, csv_path, schema_path, public_columns=columns)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dpboost: error:") and "public_columns" in err
+        assert not os.path.exists(out_dir)
+
 
 def write_toy_config(tmp_path, **overrides):
     cfg = {

@@ -94,6 +94,9 @@ class TestExperimentConfig:
             {"public_columns": "sex"},
             {"public_columns": [["sex"]]},
             {"public_columns": [5]},
+            {"public_columns": 5},
+            {"public_columns": None},
+            {"public_columns": {"sex": 1}},
             {"epsilons": "0.5"},
             {"epsilons": (True,)},
             {"epsilons": ("0.5",)},
