@@ -48,7 +48,7 @@ def config(synth_csv, tmp_path, **overrides):
 
 
 def fit_cell(full, cfg, eps, repeat):
-    """Fit one cell by itself, as its repeat's task does: (model, round records, test)."""
+    """Fit one boosting cell by itself, as its repeat's task does: (model, round records, test)."""
     train_rows, test, fsplit = harness._prepare(full, cfg, repeat)
     fit = harness._cell_fitter(cfg, repeat, full, train_rows, test, fsplit)
     model, rounds = fit(cell_budget(cfg.seed, repeat, eps))
